@@ -1,6 +1,7 @@
 #include "sim/checkpoint.h"
 
 #include <cstdlib>
+#include <iterator>
 #include <utility>
 
 #include "core/messages.h"
@@ -255,12 +256,14 @@ StoreOptions CheckpointStoreOptions() {
   return options;
 }
 
-void FoldTickRecordInto(OnlineTickRecord* fold, const OnlineTickRecord& record) {
+void FoldTickRecordInto(OnlineTickRecord* fold, OnlineTickRecord record) {
   fold->folded = true;
   fold->tick = record.tick;
   fold->shed_policy = record.shed_policy;
-  fold->changes.insert(fold->changes.end(), record.changes.begin(), record.changes.end());
-  fold->sent.insert(fold->sent.end(), record.sent.begin(), record.sent.end());
+  fold->changes.insert(fold->changes.end(), std::make_move_iterator(record.changes.begin()),
+                       std::make_move_iterator(record.changes.end()));
+  fold->sent.insert(fold->sent.end(), std::make_move_iterator(record.sent.begin()),
+                    std::make_move_iterator(record.sent.end()));
   fold->offers_received = record.offers_received;
   fold->accepted = record.accepted;
   fold->rejected = record.rejected;
@@ -272,14 +275,8 @@ void FoldTickRecordInto(OnlineTickRecord* fold, const OnlineTickRecord& record) 
   fold->shed_offers = record.shed_offers;
   fold->queue_high_watermark = record.queue_high_watermark;
   fold->next_arrival = record.next_arrival;
-  fold->pending_acceptance = record.pending_acceptance;
-  fold->pending_assignment = record.pending_assignment;
-}
-
-OnlineTickRecord FoldTickRecords(const std::vector<OnlineTickRecord>& records) {
-  OnlineTickRecord fold;
-  for (const OnlineTickRecord& record : records) FoldTickRecordInto(&fold, record);
-  return fold;
+  fold->pending_acceptance = std::move(record.pending_acceptance);
+  fold->pending_assignment = std::move(record.pending_assignment);
 }
 
 StoreFiles EncodeOnlineSnapshot(const OnlineParams& params,

@@ -132,10 +132,7 @@ Result<OnlineStateChange> DecodeStateChange(const JsonValue& value);
 /// cursor, queues) come from `record`, and the result is marked folded.
 /// Applying the fold of ticks 0..K onto a fresh Begin state reproduces the
 /// live post-tick-K state byte for byte — the invariant compaction rests on.
-void FoldTickRecordInto(OnlineTickRecord* fold, const OnlineTickRecord& record);
-
-/// FoldTickRecordInto over a whole sequence. Precondition: non-empty.
-OnlineTickRecord FoldTickRecords(const std::vector<OnlineTickRecord>& records);
+void FoldTickRecordInto(OnlineTickRecord* fold, OnlineTickRecord record);
 
 // ---- Snapshot codec (shared with sim/coordinator) ---------------------------
 //

@@ -72,10 +72,8 @@ struct MigrationRecord {
   int64_t epoch = 0;
   /// migrate_in only: the migrated prosumer's offers.
   std::vector<FlexOffer> offers;
-  /// Active migration: the record additionally carries the prosumer's
-  /// mid-flight state (moved.offers stays empty here — the offer payload
-  /// rides in `offers` on the migrate_in, as for idle migrations).
-  bool active = false;
+  /// The prosumer's mid-flight state; encoded (behind an "active" flag) only
+  /// when non-empty, so an idle migration's records carry none of it.
   MigratedState moved;
 };
 
@@ -113,7 +111,7 @@ std::string EncodeMigrationRecord(const MigrationRecord& record) {
     }
     json.Set("offers", std::move(offers));
   }
-  if (record.active) {
+  if (!record.moved.idle()) {
     json.Set("active", JsonValue::Bool(true));
     json.Set("consumed", IdArray(record.moved.consumed));
     json.Set("pend_acc", IdArray(record.moved.pending_acceptance));
@@ -166,7 +164,6 @@ Result<MigrationRecord> DecodeMigrationRecord(const JsonValue& json) {
     if (!active.ok() || !*active) {
       return DataLossError("migration record 'active' flag is malformed");
     }
-    record.active = true;
     FLEXVIS_RETURN_IF_ERROR(
         DecodeIdArray(json.Get("consumed"), "consumed", &record.moved.consumed));
     FLEXVIS_RETURN_IF_ERROR(
@@ -184,76 +181,6 @@ Result<MigrationRecord> DecodeMigrationRecord(const JsonValue& json) {
     }
   }
   return record;
-}
-
-/// Reconstitutes the full moved state a record carries: a migrate_in holds
-/// the offer payload itself; for a migrate_out (or a legacy payload-free
-/// record) the offers are recovered from the global input list.
-MigratedState MovedFromRecord(const MigrationRecord& record,
-                              const std::vector<FlexOffer>& offers) {
-  MigratedState moved = record.moved;
-  moved.offers = record.offers;
-  if (moved.offers.empty()) {
-    for (const FlexOffer& offer : offers) {
-      if (offer.prosumer == record.prosumer) moved.offers.push_back(offer);
-    }
-  }
-  return moved;
-}
-
-/// Removes the moved prosumer's footprint from the source shard's collapsed
-/// fold: its decided states and queue entries drop out and the arrival
-/// cursor retreats past its consumed arrivals. Counters (including sheds it
-/// caused) stay with the source — cumulative history does not move.
-OnlineTickRecord SpliceOutFold(const OnlineEnterprise& enterprise,
-                               const OnlineLoopState& state, const MigratedState& moved) {
-  OnlineTickRecord fold = enterprise.Snapshot(state);
-  std::set<core::FlexOfferId> gone;
-  for (const FlexOffer& offer : moved.offers) gone.insert(offer.id);
-  fold.changes.erase(std::remove_if(fold.changes.begin(), fold.changes.end(),
-                                    [&gone](const OnlineStateChange& change) {
-                                      return gone.count(change.offer) != 0;
-                                    }),
-                     fold.changes.end());
-  auto drop = [&gone](std::vector<core::FlexOfferId>* ids) {
-    ids->erase(std::remove_if(ids->begin(), ids->end(),
-                              [&gone](core::FlexOfferId id) { return gone.count(id) != 0; }),
-               ids->end());
-  };
-  drop(&fold.pending_acceptance);
-  drop(&fold.pending_assignment);
-  fold.next_arrival -= static_cast<int64_t>(moved.consumed.size());
-  return fold;
-}
-
-/// Grafts the moved prosumer's footprint onto the target shard's collapsed
-/// fold: decided states and queue entries append after the target's own, the
-/// arrival cursor advances over the moved consumed arrivals, and the
-/// watermark accounts for the deeper merged queue.
-OnlineTickRecord SpliceInFold(const OnlineEnterprise& enterprise,
-                              const OnlineLoopState& state, const MigratedState& moved) {
-  OnlineTickRecord fold = enterprise.Snapshot(state);
-  for (const OnlineStateChange& change : moved.states) fold.changes.push_back(change);
-  for (core::FlexOfferId id : moved.pending_acceptance) {
-    fold.pending_acceptance.push_back(id);
-  }
-  for (core::FlexOfferId id : moved.pending_assignment) {
-    fold.pending_assignment.push_back(id);
-  }
-  fold.next_arrival += static_cast<int64_t>(moved.consumed.size());
-  fold.queue_high_watermark = std::max(fold.queue_high_watermark,
-                                       static_cast<int>(fold.pending_acceptance.size()));
-  return fold;
-}
-
-/// The offer subset `router` assigns to shard `s`, in global input order.
-std::vector<FlexOffer> SubsetFor(const ShardRouter& router,
-                                 const std::vector<FlexOffer>& offers, int s) {
-  std::vector<FlexOffer> subset;
-  for (const FlexOffer& offer : offers) {
-    if (router.ShardOf(offer) == s) subset.push_back(offer);
-  }
-  return subset;
 }
 
 /// One replayed journal entry: either a tick record or a migration record.
@@ -314,16 +241,20 @@ int ShardsFromEnv(int fallback) {
 }
 
 /// Everything one shard owns: its loop parameters (energy scaled, faults
-/// pointed at the shard registry), its fault registry, its live state, the
-/// list of applied records (a resumed shard's first entry is the folded
-/// record of its compacted generation; replayed on migration rebuilds), and
-/// — when checkpointed — its open durable store.
+/// pointed at the shard registry), its fault registry, its live state, its
+/// history, and — when checkpointed — its open durable store.
 struct Coordinator::Shard {
   OnlineParams params;
   std::unique_ptr<FaultRegistry> registry;
   OnlineEnterprise enterprise;
   OnlineLoopState state;
-  std::vector<OnlineTickRecord> applied;
+  /// Everything applied since `state` was last re-based onto a fresh Begin,
+  /// folded in order (FoldTickRecordInto): applied onto Begin(members) it
+  /// reproduces `state` bit for bit. Compaction writes it as state.json. A
+  /// Snapshot would not do: it re-adds the committed schedules in member
+  /// order, which changes the residual's floating-point sums and with them
+  /// later decisions.
+  OnlineTickRecord history;
   DurableStore store;
 };
 
@@ -479,7 +410,7 @@ Status Coordinator::Tick() {
       FLEXVIS_RETURN_IF_ERROR(shard.store.Append(EncodeTickRecord(records[s])));
       FLEXVIS_RETURN_IF_ERROR(shard.store.Flush());
     }
-    shard.applied.push_back(std::move(records[s]));
+    FoldTickRecordInto(&shard.history, std::move(records[s]));
   }
 
   // Self-healing controller: once the global tick is complete on every shard
@@ -528,89 +459,18 @@ Status Coordinator::CompactShards(const std::vector<bool>* include) {
     base_epoch_ = epoch_;
     FLEXVIS_RETURN_IF_ERROR(WriteCoordinatorManifest());
   }
-  std::vector<std::vector<size_t>> partition = router_.Partition(offers_);
   for (int s = 0; s < params_.num_shards; ++s) {
     Shard& shard = *shards_[static_cast<size_t>(s)];
-    if (shard.applied.empty()) continue;
+    if (shard.state.next_tick == 0) continue;  // nothing to fold yet
     if (include != nullptr && !(*include)[static_cast<size_t>(s)]) continue;
     std::vector<FlexOffer> subset;
-    subset.reserve(partition[static_cast<size_t>(s)].size());
-    for (size_t idx : partition[static_cast<size_t>(s)]) subset.push_back(offers_[idx]);
+    for (const FlexOffer& offer : offers_) {
+      if (shard.state.index_of.count(offer.id) != 0) subset.push_back(offer);
+    }
     StoreFiles files = EncodeOnlineSnapshot(shard.params, subset, window_);
-    files.emplace_back(kCheckpointStateFile,
-                       EncodeTickRecord(FoldTickRecords(shard.applied)));
+    files.emplace_back(kCheckpointStateFile, EncodeTickRecord(shard.history));
     FLEXVIS_RETURN_IF_ERROR(shard.store.Compact(files, JsonValue()));
   }
-  return OkStatus();
-}
-
-Status Coordinator::RebakeShard(int s, int64_t epoch) {
-  OnlineLoopState rebuilt;
-  FLEXVIS_RETURN_IF_ERROR(RebuildShard(s, router_, &rebuilt));
-  shards_[static_cast<size_t>(s)]->state = std::move(rebuilt);
-  epoch_ = std::max(epoch_, epoch);
-  return OkStatus();
-}
-
-Status Coordinator::RebuildShard(int s, const ShardRouter& router,
-                                 OnlineLoopState* out) const {
-  const Shard& shard = *shards_[static_cast<size_t>(s)];
-  std::vector<FlexOffer> subset;
-  for (const FlexOffer& offer : offers_) {
-    if (router.ShardOf(offer) == s) subset.push_back(offer);
-  }
-  Result<OnlineLoopState> rebuilt = shard.enterprise.Begin(subset, window_);
-  if (!rebuilt.ok()) return rebuilt.status();
-  for (const OnlineTickRecord& record : shard.applied) {
-    FLEXVIS_RETURN_IF_ERROR(shard.enterprise.Apply(*rebuilt, record));
-  }
-
-  // Replay-diff against the live state. The arrival-prefix comparison is the
-  // real migration precondition: history is untouched exactly when every
-  // already-consumed arrival position maps to the same offer before and
-  // after the membership change.
-  const OnlineLoopState& live = shard.state;
-  if (rebuilt->next_tick != live.next_tick ||
-      rebuilt->next_arrival != live.next_arrival) {
-    return FailedPreconditionError(StrFormat(
-        "migration would perturb shard %d history (tick %d vs %d, arrival cursor %zu vs "
-        "%zu)",
-        s, rebuilt->next_tick, live.next_tick, rebuilt->next_arrival, live.next_arrival));
-  }
-  for (size_t i = 0; i < rebuilt->next_arrival; ++i) {
-    core::FlexOfferId rebuilt_id = rebuilt->report.offers[rebuilt->arrival[i]].id;
-    core::FlexOfferId live_id = live.report.offers[live.arrival[i]].id;
-    if (rebuilt_id != live_id) {
-      return FailedPreconditionError(StrFormat(
-          "migration would reorder shard %d's consumed arrivals (position %zu: offer %lld "
-          "vs %lld)",
-          s, i, static_cast<long long>(rebuilt_id), static_cast<long long>(live_id)));
-    }
-  }
-  if (rebuilt->report.outbox != live.report.outbox ||
-      rebuilt->report.offers_received != live.report.offers_received ||
-      rebuilt->report.accepted != live.report.accepted ||
-      rebuilt->report.rejected != live.report.rejected ||
-      rebuilt->report.assigned != live.report.assigned) {
-    return InternalError(
-        StrFormat("shard %d replay diverged from its live state during migration", s));
-  }
-  *out = *std::move(rebuilt);
-  return OkStatus();
-}
-
-Status Coordinator::CommitMigration(core::ProsumerId prosumer, int from, int to,
-                                    int64_t new_epoch) {
-  FLEXVIS_RETURN_IF_ERROR(router_.Assign(prosumer, to));
-  // max, not assignment: a resume pre-seeds epoch_ with the manifest's
-  // base_epoch, and a replayed migration below it must not regress the epoch.
-  epoch_ = std::max(epoch_, new_epoch);
-  OnlineLoopState source_state;
-  OnlineLoopState target_state;
-  FLEXVIS_RETURN_IF_ERROR(RebuildShard(from, router_, &source_state));
-  FLEXVIS_RETURN_IF_ERROR(RebuildShard(to, router_, &target_state));
-  shards_[static_cast<size_t>(from)]->state = std::move(source_state);
-  shards_[static_cast<size_t>(to)]->state = std::move(target_state);
   return OkStatus();
 }
 
@@ -621,31 +481,28 @@ Status Coordinator::MigrateProsumer(core::ProsumerId prosumer, int to_shard,
     return InvalidArgumentError(
         StrFormat("shard %d out of range [0, %d)", to_shard, params_.num_shards));
   }
-  const FlexOffer* sample = nullptr;
-  for (const FlexOffer& offer : offers_) {
-    if (offer.prosumer == prosumer) {
-      sample = &offer;
-      break;
-    }
-  }
-  if (sample == nullptr) {
+  std::vector<FlexOffer> owned = OffersOf(prosumer);
+  if (owned.empty()) {
     return NotFoundError(
         StrFormat("prosumer %lld owns no offers", static_cast<long long>(prosumer)));
   }
-  const int from = router_.ShardOf(*sample);
+  const int from = router_.ShardOf(owned.front());
   if (from == to_shard) {
     return InvalidArgumentError(StrFormat("prosumer %lld is already on shard %d",
                                           static_cast<long long>(prosumer), to_shard));
   }
 
-  // The precondition is validated BEFORE any offer payload is assembled:
-  // under kIdleOnly an active prosumer cannot move, and the error names
-  // every already-ingested offer so the operator sees the whole conflict,
-  // not just the first.
-  MigratedState moved = ExtractMovedState(from, prosumer);
-  if (!moved.idle() && mode == MigrationMode::kIdleOnly) {
+  // The idle rule names every already-ingested offer so the operator sees
+  // the whole conflict, not just the first.
+  MigrationRecord out;
+  out.prosumer = prosumer;
+  out.from = from;
+  out.to = to_shard;
+  out.epoch = epoch_ + 1;
+  out.moved = ExtractMovedState(from, prosumer);
+  if (!out.moved.idle() && mode == MigrationMode::kIdleOnly) {
     std::string ids;
-    for (core::FlexOfferId id : moved.consumed) {
+    for (core::FlexOfferId id : out.moved.consumed) {
       if (!ids.empty()) ids += ", ";
       ids += StrFormat("%lld", static_cast<long long>(id));
     }
@@ -654,92 +511,35 @@ Status Coordinator::MigrateProsumer(core::ProsumerId prosumer, int to_shard,
         "requires an idle prosumer",
         static_cast<long long>(prosumer), from, ids.c_str()));
   }
-  for (const FlexOffer& offer : offers_) {
-    if (offer.prosumer == prosumer) moved.offers.push_back(offer);
-  }
 
-  // Speculative verification of both shards BEFORE anything becomes durable:
-  // a failed verification leaves the run (and journals) untouched. Idle
-  // migrations rebuild both shards by replaying every applied record; active
-  // migrations splice the moved state across collapsed folds.
-  ShardRouter new_router = router_;
-  FLEXVIS_RETURN_IF_ERROR(new_router.Assign(prosumer, to_shard));
-  const int64_t new_epoch = epoch_ + 1;
-  const bool active = !moved.idle();
-  Shard& source = *shards_[static_cast<size_t>(from)];
-  Shard& target = *shards_[static_cast<size_t>(to_shard)];
-  OnlineLoopState source_state;
-  OnlineLoopState target_state;
-  OnlineTickRecord source_fold;
-  OnlineTickRecord target_fold;
-  if (active) {
-    if (source.state.next_tick != target.state.next_tick) {
-      return FailedPreconditionError(
-          StrFormat("shards %d and %d are not at a common tick boundary (%d vs %d)", from,
-                    to_shard, source.state.next_tick, target.state.next_tick));
-    }
-    source_fold = SpliceOutFold(source.enterprise, source.state, moved);
-    target_fold = SpliceInFold(target.enterprise, target.state, moved);
-    std::vector<core::FlexOfferId> source_expect;
-    for (size_t pos = 0; pos < source.state.next_arrival; ++pos) {
-      const FlexOffer& offer = source.state.report.offers[source.state.arrival[pos]];
-      if (offer.prosumer != prosumer) source_expect.push_back(offer.id);
-    }
-    std::vector<core::FlexOfferId> target_expect;
-    for (size_t pos = 0; pos < target.state.next_arrival; ++pos) {
-      target_expect.push_back(target.state.report.offers[target.state.arrival[pos]].id);
-    }
-    for (core::FlexOfferId id : moved.consumed) target_expect.push_back(id);
-    FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(source.enterprise,
-                                              SubsetFor(new_router, offers_, from),
-                                              source_fold, source_expect, &source_state));
-    FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(target.enterprise,
-                                              SubsetFor(new_router, offers_, to_shard),
-                                              target_fold, target_expect, &target_state));
-  } else {
-    FLEXVIS_RETURN_IF_ERROR(RebuildShard(from, new_router, &source_state));
-    FLEXVIS_RETURN_IF_ERROR(RebuildShard(to_shard, new_router, &target_state));
-  }
-
-  // Durability order: migrate_out (source journal) -> migrate_in with the
-  // offer payload (target journal) -> manifest rewrite. Recovery completes a
-  // lone migrate_out; a migrate_in cannot exist without its migrate_out.
-  if (checkpointed_) {
-    MigrationRecord out;
-    out.is_in = false;
-    out.prosumer = prosumer;
-    out.from = from;
-    out.to = to_shard;
-    out.epoch = new_epoch;
-    out.active = active;
-    if (active) {
-      out.moved = moved;
-      out.moved.offers.clear();  // the offer payload rides on the migrate_in
-    }
-    FLEXVIS_RETURN_IF_ERROR(source.store.Append(EncodeMigrationRecord(out)));
-    FLEXVIS_RETURN_IF_ERROR(source.store.Flush());
+  // Durability order, once both re-based states verified: migrate_out
+  // (source journal) -> migrate_in with the offer payload (target journal)
+  // -> manifest rewrite. Recovery completes a lone migrate_out; a
+  // migrate_in cannot exist without its migrate_out.
+  auto make_durable = [&]() -> Status {
+    if (!checkpointed_) return OkStatus();
+    DurableStore& source = shards_[static_cast<size_t>(from)]->store;
+    FLEXVIS_RETURN_IF_ERROR(source.Append(EncodeMigrationRecord(out)));
+    FLEXVIS_RETURN_IF_ERROR(source.Flush());
     MigrationRecord in = out;
     in.is_in = true;
-    in.offers = moved.offers;
-    FLEXVIS_RETURN_IF_ERROR(target.store.Append(EncodeMigrationRecord(in)));
-    FLEXVIS_RETURN_IF_ERROR(target.store.Flush());
-  }
-
-  router_ = std::move(new_router);
-  epoch_ = new_epoch;
-  source.state = std::move(source_state);
-  target.state = std::move(target_state);
-  if (active) {
-    // Both shards are now re-based onto their spliced folds; the fold
-    // replaces the applied history so later rebuilds and compactions replay
-    // it exactly as a compacted generation's state.json would.
-    source.applied.clear();
-    source.applied.push_back(std::move(source_fold));
-    target.applied.clear();
-    target.applied.push_back(std::move(target_fold));
-  }
+    in.offers = std::move(owned);
+    DurableStore& target = shards_[static_cast<size_t>(to_shard)]->store;
+    FLEXVIS_RETURN_IF_ERROR(target.Append(EncodeMigrationRecord(in)));
+    return target.Flush();
+  };
+  FLEXVIS_RETURN_IF_ERROR(Splice(prosumer, from, to_shard, out.epoch, out.moved,
+                                 SpliceSides::kBoth, make_durable));
   if (checkpointed_) FLEXVIS_RETURN_IF_ERROR(WriteCoordinatorManifest());
   return OkStatus();
+}
+
+std::vector<FlexOffer> Coordinator::OffersOf(core::ProsumerId prosumer) const {
+  std::vector<FlexOffer> owned;
+  for (const FlexOffer& offer : offers_) {
+    if (offer.prosumer == prosumer) owned.push_back(offer);
+  }
+  return owned;
 }
 
 MigratedState Coordinator::ExtractMovedState(int s, core::ProsumerId prosumer) const {
@@ -802,89 +602,101 @@ Status Coordinator::BuildSplicedState(const OnlineEnterprise& enterprise,
   return OkStatus();
 }
 
-Status Coordinator::CommitActiveMigration(core::ProsumerId prosumer, int from, int to,
-                                          int64_t new_epoch) {
-  // Re-extract the moved state from the replayed source (byte-identical to
-  // what the live migration extracted — replay determinism) and re-run the
-  // same splice the live commit ran.
-  MigratedState moved = ExtractMovedState(from, prosumer);
-  for (const FlexOffer& offer : offers_) {
-    if (offer.prosumer == prosumer) moved.offers.push_back(offer);
+Status Coordinator::Splice(core::ProsumerId prosumer, int from, int to, int64_t epoch,
+                           const MigratedState& moved, SpliceSides sides,
+                           const std::function<Status()>& make_durable) {
+  struct Rebased {
+    Shard* shard;
+    bool joining;
+    OnlineTickRecord fold;
+    OnlineLoopState state;
+  };
+  std::vector<Rebased> rebased;
+  if (sides != SpliceSides::kTargetOnly) {
+    rebased.push_back({shards_[static_cast<size_t>(from)].get(), false, {}, {}});
   }
-  Shard& source = *shards_[static_cast<size_t>(from)];
-  Shard& target = *shards_[static_cast<size_t>(to)];
-  if (source.state.next_tick != target.state.next_tick) {
-    return DataLossError(
-        StrFormat("active migration of prosumer %lld surfaced with shards %d and %d at "
-                  "different ticks (%d vs %d)",
-                  static_cast<long long>(prosumer), from, to, source.state.next_tick,
-                  target.state.next_tick));
+  if (sides != SpliceSides::kSourceOnly) {
+    rebased.push_back({shards_[static_cast<size_t>(to)].get(), true, {}, {}});
+  }
+  // Moved decisions only mean the same thing on a shard at the same tick.
+  if (rebased.size() == 2 && !moved.idle() &&
+      rebased[0].shard->state.next_tick != rebased[1].shard->state.next_tick) {
+    return FailedPreconditionError(StrFormat(
+        "shards %d and %d are not at a common tick boundary (%d vs %d)", from, to,
+        rebased[0].shard->state.next_tick, rebased[1].shard->state.next_tick));
+  }
+
+  for (Rebased& side : rebased) {
+    const OnlineEnterprise& enterprise = side.shard->enterprise;
+    const OnlineLoopState& live = side.shard->state;
+    std::vector<FlexOffer> subset;
+    for (const FlexOffer& offer : offers_) {
+      if (offer.prosumer == prosumer ? side.joining : live.index_of.count(offer.id) != 0) {
+        subset.push_back(offer);
+      }
+    }
+    if (live.next_tick == 0) {
+      // Nothing has run yet: the new membership is the whole state.
+      Result<OnlineLoopState> fresh = enterprise.Begin(subset, window_);
+      if (!fresh.ok()) return fresh.status();
+      side.state = *std::move(fresh);
+      continue;
+    }
+    // An idle move changes no decision, so the shard keeps its own history
+    // (and with it its residual, bit for bit). Moved decisions re-base the
+    // shard onto its collapsed Snapshot instead.
+    OnlineTickRecord& fold = side.fold;
+    fold = moved.idle() ? side.shard->history : enterprise.Snapshot(live);
+    // Strip the prosumer's footprint: its decided states and queue entries
+    // drop out and the arrival cursor retreats past its consumed arrivals.
+    // Counters (including sheds it caused) stay — cumulative history does
+    // not move.
+    std::set<core::FlexOfferId> leaving;
+    for (const FlexOffer& offer : live.report.offers) {
+      if (offer.prosumer == prosumer) leaving.insert(offer.id);
+    }
+    auto is_leaving = [&leaving](core::FlexOfferId id) { return leaving.count(id) != 0; };
+    fold.changes.erase(std::remove_if(fold.changes.begin(), fold.changes.end(),
+                                      [&](const OnlineStateChange& change) {
+                                        return is_leaving(change.offer);
+                                      }),
+                       fold.changes.end());
+    for (std::vector<core::FlexOfferId>* queue :
+         {&fold.pending_acceptance, &fold.pending_assignment}) {
+      queue->erase(std::remove_if(queue->begin(), queue->end(), is_leaving), queue->end());
+    }
+    std::vector<core::FlexOfferId> expect;
+    for (size_t pos = 0; pos < live.next_arrival; ++pos) {
+      const core::FlexOfferId id = live.report.offers[live.arrival[pos]].id;
+      if (!is_leaving(id)) expect.push_back(id);
+    }
+    if (side.joining) {
+      // Graft the moved state after the shard's own: decided states and
+      // queue entries append, the cursor covers the moved consumed arrivals,
+      // and the watermark accounts for the deeper merged queue.
+      fold.changes.insert(fold.changes.end(), moved.states.begin(), moved.states.end());
+      fold.pending_acceptance.insert(fold.pending_acceptance.end(),
+                                     moved.pending_acceptance.begin(),
+                                     moved.pending_acceptance.end());
+      fold.pending_assignment.insert(fold.pending_assignment.end(),
+                                     moved.pending_assignment.begin(),
+                                     moved.pending_assignment.end());
+      expect.insert(expect.end(), moved.consumed.begin(), moved.consumed.end());
+      fold.queue_high_watermark = std::max(fold.queue_high_watermark,
+                                           static_cast<int>(fold.pending_acceptance.size()));
+    }
+    fold.next_arrival = static_cast<int64_t>(expect.size());
+    FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(enterprise, subset, fold, expect, &side.state));
+  }
+
+  if (make_durable) FLEXVIS_RETURN_IF_ERROR(make_durable());
+  for (Rebased& side : rebased) {
+    side.shard->state = std::move(side.state);
+    side.shard->history = std::move(side.fold);
   }
   FLEXVIS_RETURN_IF_ERROR(router_.Assign(prosumer, to));
-  epoch_ = std::max(epoch_, new_epoch);
-  OnlineTickRecord source_fold = SpliceOutFold(source.enterprise, source.state, moved);
-  OnlineTickRecord target_fold = SpliceInFold(target.enterprise, target.state, moved);
-  std::vector<core::FlexOfferId> source_expect;
-  for (size_t pos = 0; pos < source.state.next_arrival; ++pos) {
-    const FlexOffer& offer = source.state.report.offers[source.state.arrival[pos]];
-    if (offer.prosumer != prosumer) source_expect.push_back(offer.id);
-  }
-  std::vector<core::FlexOfferId> target_expect;
-  for (size_t pos = 0; pos < target.state.next_arrival; ++pos) {
-    target_expect.push_back(target.state.report.offers[target.state.arrival[pos]].id);
-  }
-  for (core::FlexOfferId id : moved.consumed) target_expect.push_back(id);
-  OnlineLoopState source_state;
-  OnlineLoopState target_state;
-  FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(source.enterprise, SubsetFor(router_, offers_, from),
-                                            source_fold, source_expect, &source_state));
-  FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(target.enterprise, SubsetFor(router_, offers_, to),
-                                            target_fold, target_expect, &target_state));
-  source.state = std::move(source_state);
-  target.state = std::move(target_state);
-  source.applied.clear();
-  source.applied.push_back(std::move(source_fold));
-  target.applied.clear();
-  target.applied.push_back(std::move(target_fold));
-  return OkStatus();
-}
-
-Status Coordinator::ActiveRebakeTarget(int s, const MigratedState& moved, int64_t epoch) {
-  Shard& shard = *shards_[static_cast<size_t>(s)];
-  OnlineTickRecord fold = SpliceInFold(shard.enterprise, shard.state, moved);
-  std::vector<core::FlexOfferId> expect;
-  for (size_t pos = 0; pos < shard.state.next_arrival; ++pos) {
-    expect.push_back(shard.state.report.offers[shard.state.arrival[pos]].id);
-  }
-  for (core::FlexOfferId id : moved.consumed) expect.push_back(id);
-  OnlineLoopState spliced;
-  FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(shard.enterprise, SubsetFor(router_, offers_, s),
-                                            fold, expect, &spliced));
-  shard.state = std::move(spliced);
-  shard.applied.clear();
-  shard.applied.push_back(std::move(fold));
-  epoch_ = std::max(epoch_, epoch);
-  return OkStatus();
-}
-
-Status Coordinator::ActiveRebakeSource(int s, core::ProsumerId prosumer, int64_t epoch) {
-  Shard& shard = *shards_[static_cast<size_t>(s)];
-  MigratedState moved = ExtractMovedState(s, prosumer);
-  for (const FlexOffer& offer : offers_) {
-    if (offer.prosumer == prosumer) moved.offers.push_back(offer);
-  }
-  OnlineTickRecord fold = SpliceOutFold(shard.enterprise, shard.state, moved);
-  std::vector<core::FlexOfferId> expect;
-  for (size_t pos = 0; pos < shard.state.next_arrival; ++pos) {
-    const FlexOffer& offer = shard.state.report.offers[shard.state.arrival[pos]];
-    if (offer.prosumer != prosumer) expect.push_back(offer.id);
-  }
-  OnlineLoopState spliced;
-  FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(shard.enterprise, SubsetFor(router_, offers_, s),
-                                            fold, expect, &spliced));
-  shard.state = std::move(spliced);
-  shard.applied.clear();
-  shard.applied.push_back(std::move(fold));
+  // max, not assignment: a resume starts the epoch at the manifest's
+  // base_epoch, and a replayed migration below it must not regress it.
   epoch_ = std::max(epoch_, epoch);
   return OkStatus();
 }
@@ -983,7 +795,7 @@ Status Coordinator::Resize(int new_num_shards) {
       if (!state.ok()) return state.status();
       shard->state = *std::move(state);
     } else {
-      OnlineTickRecord fold;
+      OnlineTickRecord& fold = shard->history;
       fold.tick = next_tick - 1;
       fold.folded = true;
       fold.shed_policy = static_cast<int>(params_.online.shed_policy);
@@ -1023,7 +835,6 @@ Status Coordinator::Resize(int new_num_shards) {
       FLEXVIS_RETURN_IF_ERROR(
           BuildSplicedState(shard->enterprise, subsets[si], fold, expect, &spliced));
       shard->state = std::move(spliced);
-      shard->applied.push_back(std::move(fold));
     }
     new_shards.push_back(std::move(shard));
   }
@@ -1041,8 +852,7 @@ Status Coordinator::Resize(int new_num_shards) {
       const size_t si = static_cast<size_t>(s);
       StoreFiles files = EncodeOnlineSnapshot(new_shards[si]->params, subsets[si], window_);
       if (next_tick > 0) {
-        files.emplace_back(kCheckpointStateFile,
-                           EncodeTickRecord(new_shards[si]->applied.front()));
+        files.emplace_back(kCheckpointStateFile, EncodeTickRecord(new_shards[si]->history));
       }
       Result<DurableStore> store = DurableStore::Create(
           (fs::path(directory_) / ShardDirName(new_topology, s)).string(),
@@ -1174,10 +984,6 @@ Status Coordinator::ObserveAndRebalance(int64_t tick, bool* resized) {
   return OkStatus();
 }
 
-std::vector<std::vector<size_t>> Coordinator::CurrentPartition() const {
-  return router_.Partition(offers_);
-}
-
 JsonValue Coordinator::CoordinatorMeta() const {
   JsonValue meta = JsonValue::Object();
   meta.Set("schema_version", JsonValue::Int(2));
@@ -1226,7 +1032,7 @@ Result<MergedOnlineReport> Coordinator::Finish() {
   merged.num_shards = params_.num_shards;
   merged.epoch = epoch_;
   merged.topology = topology_;
-  std::vector<std::vector<size_t>> partition = CurrentPartition();
+  std::vector<std::vector<size_t>> partition = router_.Partition(offers_);
   merged.global.offers.resize(offers_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
@@ -1503,13 +1309,12 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
     return DataLossError("shard snapshots hold offers missing from offer_order");
   }
 
-  // Seed the router with every override the manifest committed. Safe even
-  // for overrides whose journal records will replay again below: migration
-  // requires an idle prosumer, so the pre-boundary arrival prefix of every
-  // shard is identical under the pre- and post-migration partitions, and
-  // CommitMigration's Assign is then idempotent. The epoch starts at
-  // base_epoch — migrations at or below it are baked into (some) snapshots
-  // and may have no journal records left to replay.
+  // The manifest's overrides cover migrations whose records compaction
+  // folded away. Replay below never consults the router (every splice takes
+  // its subsets from shard members), so re-assigning the prosumers whose
+  // records replay is harmless. The epoch starts at base_epoch — migrations
+  // at or below it are baked into (some) snapshots and may have no journal
+  // records left to replay.
   for (const auto& [prosumer, shard] : manifest_overrides) {
     FLEXVIS_RETURN_IF_ERROR(coordinator.router_.Assign(prosumer, shard));
   }
@@ -1518,8 +1323,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
 
   // Rebuild each shard from its snapshot subset, then fast-forward through
   // the folded state.json of a compacted generation (no decision logic
-  // re-runs; the folded record is kept as applied[0] so migration rebuilds
-  // can replay it).
+  // re-runs).
   for (int s = 0; s < n; ++s) {
     const size_t si = static_cast<size_t>(s);
     auto shard = std::make_unique<Shard>();
@@ -1544,7 +1348,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       if (info != nullptr) {
         info->shards[si].ticks_folded = static_cast<int>(fold->tick) + 1;
       }
-      shard->applied.push_back(*std::move(fold));
+      shard->history = *std::move(fold);
     }
     shard->store = std::move(shard_stores[si]);
     coordinator.shards_.push_back(std::move(shard));
@@ -1555,14 +1359,26 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   // Lockstep replay. Shards recovered to different generations start at
   // different ticks, so migration records do not surface in the same round;
   // a shard that has surfaced a migration record STALLS (applies no further
-  // ticks) until the record resolves:
-  //   - paired with its counterpart from the other shard's queue -> commit;
+  // ticks) until the record resolves, by the live migration's own splice:
+  //   - paired with its counterpart from the other shard's queue -> splice
+  //     both shards;
   //   - counterpart compacted away (epoch at or below base_epoch) -> the
-  //     other shard's snapshot already carries the migration; rebase only
-  //     the surfacing shard against the manifest-seeded router;
+  //     other shard's snapshot already carries the migration; splice only
+  //     the surfacing shard;
   //   - lone migrate_out above base_epoch whose target queue is exhausted ->
-  //     the crash hit between the two flushes; complete the migration by
-  //     synthesizing and journaling the migrate_in, then commit.
+  //     the crash hit between the two flushes; journal the synthesized
+  //     migrate_in and splice both shards.
+  // A record that no longer verifies against the replayed state means the
+  // journals and snapshots disagree.
+  auto replay = [&coordinator](const MigrationRecord& record, SpliceSides sides,
+                               const std::function<Status()>& make_durable) -> Status {
+    Status status = coordinator.Splice(record.prosumer, record.from, record.to, record.epoch,
+                                       record.moved, sides, make_durable);
+    if (status.code() == StatusCode::kFailedPrecondition) {
+      return DataLossError(status.message());
+    }
+    return status;
+  };
   // Per-tick load samples reconstructed during replay. Ticks at or below the
   // manifest's controller state were already observed live; everything after
   // is fed to the controller once replay settles, so its trend state crosses
@@ -1584,6 +1400,17 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
         MigrationRecord record = std::move(queue.front().migration);
         queue.pop_front();
         progressed = true;
+        if (record.from < 0 || record.from >= n || record.to < 0 || record.to >= n ||
+            record.from == record.to) {
+          return DataLossError(StrFormat(
+              "migration record moves prosumer %lld from shard %d to shard %d of %d",
+              static_cast<long long>(record.prosumer), record.from, record.to, n));
+        }
+        if (coordinator.OffersOf(record.prosumer).empty()) {
+          return DataLossError(
+              StrFormat("migration record names prosumer %lld, which owns no offer",
+                        static_cast<long long>(record.prosumer)));
+        }
         if (record.is_in) {
           if (record.to != s) {
             return DataLossError("migrate_in found in a journal it does not name as target");
@@ -1608,36 +1435,25 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       auto match = std::find_if(pending_out.begin(), pending_out.end(),
                                 [&](const PendingMigration& out) {
                                   return out.record.prosumer == record.prosumer &&
-                                         out.record.epoch == record.epoch;
+                                         out.record.epoch == record.epoch &&
+                                         out.record.from == record.from &&
+                                         out.record.to == record.to;
                                 });
       if (match != pending_out.end()) {
         pending_out.erase(match);
-        if (record.active) {
-          FLEXVIS_RETURN_IF_ERROR(coordinator.CommitActiveMigration(
-              record.prosumer, record.from, record.to, record.epoch));
-        } else {
-          FLEXVIS_RETURN_IF_ERROR(coordinator.CommitMigration(
-              record.prosumer, record.from, record.to, record.epoch));
-        }
-        if (info != nullptr) ++info->migrations_replayed;
-        it = pending_in.erase(it);
-        progressed = true;
+        FLEXVIS_RETURN_IF_ERROR(replay(record, SpliceSides::kBoth, nullptr));
       } else if (!inventory[record.epoch].has_out) {
         // The migrate_out was compacted away with the source's old WAL
         // (epoch <= base_epoch, verified above): the source snapshot already
-        // excludes the prosumer; rebase only this target shard.
-        if (record.active) {
-          FLEXVIS_RETURN_IF_ERROR(coordinator.ActiveRebakeTarget(
-              it->shard, MovedFromRecord(record, coordinator.offers_), record.epoch));
-        } else {
-          FLEXVIS_RETURN_IF_ERROR(coordinator.RebakeShard(it->shard, record.epoch));
-        }
-        if (info != nullptr) ++info->migrations_replayed;
-        it = pending_in.erase(it);
-        progressed = true;
+        // excludes the prosumer.
+        FLEXVIS_RETURN_IF_ERROR(replay(record, SpliceSides::kTargetOnly, nullptr));
       } else {
         ++it;  // the out exists in some queue; keep draining until it surfaces
+        continue;
       }
+      if (info != nullptr) ++info->migrations_replayed;
+      it = pending_in.erase(it);
+      progressed = true;
     }
     for (auto it = pending_out.begin(); it != pending_out.end();) {
       const MigrationRecord& record = it->record;
@@ -1647,40 +1463,25 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       }
       if (record.epoch <= base_epoch) {
         // The migrate_in was compacted away with the target's old WAL: the
-        // target snapshot already includes the prosumer; rebase the source.
-        if (record.active) {
-          FLEXVIS_RETURN_IF_ERROR(
-              coordinator.ActiveRebakeSource(it->shard, record.prosumer, record.epoch));
-        } else {
-          FLEXVIS_RETURN_IF_ERROR(coordinator.RebakeShard(it->shard, record.epoch));
-        }
+        // target snapshot already includes the prosumer.
+        FLEXVIS_RETURN_IF_ERROR(replay(record, SpliceSides::kSourceOnly, nullptr));
         if (info != nullptr) ++info->migrations_replayed;
-        it = pending_out.erase(it);
-        progressed = true;
-        continue;
-      }
-      if (!queues[static_cast<size_t>(record.to)].empty()) {
+      } else if (queues[static_cast<size_t>(record.to)].empty()) {
+        // Lone migrate_out above base_epoch: the crash hit between the two
+        // flushes. Re-journal the migrate_in as the splice's durable step.
+        MigrationRecord in = record;
+        in.is_in = true;
+        in.offers = coordinator.OffersOf(in.prosumer);
+        DurableStore& target = coordinator.shards_[static_cast<size_t>(in.to)]->store;
+        FLEXVIS_RETURN_IF_ERROR(replay(in, SpliceSides::kBoth, [&]() -> Status {
+          FLEXVIS_RETURN_IF_ERROR(target.Append(EncodeMigrationRecord(in)));
+          return target.Flush();
+        }));
+        if (info != nullptr) ++info->migrations_repaired;
+      } else {
         ++it;  // target still replaying its pre-boundary ticks
         continue;
       }
-      // Lone migrate_out above base_epoch: the crash hit between the two
-      // flushes. Re-journal the migrate_in, then commit.
-      MigrationRecord in = record;
-      in.is_in = true;
-      for (const FlexOffer& offer : coordinator.offers_) {
-        if (offer.prosumer == in.prosumer) in.offers.push_back(offer);
-      }
-      Shard& target = *coordinator.shards_[static_cast<size_t>(in.to)];
-      FLEXVIS_RETURN_IF_ERROR(target.store.Append(EncodeMigrationRecord(in)));
-      FLEXVIS_RETURN_IF_ERROR(target.store.Flush());
-      if (in.active) {
-        FLEXVIS_RETURN_IF_ERROR(
-            coordinator.CommitActiveMigration(in.prosumer, in.from, in.to, in.epoch));
-      } else {
-        FLEXVIS_RETURN_IF_ERROR(
-            coordinator.CommitMigration(in.prosumer, in.from, in.to, in.epoch));
-      }
-      if (info != nullptr) ++info->migrations_repaired;
       it = pending_out.erase(it);
       progressed = true;
     }
@@ -1713,7 +1514,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
           compact_ticks > 0 && (record.tick + 1) % compact_ticks == 0) {
         missed_compaction[static_cast<size_t>(s)] = true;
       }
-      shard.applied.push_back(std::move(record));
+      FoldTickRecordInto(&shard.history, std::move(record));
       if (info != nullptr) ++info->shards[static_cast<size_t>(s)].ticks_replayed;
       progressed = true;
     }

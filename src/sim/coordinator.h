@@ -2,6 +2,7 @@
 #define FLEXVIS_SIM_COORDINATOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -50,9 +51,9 @@ namespace flexvis::sim {
 /// Compaction (OnlineParams::compact_ticks = C > 0) runs at every global tick
 /// boundary divisible by C: the coordinator first advances `base_epoch` to
 /// the current epoch in COORDINATOR.json, then folds every shard's journal
-/// into a new store generation whose offers.jsonl reflects the *current*
-/// router partition (committed migrations baked in). A recovery that finds a
-/// migration record at or below base_epoch whose counterpart record was
+/// into a new store generation whose offers.jsonl holds the shard's
+/// *current* members (committed migrations baked in). A recovery that finds
+/// a migration record at or below base_epoch whose counterpart record was
 /// compacted away therefore knows the counterpart shard's snapshot already
 /// reflects that migration.
 inline constexpr const char* kCoordinatorManifestFile = "COORDINATOR.json";
@@ -86,24 +87,20 @@ struct CoordinatorParams {
   std::optional<RebalanceParams> rebalance;
 };
 
-/// What MigrateProsumer may move. kIdleOnly is the PR-4 contract: the
-/// prosumer must have no ingested offers (FailedPrecondition otherwise).
-/// kAllowActive lifts that: mid-flight state (ingested-arrival positions,
-/// pending-queue entries, decided offer states with schedules) travels
-/// inside the migrate_out/migrate_in records, and both shards are re-based
-/// onto spliced folded records with the consumed-history splice verified.
+/// What MigrateProsumer may move. Both modes run the same splice; kIdleOnly
+/// only adds a precondition: the prosumer must have no ingested offers
+/// (FailedPrecondition naming every ingested offer otherwise). kAllowActive
+/// also moves a prosumer with mid-flight state.
 enum class MigrationMode {
   kIdleOnly = 0,
   kAllowActive,
 };
 
-/// A prosumer's mid-flight state, the payload an *active* migration moves
-/// between shards (journaled inside the migrate_out/migrate_in records and
-/// spliced into both shards' folded records at commit).
+/// A prosumer's mid-flight state, what a migration moves between shards on
+/// top of the offers themselves: journaled inside the migrate_out/migrate_in
+/// records and grafted onto the target's collapsed state. Empty for an idle
+/// prosumer.
 struct MigratedState {
-  /// The prosumer's offers, verbatim input copies in global input order
-  /// (migrate_in records carry them so the record is self-contained).
-  std::vector<core::FlexOffer> offers;
   /// Offers already past the source's arrival cursor, in source arrival
   /// order (ingested or dropped at the ingest seam).
   std::vector<core::FlexOfferId> consumed;
@@ -115,7 +112,7 @@ struct MigratedState {
   std::vector<OnlineStateChange> states;
 
   /// An idle prosumer: nothing consumed (and therefore nothing pending or
-  /// decided) — eligible for the PR-4 idle migration path.
+  /// decided) — the only kind MigrationMode::kIdleOnly moves.
   bool idle() const { return consumed.empty(); }
 };
 
@@ -201,22 +198,19 @@ class Coordinator {
   /// then the records are journaled serially in shard order.
   Status Tick();
 
-  /// Moves `prosumer` to `to_shard`, replay-verified. Under kIdleOnly the
-  /// prosumer must be idle in its current shard (none of its offers ingested
-  /// yet — FailedPrecondition naming *every* already-ingested offer id
-  /// otherwise); its offers are exported as a journaled migrate_out record,
-  /// imported into the target via a migrate_in record carrying the full
-  /// offer payload, and both shards are rebuilt from their new offer subsets
-  /// by replaying every applied tick record; the rebuilt states are diffed
-  /// against the pre-migration counters/outbox (Internal on any mismatch).
-  /// Under kAllowActive an active prosumer moves too: the records
-  /// additionally carry its consumed-arrival positions, pending-queue
-  /// entries, and decided states, and both shards are re-based onto spliced
-  /// folded records (FailedPrecondition when inter-shard ingest backlog skew
-  /// would reorder the target's consumed history). Commits the new
-  /// assignment epoch to COORDINATOR.json when checkpointed. NotFound when
-  /// the prosumer owns no offers; InvalidArgument when already on
-  /// `to_shard`.
+  /// Moves `prosumer` to `to_shard` by splicing: the source is re-based onto
+  /// its collapsed state minus the prosumer, the target onto its collapsed
+  /// state plus the prosumer's offers and MigratedState (empty when idle),
+  /// and both re-based states are verified before anything becomes durable
+  /// (FailedPrecondition when inter-shard ingest backlog skew would reorder
+  /// either shard's consumed history, or when an active prosumer's shards
+  /// are not at a common tick). Then a migrate_out record goes to the source
+  /// journal and a migrate_in record carrying the offer payload to the
+  /// target's, and the new assignment epoch is committed to COORDINATOR.json
+  /// when checkpointed. Under kIdleOnly the prosumer must be idle
+  /// (FailedPrecondition naming *every* already-ingested offer id
+  /// otherwise). NotFound when the prosumer owns no offers; InvalidArgument
+  /// when already on `to_shard`.
   Status MigrateProsumer(core::ProsumerId prosumer, int to_shard,
                          MigrationMode mode = MigrationMode::kIdleOnly);
 
@@ -249,15 +243,18 @@ class Coordinator {
   /// Recovers a sharded run from `directory`: reads COORDINATOR.json
   /// (kDataLoss when absent — the run never committed; rerun from inputs),
   /// loads every shard snapshot, replays every shard journal in lockstep —
-  /// reconstructing committed migrations in order, repairing a migration
-  /// whose migrate_in was lost to the crash, truncating torn tails — then
-  /// resumes all shards to a consistent epoch, continues the remaining
-  /// ticks, and returns the merged report, byte-identical to an
-  /// uninterrupted run.
+  /// re-running each committed migration's splice in order, repairing a
+  /// migration whose migrate_in was lost to the crash, truncating torn tails
+  /// (kDataLoss for a migration record naming a shard outside the fleet, the
+  /// same shard twice, or a prosumer without offers) — then resumes all
+  /// shards to a consistent epoch, continues the remaining ticks, and
+  /// returns the merged report, byte-identical to an uninterrupted run.
   static Result<MergedOnlineReport> ResumeSharded(const std::string& directory,
                                                   ShardResumeInfo* info = nullptr);
 
  private:
+  /// One shard's loop parameters, fault registry, live loop state, the
+  /// folded history that reproduces that state, and durable store.
   struct Shard;
 
   std::string ShardDir(int shard) const;
@@ -270,30 +267,17 @@ class Coordinator {
   /// current epoch/base_epoch/overrides — the atomic commit point for every
   /// coordinator-level state change.
   Status WriteCoordinatorManifest();
-  /// Folds every shard's journal into a new store generation (current router
-  /// partition + folded tick record), advancing base_epoch first so recovery
+  /// Folds every shard's journal into a new store generation (current
+  /// members + folded tick record), advancing base_epoch first so recovery
   /// can tell baked migrations from lost ones. `include`, when non-null,
   /// restricts the fold to the flagged shards — the resume path's catch-up
   /// for a compaction the crash interrupted partway through the shard list.
   Status CompactShards(const std::vector<bool>* include = nullptr);
-  /// Resume-only: re-verifies shard `s` against the manifest-seeded router by
-  /// rebuild + replay-diff, swapping in the rebuilt state. Used for a
-  /// migration record whose counterpart was compacted away (epoch at or
-  /// below base_epoch): the other shard's snapshot already reflects the
-  /// migration, so only the surfacing shard needs its state rebased.
-  Status RebakeShard(int s, int64_t epoch);
-  /// Rebuilds shard `s`'s loop state from the offer subset `router` assigns
-  /// it, replaying every applied tick record, and replay-diffs the result
-  /// against the live state (arrival prefix, counters, outbox) — the
-  /// migration verification step. Writes the rebuilt state to `out`.
-  Status RebuildShard(int s, const ShardRouter& router, OnlineLoopState* out) const;
-  /// Commits a migration whose journal records are already durable: applies
-  /// the override, bumps the epoch, and swaps in the rebuilt states.
-  Status CommitMigration(core::ProsumerId prosumer, int from, int to, int64_t new_epoch);
-  std::vector<std::vector<size_t>> CurrentPartition() const;
 
-  // ---- Active migration / splice (rebalance tentpole) ----------------------
+  // ---- Migration splice -----------------------------------------------------
 
+  /// `prosumer`'s offers, verbatim input copies in global input order.
+  std::vector<core::FlexOffer> OffersOf(core::ProsumerId prosumer) const;
   /// Everything of `prosumer`'s mid-flight state on shard `s`, extracted
   /// from the live loop state.
   MigratedState ExtractMovedState(int s, core::ProsumerId prosumer) const;
@@ -307,16 +291,22 @@ class Coordinator {
                            const OnlineTickRecord& fold,
                            const std::vector<core::FlexOfferId>& expect_consumed,
                            OnlineLoopState* out) const;
-  /// Commits an active migration whose records are already durable: splices
-  /// the moved state out of `from` and into `to`, re-bases both shards onto
-  /// the spliced folds, applies the override, and bumps the epoch.
-  Status CommitActiveMigration(core::ProsumerId prosumer, int from, int to, int64_t new_epoch);
-  /// Resume-only one-sided rebases for an active migration whose counterpart
-  /// record was compacted away: only the surfacing shard is re-based, using
-  /// the record's moved-state fields (the other shard's snapshot already
-  /// reflects the migration).
-  Status ActiveRebakeTarget(int s, const MigratedState& moved, int64_t epoch);
-  Status ActiveRebakeSource(int s, core::ProsumerId prosumer, int64_t epoch);
+  /// Which shards a splice re-bases: both for a live migration or a replayed
+  /// record pair; one when compaction already baked the move into the other
+  /// shard's snapshot.
+  enum class SpliceSides { kBoth, kSourceOnly, kTargetOnly };
+  /// The one migration path, live and replayed. Re-bases shard `from` onto
+  /// its collapsed state minus `prosumer`'s footprint and shard `to` onto
+  /// its collapsed state plus `moved`, each over its current members
+  /// minus/plus `prosumer`'s offers (never the router's view). The
+  /// collapsed state is the shard's own history when `moved` is empty, its
+  /// Snapshot otherwise. Every re-based state is built and verified before
+  /// `make_durable` (when set) runs and before any is swapped in; then
+  /// `prosumer` is assigned to `to` and the epoch advances to at least
+  /// `epoch`.
+  Status Splice(core::ProsumerId prosumer, int from, int to, int64_t epoch,
+                const MigratedState& moved, SpliceSides sides,
+                const std::function<Status()>& make_durable = nullptr);
 
   // ---- Rebalance controller wiring -----------------------------------------
 

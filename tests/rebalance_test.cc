@@ -551,6 +551,55 @@ TEST_F(RebalanceTest, ActiveMigrationCheckpointedResumeIsByteIdentical) {
   ExpectMergedEqual(*baseline, *resumed, "active migration across resume");
 }
 
+TEST_F(RebalanceTest, IdleThenActiveMigrationResumesByteIdentically) {
+  // Two migrations share the journal tail (no compaction): an idle prosumer
+  // moves after 3 ticks, an active one after 6. Replaying the first must not
+  // see the second's assignment.
+  const int kIdleAfter = 3;
+  const int kActiveAfter = 6;
+  const core::ProsumerId active = EarliestProsumer();
+  const TimePoint cutoff = window_.start + (kIdleAfter - 1) * online_.tick_minutes;
+  std::set<core::ProsumerId> early;
+  for (const core::FlexOffer& offer : workload_.offers) {
+    if (offer.creation_time <= cutoff) early.insert(offer.prosumer);
+  }
+  core::ProsumerId idle = core::kInvalidProsumerId;
+  for (const core::FlexOffer& offer : workload_.offers) {
+    if (early.count(offer.prosumer) == 0 &&
+        (idle == core::kInvalidProsumerId || offer.prosumer < idle)) {
+      idle = offer.prosumer;
+    }
+  }
+  ASSERT_NE(idle, core::kInvalidProsumerId) << "no prosumer idle through tick " << kIdleAfter;
+  ASSERT_NE(idle, active);
+
+  std::string dir = Dir("idle_then_active");
+  sim::Coordinator coordinator(Params(2));
+  ASSERT_TRUE(coordinator.BeginCheckpointed(workload_.offers, window_, dir).ok());
+  auto move = [&](core::ProsumerId prosumer, sim::MigrationMode mode) {
+    const int from = coordinator.router().ShardOfProsumer(prosumer, core::kInvalidRegionId,
+                                                          core::kInvalidGridNodeId);
+    return coordinator.MigrateProsumer(prosumer, 1 - from, mode);
+  };
+  for (int i = 0; i < kIdleAfter; ++i) ASSERT_TRUE(coordinator.Tick().ok());
+  Status idle_move = move(idle, sim::MigrationMode::kIdleOnly);
+  ASSERT_TRUE(idle_move.ok()) << idle_move.ToString();
+  for (int i = kIdleAfter; i < kActiveAfter; ++i) ASSERT_TRUE(coordinator.Tick().ok());
+  Status active_move = move(active, sim::MigrationMode::kAllowActive);
+  ASSERT_TRUE(active_move.ok()) << active_move.ToString();
+  while (!coordinator.Done()) ASSERT_TRUE(coordinator.Tick().ok());
+  Result<sim::MergedOnlineReport> baseline = coordinator.Finish();
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  EXPECT_EQ(baseline->epoch, 2);
+
+  sim::ShardResumeInfo info;
+  Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir, &info);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(info.migrations_replayed, 2);
+  EXPECT_EQ(info.migrations_repaired, 0);
+  ExpectMergedEqual(*baseline, *resumed, "idle then active migration across resume");
+}
+
 TEST_F(RebalanceTest, ResizeRejectsBadArguments) {
   sim::Coordinator coordinator(Params(2));
   EXPECT_EQ(coordinator.Resize(4).code(), StatusCode::kFailedPrecondition);  // not begun
@@ -668,30 +717,39 @@ TEST_F(RebalanceTest, ControllerSplitsTheFleetWhenEveryShardStaysHot) {
 
 TEST_F(RebalanceTest, ControllerClosedLoopSurvivesCheckpointResume) {
   UseDenseWorkload();
-  sim::CoordinatorParams params = Params(2);
-  params.online.ingest_queue_capacity = 1;
-  params.online.compact_ticks = 4;
-  sim::RebalanceParams rebalance;
-  rebalance.window_ticks = 2;
-  rebalance.cooldown_ticks = 2;
-  rebalance.max_moves = 2;
-  params.rebalance = rebalance;
+  // compact_ticks 4 ends the 12-tick run on a compaction boundary; 0 leaves
+  // every plan's migration records in the journal tail the resume replays.
+  for (int shards : {2, 4}) {
+    for (int compact_ticks : {4, 0}) {
+      const std::string config = std::to_string(shards) + " shards, compact_ticks " +
+                                 std::to_string(compact_ticks);
+      SCOPED_TRACE(config);
+      sim::CoordinatorParams params = Params(shards);
+      params.online.ingest_queue_capacity = 1;
+      params.online.compact_ticks = compact_ticks;
+      sim::RebalanceParams rebalance;
+      rebalance.window_ticks = 2;
+      rebalance.cooldown_ticks = 2;
+      rebalance.max_moves = 2;
+      params.rebalance = rebalance;
 
-  std::string dir = Dir("loop_resume");
-  sim::Coordinator coordinator(params);
-  ASSERT_TRUE(coordinator.BeginCheckpointed(workload_.offers, window_, dir).ok());
-  while (!coordinator.Done()) ASSERT_TRUE(coordinator.Tick().ok());
-  ASSERT_GE(coordinator.plans_executed(), 1) << "the loop never fired a plan";
-  Result<sim::MergedOnlineReport> baseline = coordinator.Finish();
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+      std::string dir = Dir("loop_resume");
+      sim::Coordinator coordinator(params);
+      ASSERT_TRUE(coordinator.BeginCheckpointed(workload_.offers, window_, dir).ok());
+      while (!coordinator.Done()) ASSERT_TRUE(coordinator.Tick().ok());
+      ASSERT_GE(coordinator.plans_executed(), 1) << "the loop never fired a plan";
+      Result<sim::MergedOnlineReport> baseline = coordinator.Finish();
+      ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
-  sim::ShardResumeInfo info;
-  Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir, &info);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  // A completed run has nothing half-done: no plan finishing, no re-decides.
-  EXPECT_EQ(info.plans_completed, 0);
-  EXPECT_EQ(info.plans_reexecuted, 0);
-  ExpectMergedEqual(*baseline, *resumed, "closed loop across resume");
+      sim::ShardResumeInfo info;
+      Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir, &info);
+      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+      // A completed run has nothing half-done: no plan finishing, no re-decides.
+      EXPECT_EQ(info.plans_completed, 0);
+      EXPECT_EQ(info.plans_reexecuted, 0);
+      ExpectMergedEqual(*baseline, *resumed, "closed loop across resume");
+    }
+  }
 }
 
 // ---- Kill matrices ----------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/messages.h"
@@ -20,12 +21,14 @@
 #include "geo/atlas.h"
 #include "grid/topology.h"
 #include "sim/alerts.h"
+#include "sim/checkpoint.h"
 #include "sim/coordinator.h"
 #include "sim/online.h"
 #include "sim/shard.h"
 #include "sim/workload.h"
 #include "util/fault.h"
 #include "util/parallel.h"
+#include "util/store.h"
 
 namespace flexvis {
 namespace {
@@ -552,87 +555,120 @@ TEST_F(ShardTest, CoordinatorKillMatrixConvergesToAConsistentEpoch) {
 TEST_F(ShardTest, ActiveMigrationKillMatrixConvergesToAConsistentEpoch) {
   const int kShards = 2;
   const int kMigrateAfter = 6;
-  // The earliest-created offer's prosumer: certainly active (mid-flight
-  // state to transfer) by tick 6. Its migrate_out/migrate_in records carry
-  // the consumed-offer payload the recovery splice rebuilds from.
-  const core::FlexOffer* earliest = &workload_.offers.front();
-  for (const core::FlexOffer& offer : workload_.offers) {
-    if (offer.creation_time < earliest->creation_time) earliest = &offer;
-  }
-  const core::ProsumerId prosumer = earliest->prosumer;
   sim::ShardRouter router(kShards, sim::ShardPolicy::kHash);
-  const int from = router.ShardOfProsumer(prosumer, core::kInvalidRegionId,
-                                          core::kInvalidGridNodeId);
-  const int to = 1 - from;
-
-  auto run = [&](const std::string& dir) {
-    return RunMigrating(dir, kShards, prosumer, to, kMigrateAfter,
-                        sim::MigrationMode::kAllowActive);
+  auto shard_of = [&](core::ProsumerId prosumer) {
+    return router.ShardOfProsumer(prosumer, core::kInvalidRegionId, core::kInvalidGridNodeId);
   };
-  // Same two-outcome contract as the idle-migration matrix — the transferred
-  // mid-flight state must not add a third.
-  Result<sim::MergedOnlineReport> migrated = run(Dir("akill_base_mig"));
-  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
-  ASSERT_EQ(migrated->epoch, 1);
-  Result<sim::MergedOnlineReport> plain = sim::Coordinator::RunShardedCheckpointed(
-      Params(kShards), workload_.offers, window_, Dir("akill_base_plain"));
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-
-  for (const char* point : {"util.journal.flush", "util.fileio.write"}) {
-    FaultRegistry::Global().Arm(point, FaultConfig{});
-    ASSERT_TRUE(run(Dir("acount")).ok());
-    const int64_t hits = FaultRegistry::Global().Stats(point).hits;
-    FaultRegistry::Global().DisarmAll();
-    ASSERT_GT(hits, 0) << point << " is not on the active-migration write path";
-
-    for (int64_t hit = 1; hit <= hits; ++hit) {
-      const std::string label =
-          std::string(point) + " hit " + std::to_string(hit) + "/" + std::to_string(hits);
-      std::string dir = Dir("akill_" + std::to_string(hit) + point);
-
-      pid_t pid = fork();
-      if (pid == 0) {
-        FaultConfig config;
-        config.crash_at_hit = hit;
-        FaultRegistry::Global().Arm(point, config);
-        Result<sim::MergedOnlineReport> report = run(dir);
-        std::_Exit(report.ok() ? 0 : 1);
+  // The prosumer owning the earliest-created offer (on shard `on`, or on
+  // any shard when `on` is negative): certainly active (mid-flight state to
+  // transfer) by tick 6. Its migrate_out/migrate_in records carry the
+  // consumed-offer payload the recovery splice rebuilds from.
+  auto earliest_prosumer = [&](int on) {
+    const core::FlexOffer* earliest = nullptr;
+    for (const core::FlexOffer& offer : workload_.offers) {
+      if (on >= 0 && shard_of(offer.prosumer) != on) continue;
+      if (earliest == nullptr || offer.creation_time < earliest->creation_time) {
+        earliest = &offer;
       }
-      ASSERT_GT(pid, 0) << "fork failed";
-      int wstatus = 0;
-      ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
-      ASSERT_TRUE(WIFEXITED(wstatus));
-      ASSERT_EQ(WEXITSTATUS(wstatus), kCrashExitCode)
-          << label << ": child did not crash where told to";
+    }
+    return earliest->prosumer;
+  };
+  struct Input {
+    int compact_ticks;
+    core::ProsumerId prosumer;
+    std::vector<const char*> points;
+  };
+  const Input inputs[] = {
+      {0, earliest_prosumer(-1), {"util.journal.flush", "util.fileio.write"}},
+      // Shards fold in index order, so moving a shard-1 prosumer to shard 0
+      // lets a crash inside the tick-8 compaction leave a migrate_out whose
+      // migrate_in was already compacted away: recovery re-bases the source
+      // alone.
+      {4,
+       earliest_prosumer(1),
+       {"util.journal.flush", "util.fileio.write", "util.store.compact", "util.store.delete"}},
+  };
 
-      sim::ShardResumeInfo info;
-      Result<sim::MergedOnlineReport> recovered =
-          sim::Coordinator::ResumeSharded(dir, &info);
-      if (!recovered.ok() && recovered.status().code() == StatusCode::kDataLoss) {
-        recovered = run(dir);  // never committed; rerun from inputs
+  for (const Input& input : inputs) {
+    SCOPED_TRACE("compact_ticks " + std::to_string(input.compact_ticks));
+    online_.compact_ticks = input.compact_ticks;
+    const core::ProsumerId prosumer = input.prosumer;
+    const int from = shard_of(prosumer);
+    const int to = 1 - from;
+
+    auto run = [&](const std::string& dir) {
+      return RunMigrating(dir, kShards, prosumer, to, kMigrateAfter,
+                          sim::MigrationMode::kAllowActive);
+    };
+    // Same two-outcome contract as the idle-migration matrix — the transferred
+    // mid-flight state must not add a third.
+    Result<sim::MergedOnlineReport> migrated = run(Dir("akill_base_mig"));
+    ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+    ASSERT_EQ(migrated->epoch, 1);
+    Result<sim::MergedOnlineReport> plain = sim::Coordinator::RunShardedCheckpointed(
+        Params(kShards), workload_.offers, window_, Dir("akill_base_plain"));
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+
+    for (const char* point : input.points) {
+      FaultRegistry::Global().Arm(point, FaultConfig{});
+      ASSERT_TRUE(run(Dir("acount")).ok());
+      const int64_t hits = FaultRegistry::Global().Stats(point).hits;
+      FaultRegistry::Global().DisarmAll();
+      ASSERT_GT(hits, 0) << point << " is not on the active-migration write path";
+
+      for (int64_t hit = 1; hit <= hits; ++hit) {
+        const std::string label =
+            std::string(point) + " hit " + std::to_string(hit) + "/" + std::to_string(hits);
+        std::string dir = Dir("akill_" + std::to_string(hit) + point);
+
+        pid_t pid = fork();
+        if (pid == 0) {
+          FaultConfig config;
+          config.crash_at_hit = hit;
+          FaultRegistry::Global().Arm(point, config);
+          Result<sim::MergedOnlineReport> report = run(dir);
+          std::_Exit(report.ok() ? 0 : 1);
+        }
+        ASSERT_GT(pid, 0) << "fork failed";
+        int wstatus = 0;
+        ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+        ASSERT_TRUE(WIFEXITED(wstatus));
+        ASSERT_EQ(WEXITSTATUS(wstatus), kCrashExitCode)
+            << label << ": child did not crash where told to";
+
+        sim::ShardResumeInfo info;
+        Result<sim::MergedOnlineReport> recovered =
+            sim::Coordinator::ResumeSharded(dir, &info);
+        if (!recovered.ok() && recovered.status().code() == StatusCode::kDataLoss) {
+          recovered = run(dir);  // never committed; rerun from inputs
+          ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
+          ExpectMergedEqual(*migrated, *recovered, label + " (rerun)");
+          continue;
+        }
         ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
-        ExpectMergedEqual(*migrated, *recovered, label + " (rerun)");
-        continue;
-      }
-      ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
 
-      if (recovered->epoch == 1) {
-        EXPECT_EQ(info.migrations_replayed + info.migrations_repaired, 1) << label;
-        ExpectMergedEqual(*migrated, *recovered, label + " (migrated baseline)");
-      } else {
-        EXPECT_EQ(recovered->epoch, 0) << label;
-        ExpectMergedEqual(*plain, *recovered, label + " (plain baseline)");
-      }
+        if (recovered->epoch == 1) {
+          if (input.compact_ticks == 0) {
+            EXPECT_EQ(info.migrations_replayed + info.migrations_repaired, 1) << label;
+          } else {  // compaction may have folded both records into the snapshots
+            EXPECT_LE(info.migrations_replayed + info.migrations_repaired, 1) << label;
+          }
+          ExpectMergedEqual(*migrated, *recovered, label + " (migrated baseline)");
+        } else {
+          EXPECT_EQ(recovered->epoch, 0) << label;
+          ExpectMergedEqual(*plain, *recovered, label + " (plain baseline)");
+        }
 
-      sim::ShardResumeInfo again;
-      Result<sim::MergedOnlineReport> second =
-          sim::Coordinator::ResumeSharded(dir, &again);
-      ASSERT_TRUE(second.ok()) << label << ": " << second.status().ToString();
-      for (const sim::ResumeInfo& shard : again.shards) {
-        EXPECT_EQ(shard.ticks_replayed, recovered->global.ticks) << label;
-        EXPECT_EQ(shard.ticks_continued, 0) << label;
+        sim::ShardResumeInfo again;
+        Result<sim::MergedOnlineReport> second =
+            sim::Coordinator::ResumeSharded(dir, &again);
+        ASSERT_TRUE(second.ok()) << label << ": " << second.status().ToString();
+        for (const sim::ResumeInfo& shard : again.shards) {
+          EXPECT_EQ(shard.ticks_folded + shard.ticks_replayed, recovered->global.ticks) << label;
+          EXPECT_EQ(shard.ticks_continued, 0) << label;
+        }
+        ExpectMergedEqual(*recovered, *second, label + " (second resume)");
       }
-      ExpectMergedEqual(*recovered, *second, label + " (second resume)");
     }
   }
 }
@@ -726,6 +762,50 @@ TEST_F(ShardTest, ResumeShardedWithoutManifestIsDataLoss) {
   Result<sim::MergedOnlineReport> report = sim::Coordinator::ResumeSharded(dir);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kDataLoss);
+}
+
+TEST_F(ShardTest, ResumeRejectsMigrationRecordsWithBadShardIndices) {
+  // Each case appends CRC-valid migration records to a completed run's
+  // journals. Recovery must refuse them as kDataLoss, never index a shard
+  // that does not exist.
+  const long long prosumer = workload_.offers.front().prosumer;
+  auto record = [prosumer](const char* kind, int from, int to, const char* extra = "") {
+    return "{\"kind\":\"" + std::string(kind) + "\",\"prosumer\":" + std::to_string(prosumer) +
+           ",\"from\":" + std::to_string(from) + ",\"to\":" + std::to_string(to) +
+           ",\"epoch\":5" + extra + "}";
+  };
+  struct Case {
+    std::string label;
+    std::vector<std::pair<std::string, std::string>> appends;  // shard dir, record
+  };
+  const std::vector<Case> cases = {
+      {"migrate_out to shard 99",
+       {{"shard-0000",
+         "{\"kind\":\"migrate_out\",\"prosumer\":1,\"from\":0,\"to\":99,\"epoch\":5}"}}},
+      {"migrate_in from shard 99 paired with a valid migrate_out",
+       {{"shard-0000", record("migrate_out", 0, 1)},
+        {"shard-0001", record("migrate_in", 99, 1, ",\"offers\":[]")}}},
+      {"migrate_out to its own shard", {{"shard-0000", record("migrate_out", 0, 0)}}},
+      {"migrate_out of a prosumer without offers",
+       {{"shard-0000",
+         "{\"kind\":\"migrate_out\",\"prosumer\":999999999,\"from\":0,\"to\":1,\"epoch\":5}"}}},
+  };
+  for (const Case& c : cases) {
+    std::string dir = Dir("bad_index");
+    ASSERT_TRUE(
+        sim::Coordinator::RunShardedCheckpointed(Params(2), workload_.offers, window_, dir).ok());
+    for (const auto& [shard_dir, payload] : c.appends) {
+      Result<DurableStore> store = DurableStore::Resume(
+          (fs::path(dir) / shard_dir).string(), sim::CheckpointStoreOptions(), nullptr);
+      ASSERT_TRUE(store.ok()) << c.label << ": " << store.status().ToString();
+      ASSERT_TRUE(store->Append(payload).ok()) << c.label;
+      ASSERT_TRUE(store->Flush().ok()) << c.label;
+    }
+    Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir);
+    ASSERT_FALSE(resumed.ok()) << c.label;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kDataLoss)
+        << c.label << ": " << resumed.status().ToString();
+  }
 }
 
 // ---- Overload protection ----------------------------------------------------
