@@ -1,171 +1,15 @@
 #include "core/messages.h"
 
+#include <type_traits>
+
 #include "util/fault.h"
+#include "util/json.h"
 #include "util/strings.h"
 
 namespace flexvis::core {
 
 using timeutil::TimePoint;
-
-JsonValue FlexOfferToJson(const FlexOffer& offer) {
-  JsonValue json = JsonValue::Object();
-  json.Set("id", JsonValue::Int(offer.id));
-  json.Set("prosumer", JsonValue::Int(offer.prosumer));
-  json.Set("region", JsonValue::Int(offer.region));
-  json.Set("grid_node", JsonValue::Int(offer.grid_node));
-  json.Set("energy_type", JsonValue::Str(std::string(EnergyTypeName(offer.energy_type))));
-  json.Set("prosumer_type",
-           JsonValue::Str(std::string(ProsumerTypeName(offer.prosumer_type))));
-  json.Set("appliance_type",
-           JsonValue::Str(std::string(ApplianceTypeName(offer.appliance_type))));
-  json.Set("direction", JsonValue::Str(std::string(DirectionName(offer.direction))));
-  json.Set("state", JsonValue::Str(std::string(FlexOfferStateName(offer.state))));
-  json.Set("creation_min", JsonValue::Int(offer.creation_time.minutes()));
-  json.Set("acceptance_min", JsonValue::Int(offer.acceptance_deadline.minutes()));
-  json.Set("assignment_min", JsonValue::Int(offer.assignment_deadline.minutes()));
-  json.Set("earliest_start_min", JsonValue::Int(offer.earliest_start.minutes()));
-  json.Set("latest_start_min", JsonValue::Int(offer.latest_start.minutes()));
-
-  JsonValue profile = JsonValue::Array();
-  for (const ProfileSlice& s : offer.profile) {
-    JsonValue slice = JsonValue::Object();
-    slice.Set("slices", JsonValue::Int(s.duration_slices));
-    slice.Set("min_kwh", JsonValue::Double(s.min_energy_kwh));
-    slice.Set("max_kwh", JsonValue::Double(s.max_energy_kwh));
-    profile.Append(std::move(slice));
-  }
-  json.Set("profile", std::move(profile));
-
-  if (offer.schedule.has_value()) {
-    JsonValue sched = JsonValue::Object();
-    sched.Set("start_min", JsonValue::Int(offer.schedule->start.minutes()));
-    JsonValue energies = JsonValue::Array();
-    for (double e : offer.schedule->energy_kwh) energies.Append(JsonValue::Double(e));
-    sched.Set("energy_kwh", std::move(energies));
-    json.Set("schedule", std::move(sched));
-  }
-  if (!offer.aggregated_from.empty()) {
-    JsonValue members = JsonValue::Array();
-    for (FlexOfferId id : offer.aggregated_from) members.Append(JsonValue::Int(id));
-    json.Set("aggregated_from", std::move(members));
-  }
-  return json;
-}
-
-Result<FlexOffer> FlexOfferFromJson(const JsonValue& json) {
-  if (!json.is_object()) return InvalidArgumentError("flex-offer JSON must be an object");
-  FlexOffer offer;
-  {
-    Result<int64_t> v = json.GetInt("id");
-    if (!v.ok()) return v.status();
-    offer.id = *v;
-  }
-  {
-    Result<int64_t> v = json.GetInt("prosumer");
-    if (!v.ok()) return v.status();
-    offer.prosumer = *v;
-  }
-  offer.region = json.Get("region").is_number() ? json.Get("region").AsInt()
-                                                : kInvalidRegionId;
-  offer.grid_node = json.Get("grid_node").is_number() ? json.Get("grid_node").AsInt()
-                                                      : kInvalidGridNodeId;
-  {
-    Result<std::string> s = json.GetString("energy_type");
-    if (!s.ok()) return s.status();
-    Result<EnergyType> parsed = ParseEnergyType(*s);
-    if (!parsed.ok()) return parsed.status();
-    offer.energy_type = *parsed;
-  }
-  {
-    Result<std::string> s = json.GetString("prosumer_type");
-    if (!s.ok()) return s.status();
-    Result<ProsumerType> parsed = ParseProsumerType(*s);
-    if (!parsed.ok()) return parsed.status();
-    offer.prosumer_type = *parsed;
-  }
-  {
-    Result<std::string> s = json.GetString("appliance_type");
-    if (!s.ok()) return s.status();
-    Result<ApplianceType> parsed = ParseApplianceType(*s);
-    if (!parsed.ok()) return parsed.status();
-    offer.appliance_type = *parsed;
-  }
-  {
-    Result<std::string> s = json.GetString("direction");
-    if (!s.ok()) return s.status();
-    offer.direction = EqualsIgnoreCase(*s, "Production") ? Direction::kProduction
-                                                         : Direction::kConsumption;
-  }
-  {
-    Result<std::string> s = json.GetString("state");
-    if (!s.ok()) return s.status();
-    Result<FlexOfferState> parsed = ParseFlexOfferState(*s);
-    if (!parsed.ok()) return parsed.status();
-    offer.state = *parsed;
-  }
-  struct TimeField {
-    const char* key;
-    TimePoint* target;
-  };
-  TimeField fields[] = {
-      {"creation_min", &offer.creation_time},
-      {"acceptance_min", &offer.acceptance_deadline},
-      {"assignment_min", &offer.assignment_deadline},
-      {"earliest_start_min", &offer.earliest_start},
-      {"latest_start_min", &offer.latest_start},
-  };
-  for (const TimeField& f : fields) {
-    Result<int64_t> v = json.GetInt(f.key);
-    if (!v.ok()) return v.status();
-    *f.target = TimePoint::FromMinutes(*v);
-  }
-
-  const JsonValue& profile = json.Get("profile");
-  if (!profile.is_array()) return InvalidArgumentError("flex-offer JSON: missing profile");
-  for (size_t i = 0; i < profile.size(); ++i) {
-    const JsonValue& slice = profile[i];
-    Result<int64_t> slices = slice.GetInt("slices");
-    Result<double> min_kwh = slice.GetDouble("min_kwh");
-    Result<double> max_kwh = slice.GetDouble("max_kwh");
-    if (!slices.ok()) return slices.status();
-    if (!min_kwh.ok()) return min_kwh.status();
-    if (!max_kwh.ok()) return max_kwh.status();
-    offer.profile.push_back(
-        ProfileSlice{static_cast<int>(*slices), *min_kwh, *max_kwh});
-  }
-
-  if (json.Has("schedule")) {
-    const JsonValue& sched = json.Get("schedule");
-    Result<int64_t> start = sched.GetInt("start_min");
-    if (!start.ok()) return start.status();
-    Schedule schedule;
-    schedule.start = TimePoint::FromMinutes(*start);
-    const JsonValue& energies = sched.Get("energy_kwh");
-    if (!energies.is_array()) {
-      return InvalidArgumentError("flex-offer JSON: schedule without energy_kwh");
-    }
-    for (size_t i = 0; i < energies.size(); ++i) {
-      if (!energies[i].is_number()) {
-        return InvalidArgumentError("flex-offer JSON: non-numeric scheduled energy");
-      }
-      schedule.energy_kwh.push_back(energies[i].AsDouble());
-    }
-    offer.schedule = std::move(schedule);
-  }
-  if (json.Has("aggregated_from")) {
-    const JsonValue& members = json.Get("aggregated_from");
-    if (!members.is_array()) {
-      return InvalidArgumentError("flex-offer JSON: aggregated_from must be an array");
-    }
-    for (size_t i = 0; i < members.size(); ++i) {
-      if (!members[i].is_number()) {
-        return InvalidArgumentError("flex-offer JSON: non-numeric member id");
-      }
-      offer.aggregated_from.push_back(members[i].AsInt());
-    }
-  }
-  return offer;
-}
+using Token = JsonReader::Token;
 
 namespace {
 
@@ -173,94 +17,565 @@ constexpr const char* kTypeFlexOffer = "flex_offer";
 constexpr const char* kTypeAcceptance = "acceptance";
 constexpr const char* kTypeAssignment = "assignment";
 
+// ---- Encoding ----------------------------------------------------------------------
+// Keys are written in sorted order, the order of the std::map-backed document
+// model these records were first written with, so the bytes never move.
+
+void AppendDoubles(std::string* out, const std::vector<double>& values) {
+  *out += '[';
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) *out += ',';
+    AppendJsonDouble(out, values[i]);
+  }
+  *out += ']';
+}
+
+void AppendFlexOffer(std::string* out, const FlexOffer& offer) {
+  *out += "{\"acceptance_min\":";
+  AppendJsonInt(out, offer.acceptance_deadline.minutes());
+  if (!offer.aggregated_from.empty()) {
+    *out += ",\"aggregated_from\":[";
+    for (size_t i = 0; i < offer.aggregated_from.size(); ++i) {
+      if (i > 0) *out += ',';
+      AppendJsonInt(out, offer.aggregated_from[i]);
+    }
+    *out += ']';
+  }
+  *out += ",\"appliance_type\":";
+  AppendJsonString(out, ApplianceTypeName(offer.appliance_type));
+  *out += ",\"assignment_min\":";
+  AppendJsonInt(out, offer.assignment_deadline.minutes());
+  *out += ",\"creation_min\":";
+  AppendJsonInt(out, offer.creation_time.minutes());
+  *out += ",\"direction\":";
+  AppendJsonString(out, DirectionName(offer.direction));
+  *out += ",\"earliest_start_min\":";
+  AppendJsonInt(out, offer.earliest_start.minutes());
+  *out += ",\"energy_type\":";
+  AppendJsonString(out, EnergyTypeName(offer.energy_type));
+  *out += ",\"grid_node\":";
+  AppendJsonInt(out, offer.grid_node);
+  *out += ",\"id\":";
+  AppendJsonInt(out, offer.id);
+  *out += ",\"latest_start_min\":";
+  AppendJsonInt(out, offer.latest_start.minutes());
+  *out += ",\"profile\":[";
+  for (size_t i = 0; i < offer.profile.size(); ++i) {
+    const ProfileSlice& slice = offer.profile[i];
+    *out += i > 0 ? ",{\"max_kwh\":" : "{\"max_kwh\":";
+    AppendJsonDouble(out, slice.max_energy_kwh);
+    *out += ",\"min_kwh\":";
+    AppendJsonDouble(out, slice.min_energy_kwh);
+    *out += ",\"slices\":";
+    AppendJsonInt(out, slice.duration_slices);
+    *out += '}';
+  }
+  *out += "],\"prosumer\":";
+  AppendJsonInt(out, offer.prosumer);
+  *out += ",\"prosumer_type\":";
+  AppendJsonString(out, ProsumerTypeName(offer.prosumer_type));
+  *out += ",\"region\":";
+  AppendJsonInt(out, offer.region);
+  if (offer.schedule.has_value()) {
+    *out += ",\"schedule\":{\"energy_kwh\":";
+    AppendDoubles(out, offer.schedule->energy_kwh);
+    *out += ",\"start_min\":";
+    AppendJsonInt(out, offer.schedule->start.minutes());
+    *out += '}';
+  }
+  *out += ",\"state\":";
+  AppendJsonString(out, FlexOfferStateName(offer.state));
+  *out += '}';
+}
+
+// ---- Decoding ----------------------------------------------------------------------
+// A record is read in one pass. Each known key fills a field slot that every
+// later occurrence of the key overwrites, its error included, so the last
+// duplicate wins. Syntax errors abort at once (reader.status()); field-rule
+// errors are checked after the whole document parsed, in a fixed field order.
+
+Status MissingNumber(std::string_view key) {
+  return InvalidArgumentError(StrFormat("JSON: missing or non-numeric field '%.*s'",
+                                        static_cast<int>(key.size()), key.data()));
+}
+
+Status MissingString(std::string_view key) {
+  return InvalidArgumentError(StrFormat("JSON: missing or non-string field '%.*s'",
+                                        static_cast<int>(key.size()), key.data()));
+}
+
+Status OutsideInt64(std::string_view key) {
+  return InvalidArgumentError(StrFormat("JSON: field '%.*s' is outside the int64 range",
+                                        static_cast<int>(key.size()), key.data()));
+}
+
+/// A scalar number field: absent, a number, or some other kind.
+struct NumberField {
+  enum class State { kMissing, kNumber, kOther };
+  State state = State::kMissing;
+  JsonNumber number;
+};
+
+bool ReadNumberField(JsonReader& reader, NumberField* field) {
+  Token token;
+  if (!reader.Peek(&token)) return false;
+  if (token != Token::kNumber) {
+    field->state = NumberField::State::kOther;
+    return reader.SkipValue();
+  }
+  field->state = NumberField::State::kNumber;
+  return reader.ReadNumber(&field->number);
+}
+
+Status TakeInt(const NumberField& field, std::string_view key, int64_t* out) {
+  if (field.state != NumberField::State::kNumber) return MissingNumber(key);
+  if (!field.number.ToInt(out)) return OutsideInt64(key);
+  return OkStatus();
+}
+
+Status TakeDouble(const NumberField& field, std::string_view key, double* out) {
+  if (field.state != NumberField::State::kNumber) return MissingNumber(key);
+  *out = field.number.AsDouble();
+  return OkStatus();
+}
+
+Status TakeTime(const NumberField& field, std::string_view key, TimePoint* out) {
+  int64_t minutes = 0;
+  FLEXVIS_RETURN_IF_ERROR(TakeInt(field, key, &minutes));
+  *out = TimePoint::FromMinutes(minutes);
+  return OkStatus();
+}
+
+/// A string field parsed into an enum as soon as it is read (the string's
+/// view does not outlive the next read).
+template <typename E>
+struct EnumField {
+  bool present = false;
+  Status status;  // kind or name error of the last occurrence
+  E value{};
+};
+
+template <typename E>
+bool ReadEnumField(JsonReader& reader, std::string_view key, Result<E> (*parse)(std::string_view),
+                   EnumField<E>* field) {
+  field->present = true;
+  Token token;
+  if (!reader.Peek(&token)) return false;
+  if (token != Token::kString) {
+    field->status = MissingString(key);
+    return reader.SkipValue();
+  }
+  std::string_view text;
+  if (!reader.ReadString(&text)) return false;
+  Result<E> parsed = parse(text);
+  field->status = parsed.status();
+  if (parsed.ok()) field->value = *parsed;
+  return true;
+}
+
+template <typename E>
+Status TakeEnum(const EnumField<E>& field, std::string_view key, E* out) {
+  if (!field.present) return MissingString(key);
+  FLEXVIS_RETURN_IF_ERROR(field.status);
+  *out = field.value;
+  return OkStatus();
+}
+
+Result<Direction> ParseDirectionName(std::string_view name) {
+  return EqualsIgnoreCase(name, "Production") ? Direction::kProduction
+                                              : Direction::kConsumption;
+}
+
+/// Presence and rule verdict of a field whose value is decoded straight into
+/// the record (arrays and the schedule object).
+struct FieldState {
+  bool present = false;
+  Status status;
+};
+
+/// Reads one occurrence of an array-valued field; `read_element(&status)`
+/// reads one element and may fail the field. After the first failure the
+/// rest of the array is only validated.
+template <typename ReadElement>
+bool ReadArrayField(JsonReader& reader, const char* not_array, FieldState* field,
+                    ReadElement read_element) {
+  field->present = true;
+  field->status = OkStatus();
+  Token token;
+  if (!reader.Peek(&token)) return false;
+  if (token != Token::kArray) {
+    field->status = InvalidArgumentError(not_array);
+    return reader.SkipValue();
+  }
+  reader.BeginArray();
+  while (reader.NextElement()) {
+    if (field->status.ok()) {
+      read_element(&field->status);
+    } else {
+      reader.SkipValue();
+    }
+  }
+  return reader.ok();
+}
+
+/// Reads one occurrence of an array of numbers into `values` (doubles, or
+/// int64 ids that must fit).
+template <typename T>
+bool ReadNumberList(JsonReader& reader, const char* not_array, const char* not_number,
+                    std::vector<T>* values, FieldState* field) {
+  values->clear();
+  return ReadArrayField(reader, not_array, field, [&](Status* status) {
+    Token token;
+    JsonNumber number;
+    if (!reader.Peek(&token)) return;
+    if (token != Token::kNumber) {
+      *status = InvalidArgumentError(not_number);
+      reader.SkipValue();
+    } else if (!reader.ReadNumber(&number)) {
+      return;
+    } else if constexpr (std::is_same_v<T, double>) {
+      values->push_back(number.AsDouble());
+    } else {
+      int64_t id = 0;
+      if (number.ToInt(&id)) {
+        values->push_back(id);
+      } else {
+        *status = InvalidArgumentError("flex-offer JSON: member id outside the int64 range");
+      }
+    }
+  });
+}
+
+/// Reads one profile slice object into `slice`; `*error` gets its rule verdict.
+bool ReadProfileSlice(JsonReader& reader, ProfileSlice* slice, Status* error) {
+  Token token;
+  if (!reader.Peek(&token)) return false;
+  if (token != Token::kObject) {
+    *error = MissingNumber("slices");
+    return reader.SkipValue();
+  }
+  NumberField slices;
+  NumberField min_kwh;
+  NumberField max_kwh;
+  reader.BeginObject();
+  std::string_view key;
+  while (reader.NextMember(&key)) {
+    if (key == "slices") {
+      ReadNumberField(reader, &slices);
+    } else if (key == "min_kwh") {
+      ReadNumberField(reader, &min_kwh);
+    } else if (key == "max_kwh") {
+      ReadNumberField(reader, &max_kwh);
+    } else {
+      reader.SkipValue();
+    }
+  }
+  if (!reader.ok()) return false;
+  int64_t duration = 0;
+  *error = TakeInt(slices, "slices", &duration);
+  if (error->ok()) *error = TakeDouble(min_kwh, "min_kwh", &slice->min_energy_kwh);
+  if (error->ok()) *error = TakeDouble(max_kwh, "max_kwh", &slice->max_energy_kwh);
+  slice->duration_slices = static_cast<int>(duration);
+  return true;
+}
+
+bool ReadProfile(JsonReader& reader, std::vector<ProfileSlice>* profile, FieldState* field) {
+  profile->clear();
+  return ReadArrayField(reader, "flex-offer JSON: missing profile", field, [&](Status* status) {
+    ProfileSlice slice;
+    if (ReadProfileSlice(reader, &slice, status) && status->ok()) profile->push_back(slice);
+  });
+}
+
+bool ReadSchedule(JsonReader& reader, std::optional<Schedule>* schedule, FieldState* field) {
+  field->present = true;
+  field->status = OkStatus();
+  schedule->emplace();
+  Token token;
+  if (!reader.Peek(&token)) return false;
+  if (token != Token::kObject) {
+    field->status = MissingNumber("start_min");
+    return reader.SkipValue();
+  }
+  NumberField start;
+  FieldState energies;
+  reader.BeginObject();
+  std::string_view key;
+  while (reader.NextMember(&key)) {
+    if (key == "start_min") {
+      ReadNumberField(reader, &start);
+    } else if (key == "energy_kwh") {
+      ReadNumberList(reader, "flex-offer JSON: schedule without energy_kwh",
+                     "flex-offer JSON: non-numeric scheduled energy",
+                     &(*schedule)->energy_kwh, &energies);
+    } else {
+      reader.SkipValue();
+    }
+  }
+  if (!reader.ok()) return false;
+  field->status = TakeTime(start, "start_min", &(*schedule)->start);
+  if (field->status.ok()) {
+    field->status = energies.present
+                        ? energies.status
+                        : InvalidArgumentError("flex-offer JSON: schedule without energy_kwh");
+  }
+  return true;
+}
+
+/// Reads one flex-offer object. False on a syntax error (in reader.status());
+/// otherwise `*verdict` holds the field-rule result.
+bool ReadFlexOffer(JsonReader& reader, FlexOffer* offer, Status* verdict) {
+  Token token;
+  if (!reader.Peek(&token)) return false;
+  if (token != Token::kObject) {
+    *verdict = InvalidArgumentError("flex-offer JSON must be an object");
+    return reader.SkipValue();
+  }
+  NumberField id, prosumer, region, grid_node;
+  NumberField creation, acceptance, assignment, earliest, latest;
+  EnumField<EnergyType> energy_type;
+  EnumField<ProsumerType> prosumer_type;
+  EnumField<ApplianceType> appliance_type;
+  EnumField<Direction> direction;
+  EnumField<FlexOfferState> state;
+  FieldState profile, schedule, members;
+  reader.BeginObject();
+  std::string_view key;
+  while (reader.NextMember(&key)) {
+    if (key == "acceptance_min") {
+      ReadNumberField(reader, &acceptance);
+    } else if (key == "aggregated_from") {
+      ReadNumberList(reader, "flex-offer JSON: aggregated_from must be an array",
+                     "flex-offer JSON: non-numeric member id", &offer->aggregated_from, &members);
+    } else if (key == "appliance_type") {
+      ReadEnumField(reader, "appliance_type", &ParseApplianceType, &appliance_type);
+    } else if (key == "assignment_min") {
+      ReadNumberField(reader, &assignment);
+    } else if (key == "creation_min") {
+      ReadNumberField(reader, &creation);
+    } else if (key == "direction") {
+      ReadEnumField(reader, "direction", &ParseDirectionName, &direction);
+    } else if (key == "earliest_start_min") {
+      ReadNumberField(reader, &earliest);
+    } else if (key == "energy_type") {
+      ReadEnumField(reader, "energy_type", &ParseEnergyType, &energy_type);
+    } else if (key == "grid_node") {
+      ReadNumberField(reader, &grid_node);
+    } else if (key == "id") {
+      ReadNumberField(reader, &id);
+    } else if (key == "latest_start_min") {
+      ReadNumberField(reader, &latest);
+    } else if (key == "profile") {
+      ReadProfile(reader, &offer->profile, &profile);
+    } else if (key == "prosumer") {
+      ReadNumberField(reader, &prosumer);
+    } else if (key == "prosumer_type") {
+      ReadEnumField(reader, "prosumer_type", &ParseProsumerType, &prosumer_type);
+    } else if (key == "region") {
+      ReadNumberField(reader, &region);
+    } else if (key == "schedule") {
+      ReadSchedule(reader, &offer->schedule, &schedule);
+    } else if (key == "state") {
+      ReadEnumField(reader, "state", &ParseFlexOfferState, &state);
+    } else {
+      reader.SkipValue();
+    }
+  }
+  if (!reader.ok()) return false;
+
+  *verdict = [&]() -> Status {
+    FLEXVIS_RETURN_IF_ERROR(TakeInt(id, "id", &offer->id));
+    FLEXVIS_RETURN_IF_ERROR(TakeInt(prosumer, "prosumer", &offer->prosumer));
+    // Optional: anything but a number means "unknown".
+    offer->region = kInvalidRegionId;
+    if (region.state == NumberField::State::kNumber) {
+      FLEXVIS_RETURN_IF_ERROR(TakeInt(region, "region", &offer->region));
+    }
+    offer->grid_node = kInvalidGridNodeId;
+    if (grid_node.state == NumberField::State::kNumber) {
+      FLEXVIS_RETURN_IF_ERROR(TakeInt(grid_node, "grid_node", &offer->grid_node));
+    }
+    FLEXVIS_RETURN_IF_ERROR(TakeEnum(energy_type, "energy_type", &offer->energy_type));
+    FLEXVIS_RETURN_IF_ERROR(TakeEnum(prosumer_type, "prosumer_type", &offer->prosumer_type));
+    FLEXVIS_RETURN_IF_ERROR(TakeEnum(appliance_type, "appliance_type", &offer->appliance_type));
+    FLEXVIS_RETURN_IF_ERROR(TakeEnum(direction, "direction", &offer->direction));
+    FLEXVIS_RETURN_IF_ERROR(TakeEnum(state, "state", &offer->state));
+    FLEXVIS_RETURN_IF_ERROR(TakeTime(creation, "creation_min", &offer->creation_time));
+    FLEXVIS_RETURN_IF_ERROR(TakeTime(acceptance, "acceptance_min", &offer->acceptance_deadline));
+    FLEXVIS_RETURN_IF_ERROR(TakeTime(assignment, "assignment_min", &offer->assignment_deadline));
+    FLEXVIS_RETURN_IF_ERROR(TakeTime(earliest, "earliest_start_min", &offer->earliest_start));
+    FLEXVIS_RETURN_IF_ERROR(TakeTime(latest, "latest_start_min", &offer->latest_start));
+    if (!profile.present) return InvalidArgumentError("flex-offer JSON: missing profile");
+    FLEXVIS_RETURN_IF_ERROR(profile.status);
+    FLEXVIS_RETURN_IF_ERROR(schedule.status);
+    FLEXVIS_RETURN_IF_ERROR(members.status);
+    return OkStatus();
+  }();
+  return true;
+}
+
+Result<Message> DecodeAcceptance(std::string_view payload) {
+  JsonReader reader(payload);
+  NumberField offer, sent;
+  std::optional<bool> accepted;
+  reader.BeginObject();
+  std::string_view key;
+  while (reader.NextMember(&key)) {
+    Token token;
+    bool value = false;
+    if (key == "offer") {
+      ReadNumberField(reader, &offer);
+    } else if (key == "sent_at_min") {
+      ReadNumberField(reader, &sent);
+    } else if (key == "accepted") {
+      accepted.reset();
+      if (reader.Peek(&token) && token == Token::kBool) {
+        if (reader.ReadBool(&value)) accepted = value;
+      } else {
+        reader.SkipValue();
+      }
+    } else {
+      reader.SkipValue();
+    }
+  }
+  if (!reader.Finish()) return reader.status();
+  AcceptanceMessage msg;
+  FLEXVIS_RETURN_IF_ERROR(TakeInt(offer, "offer", &msg.offer));
+  if (!accepted.has_value()) {
+    return InvalidArgumentError("JSON: missing or non-bool field 'accepted'");
+  }
+  msg.accepted = *accepted;
+  FLEXVIS_RETURN_IF_ERROR(TakeTime(sent, "sent_at_min", &msg.sent_at));
+  return Message(std::move(msg));
+}
+
+Result<Message> DecodeAssignment(std::string_view payload) {
+  JsonReader reader(payload);
+  AssignmentMessage msg;
+  NumberField offer, start, sent;
+  FieldState energies;
+  reader.BeginObject();
+  std::string_view key;
+  while (reader.NextMember(&key)) {
+    if (key == "offer") {
+      ReadNumberField(reader, &offer);
+    } else if (key == "start_min") {
+      ReadNumberField(reader, &start);
+    } else if (key == "energy_kwh") {
+      ReadNumberList(reader, "assignment: missing energy_kwh", "assignment: non-numeric energy",
+                     &msg.schedule.energy_kwh, &energies);
+    } else if (key == "sent_at_min") {
+      ReadNumberField(reader, &sent);
+    } else {
+      reader.SkipValue();
+    }
+  }
+  if (!reader.Finish()) return reader.status();
+  FLEXVIS_RETURN_IF_ERROR(TakeInt(offer, "offer", &msg.offer));
+  FLEXVIS_RETURN_IF_ERROR(TakeTime(start, "start_min", &msg.schedule.start));
+  if (!energies.present) return InvalidArgumentError("assignment: missing energy_kwh");
+  FLEXVIS_RETURN_IF_ERROR(energies.status);
+  FLEXVIS_RETURN_IF_ERROR(TakeTime(sent, "sent_at_min", &msg.sent_at));
+  return Message(std::move(msg));
+}
+
 }  // namespace
 
+std::string EncodeFlexOffer(const FlexOffer& offer) {
+  std::string out;
+  AppendFlexOffer(&out, offer);
+  return out;
+}
+
+Result<FlexOffer> DecodeFlexOffer(std::string_view text) {
+  JsonReader reader(text);
+  FlexOffer offer;
+  Status verdict;
+  if (!ReadFlexOffer(reader, &offer, &verdict) || !reader.Finish()) return reader.status();
+  if (!verdict.ok()) return verdict;
+  return offer;
+}
+
 std::string EncodeMessage(const Message& message) {
-  JsonValue envelope = JsonValue::Object();
+  std::string out = "{\"payload\":";
+  const char* type = "";
   if (const FlexOffer* offer = std::get_if<FlexOffer>(&message)) {
-    envelope.Set("type", JsonValue::Str(kTypeFlexOffer));
-    envelope.Set("payload", FlexOfferToJson(*offer));
+    type = kTypeFlexOffer;
+    AppendFlexOffer(&out, *offer);
   } else if (const AcceptanceMessage* acc = std::get_if<AcceptanceMessage>(&message)) {
-    envelope.Set("type", JsonValue::Str(kTypeAcceptance));
-    JsonValue payload = JsonValue::Object();
-    payload.Set("offer", JsonValue::Int(acc->offer));
-    payload.Set("accepted", JsonValue::Bool(acc->accepted));
-    payload.Set("sent_at_min", JsonValue::Int(acc->sent_at.minutes()));
-    envelope.Set("payload", std::move(payload));
+    type = kTypeAcceptance;
+    out += acc->accepted ? "{\"accepted\":true,\"offer\":" : "{\"accepted\":false,\"offer\":";
+    AppendJsonInt(&out, acc->offer);
+    out += ",\"sent_at_min\":";
+    AppendJsonInt(&out, acc->sent_at.minutes());
+    out += '}';
   } else if (const AssignmentMessage* assign = std::get_if<AssignmentMessage>(&message)) {
-    envelope.Set("type", JsonValue::Str(kTypeAssignment));
-    JsonValue payload = JsonValue::Object();
-    payload.Set("offer", JsonValue::Int(assign->offer));
-    payload.Set("start_min", JsonValue::Int(assign->schedule.start.minutes()));
-    JsonValue energies = JsonValue::Array();
-    for (double e : assign->schedule.energy_kwh) energies.Append(JsonValue::Double(e));
-    payload.Set("energy_kwh", std::move(energies));
-    payload.Set("sent_at_min", JsonValue::Int(assign->sent_at.minutes()));
-    envelope.Set("payload", std::move(payload));
+    type = kTypeAssignment;
+    out += "{\"energy_kwh\":";
+    AppendDoubles(&out, assign->schedule.energy_kwh);
+    out += ",\"offer\":";
+    AppendJsonInt(&out, assign->offer);
+    out += ",\"sent_at_min\":";
+    AppendJsonInt(&out, assign->sent_at.minutes());
+    out += ",\"start_min\":";
+    AppendJsonInt(&out, assign->schedule.start.minutes());
+    out += '}';
   }
-  return envelope.Dump();
+  out += ",\"type\":";
+  AppendJsonString(&out, type);
+  out += '}';
+  return out;
 }
 
 Result<Message> DecodeMessage(std::string_view text) {
   // A lossy gateway link: an armed fault here models an envelope lost or
   // garbled in transit. Typed, not retried — redelivery is the sender's job.
   FLEXVIS_FAULT_CHECK("core.messages.decode");
-  Result<JsonValue> parsed = JsonValue::Parse(text);
-  if (!parsed.ok()) return parsed.status();
-  Result<std::string> type = parsed->GetString("type");
-  if (!type.ok()) return type.status();
-  const JsonValue& payload = parsed->Get("payload");
-  if (!payload.is_object()) return InvalidArgumentError("message: missing payload");
+  // "payload" sorts before "type", so the envelope pass only validates the
+  // payload and keeps its text; it is decoded once the type is known.
+  JsonReader reader(text);
+  Token token;
+  if (!reader.Peek(&token)) return reader.status();
+  std::optional<std::string> type;
+  std::string_view payload;
+  bool payload_is_object = false;
+  if (token != Token::kObject) {
+    reader.SkipValue();
+  } else {
+    reader.BeginObject();
+    std::string_view key;
+    while (reader.NextMember(&key)) {
+      if (key == "payload") {
+        payload_is_object = reader.Peek(&token) && token == Token::kObject;
+        const size_t start = reader.offset();
+        reader.SkipValue();
+        payload = text.substr(start, reader.offset() - start);
+      } else if (key == "type") {
+        type.reset();
+        std::string_view value;
+        if (reader.Peek(&token) && token == Token::kString) {
+          if (reader.ReadString(&value)) type = std::string(value);
+        } else {
+          reader.SkipValue();
+        }
+      } else {
+        reader.SkipValue();
+      }
+    }
+  }
+  if (!reader.Finish()) return reader.status();
+  if (!type.has_value()) return MissingString("type");
+  if (!payload_is_object) return InvalidArgumentError("message: missing payload");
 
   if (*type == kTypeFlexOffer) {
-    Result<FlexOffer> offer = FlexOfferFromJson(payload);
+    Result<FlexOffer> offer = DecodeFlexOffer(payload);
     if (!offer.ok()) return offer.status();
     FLEXVIS_RETURN_IF_ERROR(Validate(*offer));
     return Message(*std::move(offer));
   }
-  if (*type == kTypeAcceptance) {
-    AcceptanceMessage msg;
-    Result<int64_t> offer = payload.GetInt("offer");
-    if (!offer.ok()) return offer.status();
-    msg.offer = *offer;
-    Result<bool> accepted = payload.GetBool("accepted");
-    if (!accepted.ok()) return accepted.status();
-    msg.accepted = *accepted;
-    Result<int64_t> sent = payload.GetInt("sent_at_min");
-    if (!sent.ok()) return sent.status();
-    msg.sent_at = TimePoint::FromMinutes(*sent);
-    return Message(std::move(msg));
-  }
-  if (*type == kTypeAssignment) {
-    AssignmentMessage msg;
-    Result<int64_t> offer = payload.GetInt("offer");
-    if (!offer.ok()) return offer.status();
-    msg.offer = *offer;
-    Result<int64_t> start = payload.GetInt("start_min");
-    if (!start.ok()) return start.status();
-    msg.schedule.start = TimePoint::FromMinutes(*start);
-    const JsonValue& energies = payload.Get("energy_kwh");
-    if (!energies.is_array()) return InvalidArgumentError("assignment: missing energy_kwh");
-    for (size_t i = 0; i < energies.size(); ++i) {
-      if (!energies[i].is_number()) {
-        return InvalidArgumentError("assignment: non-numeric energy");
-      }
-      msg.schedule.energy_kwh.push_back(energies[i].AsDouble());
-    }
-    Result<int64_t> sent = payload.GetInt("sent_at_min");
-    if (!sent.ok()) return sent.status();
-    msg.sent_at = TimePoint::FromMinutes(*sent);
-    return Message(std::move(msg));
-  }
+  if (*type == kTypeAcceptance) return DecodeAcceptance(payload);
+  if (*type == kTypeAssignment) return DecodeAssignment(payload);
   return InvalidArgumentError(StrFormat("message: unknown type '%s'", type->c_str()));
-}
-
-std::string EncodeFlexOffer(const FlexOffer& offer) { return FlexOfferToJson(offer).Dump(); }
-
-Result<FlexOffer> DecodeFlexOffer(std::string_view text) {
-  Result<JsonValue> parsed = JsonValue::Parse(text);
-  if (!parsed.ok()) return parsed.status();
-  return FlexOfferFromJson(*parsed);
 }
 
 }  // namespace flexvis::core

@@ -5,7 +5,6 @@
 #include <variant>
 
 #include "core/flex_offer.h"
-#include "util/json.h"
 #include "util/status.h"
 
 namespace flexvis::core {
@@ -41,14 +40,16 @@ struct AssignmentMessage {
 /// Any message on the bus.
 using Message = std::variant<FlexOffer, AcceptanceMessage, AssignmentMessage>;
 
-/// Flex-offer <-> JSON. The JSON form carries every field including profile
-/// slices (RLE), schedule, and aggregation provenance, so
-/// FlexOfferFromJson(FlexOfferToJson(o)) == o for valid offers.
-JsonValue FlexOfferToJson(const FlexOffer& offer);
-Result<FlexOffer> FlexOfferFromJson(const JsonValue& json);
-
 /// Message envelope <-> JSON text. Decoding validates the payload (a
 /// flex-offer payload must pass core::Validate).
+///
+/// Every record has one streaming encoder and one streaming decoder (no
+/// document model in between). The encoders write object keys in sorted
+/// order, integers as %lld and doubles as %.17g (non-finite as null). The
+/// decoders accept any key order, skip unknown keys, let the last duplicate
+/// key win and reject malformed JSON as a whole. A flex-offer record carries
+/// every field including profile slices (RLE), schedule and aggregation
+/// provenance, so DecodeFlexOffer(EncodeFlexOffer(o)) == o for valid offers.
 std::string EncodeMessage(const Message& message);
 Result<Message> DecodeMessage(std::string_view text);
 

@@ -60,6 +60,31 @@ void AppendSortedList(std::string* out, const char* tag, const std::vector<T>& v
   *out += ';';
 }
 
+/// Adds `info` to a dimension unless its id is taken. `append_row` writes the
+/// dimension-table row first, so a failed append leaves no index entry.
+template <typename Info, typename AppendRow>
+Status RegisterDimension(const Info& info, const char* what, std::vector<Info>* rows,
+                         std::unordered_map<int64_t, size_t>* index, AppendRow append_row) {
+  if (index->count(info.id) > 0) {
+    return AlreadyExistsError(
+        StrFormat("%s %lld already registered", what, static_cast<long long>(info.id)));
+  }
+  FLEXVIS_RETURN_IF_ERROR(append_row());
+  index->emplace(info.id, rows->size());
+  rows->push_back(info);
+  return OkStatus();
+}
+
+template <typename Info>
+Result<Info> FindDimension(int64_t id, const char* what, const std::vector<Info>& rows,
+                           const std::unordered_map<int64_t, size_t>& index) {
+  auto it = index.find(id);
+  if (it == index.end()) {
+    return NotFoundError(StrFormat("%s %lld not found", what, static_cast<long long>(id)));
+  }
+  return rows[it->second];
+}
+
 }  // namespace
 
 std::string CanonicalFilterKey(const FlexOfferFilter& filter) {
@@ -114,64 +139,37 @@ Database::Database()
                       {"parent_id", ColumnType::kInt64}}) {}
 
 Status Database::RegisterProsumer(const ProsumerInfo& prosumer) {
-  for (const ProsumerInfo& p : prosumers_) {
-    if (p.id == prosumer.id) {
-      return AlreadyExistsError(StrFormat("prosumer %lld already registered",
-                                          static_cast<long long>(prosumer.id)));
-    }
-  }
-  FLEXVIS_RETURN_IF_ERROR(dim_prosumer_.AppendRow(
-      {Value(prosumer.id), Value(prosumer.name), Value(int64_t{static_cast<int64_t>(prosumer.type)}),
-       Value(prosumer.region), Value(prosumer.grid_node)}));
-  prosumers_.push_back(prosumer);
-  return OkStatus();
+  return RegisterDimension(prosumer, "prosumer", &prosumers_, &prosumer_index_, [&] {
+    return dim_prosumer_.AppendRow({Value(prosumer.id), Value(prosumer.name),
+                                    Value(int64_t{static_cast<int64_t>(prosumer.type)}),
+                                    Value(prosumer.region), Value(prosumer.grid_node)});
+  });
 }
 
 Status Database::RegisterRegion(const RegionInfo& region) {
-  for (const RegionInfo& r : regions_) {
-    if (r.id == region.id) {
-      return AlreadyExistsError(StrFormat("region %lld already registered",
-                                          static_cast<long long>(region.id)));
-    }
-  }
-  FLEXVIS_RETURN_IF_ERROR(dim_region_.AppendRow(
-      {Value(region.id), Value(region.name), Value(region.parent), Value(region.level)}));
-  regions_.push_back(region);
-  return OkStatus();
+  return RegisterDimension(region, "region", &regions_, &region_index_, [&] {
+    return dim_region_.AppendRow(
+        {Value(region.id), Value(region.name), Value(region.parent), Value(region.level)});
+  });
 }
 
 Status Database::RegisterGridNode(const GridNodeInfo& node) {
-  for (const GridNodeInfo& n : grid_nodes_) {
-    if (n.id == node.id) {
-      return AlreadyExistsError(StrFormat("grid node %lld already registered",
-                                          static_cast<long long>(node.id)));
-    }
-  }
-  FLEXVIS_RETURN_IF_ERROR(dim_grid_node_.AppendRow(
-      {Value(node.id), Value(node.name), Value(node.kind), Value(node.parent)}));
-  grid_nodes_.push_back(node);
-  return OkStatus();
+  return RegisterDimension(node, "grid node", &grid_nodes_, &grid_node_index_, [&] {
+    return dim_grid_node_.AppendRow(
+        {Value(node.id), Value(node.name), Value(node.kind), Value(node.parent)});
+  });
 }
 
 Result<ProsumerInfo> Database::FindProsumer(core::ProsumerId id) const {
-  for (const ProsumerInfo& p : prosumers_) {
-    if (p.id == id) return p;
-  }
-  return NotFoundError(StrFormat("prosumer %lld not found", static_cast<long long>(id)));
+  return FindDimension(id, "prosumer", prosumers_, prosumer_index_);
 }
 
 Result<RegionInfo> Database::FindRegion(core::RegionId id) const {
-  for (const RegionInfo& r : regions_) {
-    if (r.id == id) return r;
-  }
-  return NotFoundError(StrFormat("region %lld not found", static_cast<long long>(id)));
+  return FindDimension(id, "region", regions_, region_index_);
 }
 
 Result<GridNodeInfo> Database::FindGridNode(core::GridNodeId id) const {
-  for (const GridNodeInfo& n : grid_nodes_) {
-    if (n.id == id) return n;
-  }
-  return NotFoundError(StrFormat("grid node %lld not found", static_cast<long long>(id)));
+  return FindDimension(id, "grid node", grid_nodes_, grid_node_index_);
 }
 
 std::vector<core::RegionId> Database::RegionSubtree(core::RegionId root) const {

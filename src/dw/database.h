@@ -167,6 +167,10 @@ class Database {
   std::vector<ProsumerInfo> prosumers_;
   std::vector<RegionInfo> regions_;
   std::vector<GridNodeInfo> grid_nodes_;
+  // id -> position in the vector above, so registration and Find* are O(1).
+  std::unordered_map<core::ProsumerId, size_t> prosumer_index_;
+  std::unordered_map<core::RegionId, size_t> region_index_;
+  std::unordered_map<core::GridNodeId, size_t> grid_node_index_;
 
   std::unordered_map<core::FlexOfferId, size_t> offer_row_;
   std::unordered_map<core::FlexOfferId, std::vector<size_t>> slice_rows_;

@@ -1,6 +1,7 @@
 #include "util/fileio.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -69,7 +70,14 @@ Result<std::string> ReadFileToString(const std::string& path) {
   if (f == nullptr) {
     return NotFoundError(StrFormat("cannot open '%s' for reading", path.c_str()));
   }
+  // One read into a buffer sized from the file; the loop after it picks up
+  // anything the size did not announce (a file still growing, a pipe).
   std::string data;
+  struct stat info;
+  if (::fstat(::fileno(f), &info) == 0 && info.st_size > 0) {
+    data.resize(static_cast<size_t>(info.st_size));
+    data.resize(std::fread(data.data(), 1, data.size(), f));
+  }
   char buffer[8192];
   size_t n;
   while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) data.append(buffer, n);

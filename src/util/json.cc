@@ -1,12 +1,19 @@
 #include "util/json.h"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "util/strings.h"
 
 namespace flexvis {
+
+namespace {
+
+// Bounds of the doubles that convert to int64 without overflow: [-2^63, 2^63).
+constexpr double kInt64Min = -9223372036854775808.0;
+constexpr double kInt64End = 9223372036854775808.0;
+
+}  // namespace
 
 JsonValue JsonValue::Bool(bool b) {
   JsonValue v;
@@ -48,6 +55,13 @@ JsonValue JsonValue::Object() {
   return v;
 }
 
+int64_t JsonValue::AsInt() const {
+  if (!is_double()) return int_;
+  if (double_ >= kInt64Min && double_ < kInt64End) return static_cast<int64_t>(double_);
+  if (std::isnan(double_)) return 0;
+  return double_ < 0 ? INT64_MIN : INT64_MAX;
+}
+
 void JsonValue::Append(JsonValue value) {
   kind_ = Kind::kArray;
   array_.push_back(std::move(value));
@@ -74,7 +88,13 @@ Result<int64_t> JsonValue::GetInt(std::string_view key) const {
     return InvalidArgumentError(StrFormat("JSON: missing or non-numeric field '%.*s'",
                                           static_cast<int>(key.size()), key.data()));
   }
-  return v.AsInt();
+  JsonNumber number{v.is_int(), v.int_, v.double_};
+  int64_t value = 0;
+  if (!number.ToInt(&value)) {
+    return InvalidArgumentError(StrFormat("JSON: field '%.*s' is outside the int64 range",
+                                          static_cast<int>(key.size()), key.data()));
+  }
+  return value;
 }
 
 Result<double> JsonValue::GetDouble(std::string_view key) const {
@@ -104,27 +124,59 @@ Result<bool> JsonValue::GetBool(std::string_view key) const {
   return v.AsBool();
 }
 
-std::string JsonEscape(std::string_view text) {
-  std::string out = "\"";
-  for (char c : text) {
+bool JsonNumber::ToInt(int64_t* out) const {
+  if (is_int) {
+    *out = int_value;
+    return true;
+  }
+  if (!(double_value >= kInt64Min && double_value < kInt64End)) return false;
+  *out = static_cast<int64_t>(double_value);
+  return true;
+}
+
+void AppendJsonInt(std::string* out, int64_t value) {
+  char buffer[24];
+  const std::to_chars_result r = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, r.ptr);
+}
+
+void AppendJsonDouble(std::string* out, double value) {
+  if (!std::isfinite(value)) {
+    *out += "null";  // JSON has no Inf/NaN
+    return;
+  }
+  // %.17g: the longest output is "-2.2250738585072014e-308" (24 bytes).
+  char buffer[32];
+  const std::to_chars_result r = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                               std::chars_format::general, 17);
+  out->append(buffer, r.ptr);
+}
+
+void AppendJsonString(std::string* out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  *out += '"';
+  size_t plain = 0;  // start of the pending run that needs no escaping
+  for (size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(text.data() + plain, i - plain);
+    plain = i + 1;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      case '\b': *out += "\\b"; break;
+      case '\f': *out += "\\f"; break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
-  out += '"';
-  return out;
+  out->append(text.data() + plain, text.size() - plain);
+  *out += '"';
 }
 
 void JsonValue::DumpTo(std::string* out, int indent, int depth) const {
@@ -141,17 +193,13 @@ void JsonValue::DumpTo(std::string* out, int indent, int depth) const {
       *out += bool_ ? "true" : "false";
       break;
     case Kind::kInt:
-      *out += StrFormat("%lld", static_cast<long long>(int_));
+      AppendJsonInt(out, int_);
       break;
     case Kind::kDouble:
-      if (std::isfinite(double_)) {
-        *out += StrFormat("%.17g", double_);
-      } else {
-        *out += "null";  // JSON has no Inf/NaN
-      }
+      AppendJsonDouble(out, double_);
       break;
     case Kind::kString:
-      *out += JsonEscape(string_);
+      AppendJsonString(out, string_);
       break;
     case Kind::kArray: {
       *out += '[';
@@ -176,7 +224,7 @@ void JsonValue::DumpTo(std::string* out, int indent, int depth) const {
         first = false;
         *out += nl;
         *out += pad;
-        *out += JsonEscape(key);
+        AppendJsonString(out, key);
         *out += indent > 0 ? ": " : ":";
         value.DumpTo(out, indent, depth + 1);
       }
@@ -220,209 +268,314 @@ bool operator==(const JsonValue& a, const JsonValue& b) {
   return false;
 }
 
-namespace {
+// ---- JsonReader -------------------------------------------------------------------
 
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  Result<JsonValue> Parse() {
-    Result<JsonValue> value = ParseValue();
-    if (!value.ok()) return value;
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return InvalidArgumentError(StrFormat("JSON: trailing data at offset %zu", pos_));
-    }
-    return value;
+void JsonReader::SkipWhitespace() {
+  // The C-locale isspace set: space, \t, \n, \v, \f, \r.
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c != ' ' && (c < '\t' || c > '\r')) break;
+    ++pos_;
   }
+}
 
- private:
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+bool JsonReader::Fail(const char* what) {
+  if (status_.ok()) {
+    status_ = InvalidArgumentError(StrFormat("JSON: %s at offset %zu", what, pos_));
+  }
+  return false;
+}
+
+bool JsonReader::Peek(Token* token) {
+  if (!ok()) return false;
+  SkipWhitespace();
+  if (pos_ >= text_.size()) return Fail("unexpected end of input");
+  switch (text_[pos_]) {
+    case '{': *token = Token::kObject; break;
+    case '[': *token = Token::kArray; break;
+    case '"': *token = Token::kString; break;
+    case 't':
+    case 'f': *token = Token::kBool; break;
+    case 'n': *token = Token::kNull; break;
+    default: *token = Token::kNumber; break;
+  }
+  return true;
+}
+
+bool JsonReader::ReadNull() {
+  if (!ok()) return false;
+  SkipWhitespace();
+  if (text_.substr(pos_, 4) != "null") return Fail("invalid literal");
+  pos_ += 4;
+  return true;
+}
+
+bool JsonReader::ReadBool(bool* value) {
+  if (!ok()) return false;
+  SkipWhitespace();
+  if (text_.substr(pos_, 4) == "true") {
+    pos_ += 4;
+    *value = true;
+    return true;
+  }
+  if (text_.substr(pos_, 5) == "false") {
+    pos_ += 5;
+    *value = false;
+    return true;
+  }
+  return Fail("invalid literal");
+}
+
+bool JsonReader::ReadNumber(JsonNumber* number) {
+  if (!ok()) return false;
+  SkipWhitespace();
+  const size_t start = pos_;
+  if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+  bool is_double = false;
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c >= '0' && c <= '9') {
       ++pos_;
+    } else if (c == '.' || c == 'e' || c == 'E') {
+      is_double = true;
+      ++pos_;
+    } else if (c == '+' || c == '-') {
+      ++pos_;  // only valid after e/E; from_chars validates the token in full
+    } else {
+      break;
     }
   }
+  if (pos_ == start) return Fail("expected a value");
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  std::from_chars_result r;
+  if (is_double) {
+    number->is_int = false;
+    r = std::from_chars(first, last, number->double_value, std::chars_format::general);
+  } else {
+    number->is_int = true;
+    r = std::from_chars(first, last, number->int_value);
+  }
+  if (r.ec == std::errc::result_out_of_range) {
+    pos_ = start;
+    return Fail(is_double ? "number out of double range" : "integer out of int64 range");
+  }
+  if (r.ec != std::errc() || r.ptr != last) {
+    pos_ = start;
+    return Fail("malformed number");
+  }
+  return true;
+}
 
-  bool Consume(char c) {
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
+bool JsonReader::ReadString(std::string_view* value) {
+  if (!ok()) return false;
+  SkipWhitespace();
+  if (pos_ >= text_.size() || text_[pos_] != '"') return Fail("expected a string");
+  const size_t start = ++pos_;
+  // Fast path: no escapes, so the value is a view into the input.
+  while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') ++pos_;
+  if (pos_ >= text_.size()) return Fail("unterminated string");
+  if (text_[pos_] == '"') {
+    *value = text_.substr(start, pos_ - start);
+    ++pos_;
+    return true;
+  }
+  scratch_.assign(text_.data() + start, pos_ - start);
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_++];
+    if (c == '"') {
+      *value = scratch_;
       return true;
     }
-    return false;
-  }
-
-  Status Error(const char* what) const {
-    return InvalidArgumentError(StrFormat("JSON: %s at offset %zu", what, pos_));
-  }
-
-  Result<JsonValue> ParseValue() {
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    char c = text_[pos_];
-    switch (c) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
-      case '"': {
-        Result<std::string> s = ParseString();
-        if (!s.ok()) return s.status();
-        return JsonValue::Str(*std::move(s));
-      }
-      case 't':
-        if (text_.substr(pos_, 4) == "true") {
-          pos_ += 4;
-          return JsonValue::Bool(true);
-        }
-        return Error("invalid literal");
-      case 'f':
-        if (text_.substr(pos_, 5) == "false") {
-          pos_ += 5;
-          return JsonValue::Bool(false);
-        }
-        return Error("invalid literal");
-      case 'n':
-        if (text_.substr(pos_, 4) == "null") {
-          pos_ += 4;
-          return JsonValue::Null();
-        }
-        return Error("invalid literal");
-      default:
-        return ParseNumber();
+    if (c != '\\') {
+      scratch_ += c;
+      continue;
     }
-  }
-
-  Result<JsonValue> ParseObject() {
-    ++pos_;  // '{'
-    JsonValue obj = JsonValue::Object();
-    SkipWhitespace();
-    if (Consume('}')) return obj;
-    while (true) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') return Error("expected object key");
-      Result<std::string> key = ParseString();
-      if (!key.ok()) return key.status();
-      if (!Consume(':')) return Error("expected ':'");
-      Result<JsonValue> value = ParseValue();
-      if (!value.ok()) return value;
-      obj.Set(*std::move(key), *std::move(value));
-      if (Consume(',')) continue;
-      if (Consume('}')) return obj;
-      return Error("expected ',' or '}'");
-    }
-  }
-
-  Result<JsonValue> ParseArray() {
-    ++pos_;  // '['
-    JsonValue arr = JsonValue::Array();
-    SkipWhitespace();
-    if (Consume(']')) return arr;
-    while (true) {
-      Result<JsonValue> value = ParseValue();
-      if (!value.ok()) return value;
-      arr.Append(*std::move(value));
-      if (Consume(',')) continue;
-      if (Consume(']')) return arr;
-      return Error("expected ',' or ']'");
-    }
-  }
-
-  Result<std::string> ParseString() {
-    ++pos_;  // '"'
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return Error("invalid \\u escape");
-            }
-            // UTF-8 encode (BMP only; surrogate pairs unsupported).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default:
-            return Error("invalid escape");
+    if (pos_ >= text_.size()) break;
+    switch (text_[pos_++]) {
+      case '"': scratch_ += '"'; break;
+      case '\\': scratch_ += '\\'; break;
+      case '/': scratch_ += '/'; break;
+      case 'n': scratch_ += '\n'; break;
+      case 'r': scratch_ += '\r'; break;
+      case 't': scratch_ += '\t'; break;
+      case 'b': scratch_ += '\b'; break;
+      case 'f': scratch_ += '\f'; break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else return Fail("invalid \\u escape");
         }
-      } else {
-        out += c;
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  Result<JsonValue> ParseNumber() {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool is_double = false;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        // '+'/'-' only valid after e/E, but sscanf below validates fully.
-        if (c == '.' || c == 'e' || c == 'E') is_double = true;
-        ++pos_;
-      } else {
+        // UTF-8 encode (BMP only; surrogate pairs unsupported).
+        if (code < 0x80) {
+          scratch_ += static_cast<char>(code);
+        } else if (code < 0x800) {
+          scratch_ += static_cast<char>(0xC0 | (code >> 6));
+          scratch_ += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+          scratch_ += static_cast<char>(0xE0 | (code >> 12));
+          scratch_ += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          scratch_ += static_cast<char>(0x80 | (code & 0x3F));
+        }
         break;
       }
+      default:
+        return Fail("invalid escape");
     }
-    if (pos_ == start) return Error("expected a value");
-    std::string token(text_.substr(start, pos_ - start));
-    if (!is_double) {
-      long long value = 0;
-      int consumed = 0;
-      if (std::sscanf(token.c_str(), "%lld%n", &value, &consumed) == 1 &&
-          static_cast<size_t>(consumed) == token.size()) {
-        return JsonValue::Int(value);
-      }
-    }
-    double value = 0.0;
-    int consumed = 0;
-    if (std::sscanf(token.c_str(), "%lf%n", &value, &consumed) == 1 &&
-        static_cast<size_t>(consumed) == token.size()) {
-      return JsonValue::Double(value);
-    }
-    return Error("malformed number");
   }
+  return Fail("unterminated string");
+}
 
-  std::string_view text_;
-  size_t pos_ = 0;
-};
+bool JsonReader::Enter(char open) {
+  if (!ok()) return false;
+  SkipWhitespace();
+  if (pos_ >= text_.size() || text_[pos_] != open) {
+    return Fail(open == '{' ? "expected an object" : "expected an array");
+  }
+  if (depth_ >= kJsonMaxDepth) return Fail("nesting deeper than 64 levels");
+  ++depth_;
+  ++pos_;
+  first_ = true;
+  return true;
+}
+
+bool JsonReader::Next(char close, const char* what) {
+  if (!ok()) return false;
+  SkipWhitespace();
+  const bool first = first_;
+  first_ = false;
+  if (pos_ < text_.size() && text_[pos_] == close) {
+    ++pos_;
+    --depth_;
+    return false;
+  }
+  if (first) return true;
+  if (pos_ >= text_.size() || text_[pos_] != ',') return Fail(what);
+  ++pos_;
+  return true;
+}
+
+bool JsonReader::BeginObject() { return Enter('{'); }
+
+bool JsonReader::NextMember(std::string_view* key) {
+  if (!Next('}', "expected ',' or '}'")) return false;
+  SkipWhitespace();
+  if (pos_ >= text_.size() || text_[pos_] != '"') return Fail("expected object key");
+  if (!ReadString(key)) return false;
+  SkipWhitespace();
+  if (pos_ >= text_.size() || text_[pos_] != ':') return Fail("expected ':'");
+  ++pos_;
+  return true;
+}
+
+bool JsonReader::BeginArray() { return Enter('['); }
+
+bool JsonReader::NextElement() { return Next(']', "expected ',' or ']'"); }
+
+bool JsonReader::SkipValue() {
+  Token token;
+  if (!Peek(&token)) return false;
+  switch (token) {
+    case Token::kNull: return ReadNull();
+    case Token::kBool: {
+      bool b;
+      return ReadBool(&b);
+    }
+    case Token::kNumber: {
+      JsonNumber n;
+      return ReadNumber(&n);
+    }
+    case Token::kString: {
+      std::string_view s;
+      return ReadString(&s);
+    }
+    case Token::kArray:
+      if (!BeginArray()) return false;
+      while (NextElement()) SkipValue();
+      return ok();
+    case Token::kObject: {
+      if (!BeginObject()) return false;
+      std::string_view key;
+      while (NextMember(&key)) SkipValue();
+      return ok();
+    }
+  }
+  return ok();
+}
+
+bool JsonReader::Finish() {
+  if (!ok()) return false;
+  SkipWhitespace();
+  if (pos_ != text_.size()) return Fail("trailing data");
+  return true;
+}
+
+namespace {
+
+bool ParseInto(JsonReader& reader, JsonValue* out) {
+  JsonReader::Token token;
+  if (!reader.Peek(&token)) return false;
+  switch (token) {
+    case JsonReader::Token::kNull:
+      *out = JsonValue::Null();
+      return reader.ReadNull();
+    case JsonReader::Token::kBool: {
+      bool b = false;
+      if (!reader.ReadBool(&b)) return false;
+      *out = JsonValue::Bool(b);
+      return true;
+    }
+    case JsonReader::Token::kNumber: {
+      JsonNumber n;
+      if (!reader.ReadNumber(&n)) return false;
+      *out = n.is_int ? JsonValue::Int(n.int_value) : JsonValue::Double(n.double_value);
+      return true;
+    }
+    case JsonReader::Token::kString: {
+      std::string_view s;
+      if (!reader.ReadString(&s)) return false;
+      *out = JsonValue::Str(std::string(s));
+      return true;
+    }
+    case JsonReader::Token::kArray: {
+      *out = JsonValue::Array();
+      if (!reader.BeginArray()) return false;
+      while (reader.NextElement()) {
+        JsonValue element;
+        if (!ParseInto(reader, &element)) return false;
+        out->Append(std::move(element));
+      }
+      return reader.ok();
+    }
+    case JsonReader::Token::kObject: {
+      *out = JsonValue::Object();
+      if (!reader.BeginObject()) return false;
+      std::string_view key_view;
+      while (reader.NextMember(&key_view)) {
+        std::string key(key_view);  // the view dies with the next read
+        JsonValue value;
+        if (!ParseInto(reader, &value)) return false;
+        out->Set(std::move(key), std::move(value));
+      }
+      return reader.ok();
+    }
+  }
+  return false;
+}
 
 }  // namespace
 
 Result<JsonValue> JsonValue::Parse(std::string_view text) {
-  JsonParser parser(text);
-  return parser.Parse();
+  JsonReader reader(text);
+  JsonValue value;
+  if (!ParseInto(reader, &value) || !reader.Finish()) return reader.status();
+  return value;
 }
 
 }  // namespace flexvis

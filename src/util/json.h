@@ -12,10 +12,17 @@
 
 namespace flexvis {
 
+/// Deepest container nesting the parser accepts. flexvis itself writes at
+/// most 4 levels (message envelope > payload > profile > slice); the bound
+/// keeps hostile input from exhausting the stack.
+inline constexpr int kJsonMaxDepth = 64;
+
 /// A minimal JSON document model (RFC 8259 subset: no surrogate-pair \u
-/// escapes beyond the BMP, numbers parsed as double or int64). Used for the
-/// flex-offer message format the MIRABEL ICT infrastructure exchanges
-/// between prosumers and the enterprise.
+/// escapes beyond the BMP, numbers parsed as double or int64). Used for
+/// manifests, journal records and scenario specs; flex-offer records and
+/// message envelopes, the bulk of every warehouse, checkpoint and wire
+/// stream, go through JsonReader and the AppendJson* writers instead
+/// (core/messages).
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
@@ -41,9 +48,11 @@ class JsonValue {
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
 
-  /// Typed accessors; preconditions per the is_* predicates.
+  /// Typed accessors; preconditions per the is_* predicates. AsInt truncates
+  /// a double toward zero and saturates outside the int64 range (GetInt
+  /// rejects such values instead).
   bool AsBool() const { return bool_; }
-  int64_t AsInt() const { return is_double() ? static_cast<int64_t>(double_) : int_; }
+  int64_t AsInt() const;
   double AsDouble() const { return is_int() ? static_cast<double>(int_) : double_; }
   const std::string& AsString() const { return string_; }
 
@@ -59,7 +68,8 @@ class JsonValue {
   const std::map<std::string, JsonValue>& items() const { return object_; }
 
   /// Checked object field readers used by message decoding: error on a
-  /// missing key or a kind mismatch.
+  /// missing key or a kind mismatch. GetInt also rejects a double outside
+  /// the int64 range.
   Result<int64_t> GetInt(std::string_view key) const;
   Result<double> GetDouble(std::string_view key) const;
   Result<std::string> GetString(std::string_view key) const;
@@ -87,8 +97,83 @@ class JsonValue {
   std::map<std::string, JsonValue> object_;
 };
 
-/// Escapes a string for embedding in JSON (quotes included in the output).
-std::string JsonEscape(std::string_view text);
+/// Append-style writers producing exactly the bytes JsonValue::Dump writes:
+/// integers as %lld, doubles as %.17g (non-finite values as `null`), strings
+/// quoted and escaped.
+void AppendJsonInt(std::string* out, int64_t value);
+void AppendJsonDouble(std::string* out, double value);
+void AppendJsonString(std::string* out, std::string_view text);
+
+/// One number token. A token without '.', 'e' or 'E' is an integer (so "-0"
+/// reads back as integer 0); anything else is a finite double.
+struct JsonNumber {
+  bool is_int = false;
+  int64_t int_value = 0;
+  double double_value = 0.0;
+
+  double AsDouble() const { return is_int ? static_cast<double>(int_value) : double_value; }
+  /// The integer value, a double truncated toward zero; false when a double
+  /// lies outside the int64 range.
+  bool ToInt(int64_t* out) const;
+};
+
+/// Pull tokenizer over one JSON document: the caller asks for the value it
+/// expects next and walks containers with BeginObject/NextMember and
+/// BeginArray/NextElement. It accepts exactly the text JsonValue::Parse
+/// accepts (JsonValue::Parse is built on it). Numbers are validated in full,
+/// integers must fit int64, doubles must be finite, and nesting deeper than
+/// kJsonMaxDepth is rejected.
+///
+/// Errors are sticky: every method returns false on a syntax error, records
+/// it in status() and keeps returning false. NextMember and NextElement
+/// also return false, with ok() still true, at the container's end.
+class JsonReader {
+ public:
+  enum class Token { kNull, kBool, kNumber, kString, kArray, kObject };
+
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+
+  /// Classifies the next value by its first character.
+  bool Peek(Token* token);
+
+  bool ReadNull();
+  bool ReadBool(bool* value);
+  bool ReadNumber(JsonNumber* number);
+  /// The unescaped string; the view stays valid until the next call.
+  bool ReadString(std::string_view* value);
+
+  bool BeginObject();
+  /// Moves to the next member and reads its key (valid until the next
+  /// call); the caller then reads or skips the member's value.
+  bool NextMember(std::string_view* key);
+  bool BeginArray();
+  /// Moves to the next element; the caller then reads or skips it.
+  bool NextElement();
+
+  /// Validates and discards the next value, containers included.
+  bool SkipValue();
+  /// Requires that only whitespace remains.
+  bool Finish();
+
+  /// Byte offset of the next unread character.
+  size_t offset() const { return pos_; }
+
+ private:
+  void SkipWhitespace();
+  bool Fail(const char* what);
+  bool Enter(char open);
+  bool Next(char close, const char* what);
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  int depth_ = 0;
+  bool first_ = false;  // no member/element read yet in the open container
+  std::string scratch_;
+  Status status_;
+};
 
 }  // namespace flexvis
 

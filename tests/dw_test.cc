@@ -262,6 +262,37 @@ TEST(DatabaseTest, DimensionRegistration) {
   EXPECT_EQ(db.FindGridNode(7)->kind, "feeder");
 }
 
+TEST(DatabaseTest, DimensionLookupsAreIndexedAndKeepTheirMessages) {
+  Database db;
+  constexpr int64_t kProsumers = 5000;
+  for (int64_t i = 0; i < kProsumers; ++i) {
+    ASSERT_TRUE(db.RegisterProsumer(ProsumerInfo{i * 7, "P", core::ProsumerType::kHousehold,
+                                                 100, 7})
+                    .ok());
+  }
+  for (int64_t i = 0; i < kProsumers; ++i) ASSERT_EQ(db.FindProsumer(i * 7)->id, i * 7);
+  EXPECT_EQ(db.prosumers()[1234].id, 1234 * 7);  // registration order is kept
+  Status dup = db.RegisterProsumer(ProsumerInfo{35, "dup", {}, 0, 0});
+  EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(dup.message(), "prosumer 35 already registered");
+  EXPECT_EQ(db.dim_prosumer().NumRows(), static_cast<size_t>(kProsumers));
+  EXPECT_EQ(db.FindProsumer(36).status().message(), "prosumer 36 not found");
+
+  ASSERT_TRUE(db.RegisterRegion(RegionInfo{1, "Denmark", core::kInvalidRegionId, "country"}).ok());
+  EXPECT_EQ(db.RegisterRegion(RegionInfo{1, "dup", -1, "country"}).message(),
+            "region 1 already registered");
+  EXPECT_EQ(db.FindRegion(2).status().message(), "region 2 not found");
+  ASSERT_TRUE(db.RegisterGridNode(GridNodeInfo{7, "F-001", "feeder", 3}).ok());
+  EXPECT_EQ(db.RegisterGridNode(GridNodeInfo{7, "dup", "feeder", 3}).message(),
+            "grid node 7 already registered");
+  EXPECT_EQ(db.FindGridNode(8).status().message(), "grid node 8 not found");
+
+  // Copies carry their index.
+  Database copy = db;
+  EXPECT_EQ(copy.FindProsumer(7 * 4999)->id, 7 * 4999);
+  EXPECT_EQ(copy.FindGridNode(7)->name, "F-001");
+}
+
 TEST(DatabaseTest, LoadAndRoundTrip) {
   Database db;
   FlexOffer original = MakeOffer(1, 5, 0, 4);

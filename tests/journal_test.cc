@@ -9,6 +9,7 @@
 
 #include "util/crc32.h"
 #include "util/fileio.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace flexvis {
@@ -62,6 +63,48 @@ TEST(Crc32Test, SeedChains) {
   const std::string text = "123456789";
   uint32_t split = Crc32(text.substr(4), Crc32(text.substr(0, 4)));
   EXPECT_EQ(split, Crc32(text));
+}
+
+// The original bytewise CRC-32, kept as the reference for the slicing-by-8
+// implementation.
+uint32_t BytewiseCrc32(const uint8_t* data, size_t size, uint32_t seed) {
+  uint32_t table[256];
+  for (uint32_t n = 0; n < 256; ++n) {
+    uint32_t c = n;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[n] = c;
+  }
+  uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicingBy8MatchesBytewiseReference) {
+  Rng rng(0xC3C32);
+  std::vector<uint8_t> buffer(8 + 67 + 4096);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  // Every length 0..67 at every alignment 0..7, so each head, 8-byte body
+  // and tail combination is covered, with zero and random seeds.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 67; ++length) {
+      const uint8_t* data = buffer.data() + offset;
+      ASSERT_EQ(Crc32(data, length), BytewiseCrc32(data, length, 0))
+          << "offset " << offset << " length " << length;
+      const uint32_t seed = static_cast<uint32_t>(rng.UniformInt(0, 0xFFFFFFFF));
+      ASSERT_EQ(Crc32(data, length, seed), BytewiseCrc32(data, length, seed))
+          << "offset " << offset << " length " << length << " seed " << seed;
+    }
+  }
+  // Seed chaining at random split points equals the one-shot checksum.
+  const uint32_t whole = Crc32(buffer.data(), buffer.size());
+  ASSERT_EQ(whole, BytewiseCrc32(buffer.data(), buffer.size(), 0));
+  for (int i = 0; i < 200; ++i) {
+    const size_t split =
+        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(buffer.size())));
+    const uint32_t head = Crc32(buffer.data(), split);
+    EXPECT_EQ(Crc32(buffer.data() + split, buffer.size() - split, head), whole)
+        << "split " << split;
+  }
 }
 
 // ---- Journal framing ----------------------------------------------------------------
@@ -262,6 +305,17 @@ TEST(FileIoTest, WriteFileAtomicToUnwritableLocationFailsTyped) {
   Status status = WriteFileAtomic("/proc/flexvis_no_such/data.txt", "x");
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInternal);
+}
+
+TEST(FileIoTest, ReadFileToStringReturnsEveryByte) {
+  const std::string dir = TempDir("readall");
+  for (size_t size : {size_t{0}, size_t{1}, size_t{8191}, size_t{8192}, size_t{100003}}) {
+    std::string data(size, '\0');
+    for (size_t i = 0; i < size; ++i) data[i] = static_cast<char>((i * 131) % 251);
+    const std::string path = dir + "/f" + std::to_string(size);
+    WriteAll(path, data);
+    EXPECT_EQ(ReadAll(path), data) << size;
+  }
 }
 
 TEST(FileIoTest, ReadMissingFileIsNotFound) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -122,6 +126,75 @@ TEST(JsonParseTest, Errors) {
   EXPECT_FALSE(JsonValue::Parse("--5").ok());
 }
 
+// Each input below crashed the parser or was wrongly accepted before the
+// tokenizer bounded nesting and range-checked its numbers.
+TEST(JsonParseTest, RejectsNestingDeeperThanTheLimit) {
+  // Unbounded recursion used to overflow the stack here.
+  Result<JsonValue> deep = JsonValue::Parse(std::string(1000000, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(JsonValue::Parse(std::string(1000000, '{')).status().code(),
+            StatusCode::kInvalidArgument);
+
+  const auto nested = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  EXPECT_TRUE(JsonValue::Parse(nested(kJsonMaxDepth)).ok());
+  EXPECT_EQ(JsonValue::Parse(nested(kJsonMaxDepth + 1)).status().code(),
+            StatusCode::kInvalidArgument);
+  // Nesting returns to the limit's budget once containers close.
+  EXPECT_TRUE(JsonValue::Parse("[" + nested(kJsonMaxDepth - 1) + "," +
+                               nested(kJsonMaxDepth - 1) + "]")
+                  .ok());
+}
+
+TEST(JsonParseTest, RejectsDoublesOutsideTheFiniteRange) {
+  // "1e999" used to parse to +inf.
+  EXPECT_EQ(JsonValue::Parse("1e999").status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(JsonValue::Parse("-1e999").status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(JsonValue::Parse(R"({"max_kwh":1e999})").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(JsonValue::Parse("1e-999").status().code(), StatusCode::kInvalidArgument);
+  // The extremes that do fit still parse exactly.
+  EXPECT_EQ(JsonValue::Parse("1.7976931348623157e+308")->AsDouble(), 1.7976931348623157e308);
+  EXPECT_EQ(JsonValue::Parse("4.9406564584124654e-324")->AsDouble(), 5e-324);
+}
+
+TEST(JsonParseTest, RejectsIntegersOutsideInt64) {
+  // 99999999999999999999 used to clamp silently to INT64_MAX.
+  EXPECT_EQ(JsonValue::Parse("99999999999999999999").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(JsonValue::Parse("-9223372036854775809").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(JsonValue::Parse("9223372036854775807")->AsInt(), INT64_MAX);
+  EXPECT_EQ(JsonValue::Parse("-9223372036854775808")->AsInt(), INT64_MIN);
+  // A token without '.', 'e' or 'E' stays an integer, so -0 is integer 0.
+  Result<JsonValue> zero = JsonValue::Parse("-0");
+  ASSERT_TRUE(zero.ok());
+  EXPECT_TRUE(zero->is_int());
+  EXPECT_FALSE(std::signbit(zero->AsDouble()));
+  EXPECT_TRUE(std::signbit(JsonValue::Parse("-0.0")->AsDouble()));
+}
+
+TEST(JsonParseTest, IntegerFieldRejectsDoubleOutsideInt64) {
+  // Reading 1e300 as an integer used to be an undefined float-to-int cast.
+  Result<JsonValue> parsed =
+      JsonValue::Parse(R"({"id":1e300,"ok":-2.5,"edge":-9.2233720368547758e18})");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->GetInt("id").status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(*parsed->GetInt("ok"), -2);
+  EXPECT_EQ(*parsed->GetInt("edge"), INT64_MIN);
+  EXPECT_EQ(JsonValue::Double(1e300).AsInt(), INT64_MAX);  // saturates, defined
+  EXPECT_EQ(JsonValue::Double(-1e300).AsInt(), INT64_MIN);
+}
+
+TEST(JsonParseTest, MalformedNumbers) {
+  for (const char* bad : {"-", "+1", "1e", "1e+", ".", "1-2", "0x10", "1.2.3e"}) {
+    EXPECT_EQ(JsonValue::Parse(bad).status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 TEST(JsonParseTest, WhitespaceTolerance) {
   Result<JsonValue> parsed = JsonValue::Parse("  {\n\t\"a\" :\r [ 1 , 2 ]  }  ");
   ASSERT_TRUE(parsed.ok());
@@ -146,6 +219,78 @@ TEST(JsonRoundTripTest, DumpParseIdentity) {
   Result<JsonValue> from_pretty = JsonValue::Parse(obj.Pretty());
   ASSERT_TRUE(from_pretty.ok());
   EXPECT_EQ(*from_pretty, obj);
+}
+
+// The writers and the tokenizer reproduce printf("%.17g")/sscanf("%lf")
+// bit for bit: subnormals, -0 and random bit patterns included.
+TEST(JsonNumberTest, WritersAndReaderMatchPrintfAndScanf) {
+  Rng rng(0x17C0DEC);
+  std::vector<double> values = {0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                0.1, 1e21, 1e-7, 100000, 1.7976931348623157e308, 1.0 / 3};
+  for (int i = 0; i < 20000; ++i) {
+    uint64_t bits = (static_cast<uint64_t>(rng.UniformInt(0, 0xFFFFFFFF)) << 32) |
+                    static_cast<uint64_t>(rng.UniformInt(0, 0xFFFFFFFF));
+    double d = 0;
+    std::memcpy(&d, &bits, sizeof(d));
+    if (std::isfinite(d)) values.push_back(d);
+    values.push_back(rng.Uniform(-1e6, 1e6));
+  }
+  for (double d : values) {
+    std::string written;
+    AppendJsonDouble(&written, d);
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "%.17g", d);
+    ASSERT_EQ(written, expected);
+    double scanned = 0;
+    ASSERT_EQ(std::sscanf(expected, "%lf", &scanned), 1);
+    JsonReader reader(written);
+    JsonNumber number;
+    ASSERT_TRUE(reader.ReadNumber(&number)) << written;
+    if (number.is_int) {
+      // "%.17g" wrote no '.' or exponent: an integer token ("-0" reads as 0).
+      ASSERT_EQ(written.find_first_of(".eE"), std::string::npos);
+      ASSERT_EQ(static_cast<double>(number.int_value), scanned) << written;
+    } else {
+      ASSERT_EQ(std::memcmp(&number.double_value, &scanned, sizeof(scanned)), 0) << written;
+    }
+  }
+  std::string text;
+  AppendJsonDouble(&text, std::nan(""));
+  AppendJsonInt(&text, INT64_MIN);
+  AppendJsonInt(&text, INT64_MAX);
+  EXPECT_EQ(text, "null-92233720368547758089223372036854775807");
+}
+
+TEST(JsonReaderTest, WalksAnyKeyOrderAndSkipsValues) {
+  JsonReader reader(R"( {"b": [1, {"x": "\u0041"}], "a": -0, "c": "t\"q"} )");
+  ASSERT_TRUE(reader.BeginObject());
+  std::string_view key;
+  ASSERT_TRUE(reader.NextMember(&key));
+  EXPECT_EQ(key, "b");
+  ASSERT_TRUE(reader.SkipValue());
+  ASSERT_TRUE(reader.NextMember(&key));
+  EXPECT_EQ(key, "a");
+  JsonNumber number;
+  ASSERT_TRUE(reader.ReadNumber(&number));
+  EXPECT_TRUE(number.is_int);
+  EXPECT_EQ(number.int_value, 0);
+  ASSERT_TRUE(reader.NextMember(&key));
+  std::string_view text;
+  ASSERT_TRUE(reader.ReadString(&text));
+  EXPECT_EQ(text, "t\"q");
+  EXPECT_FALSE(reader.NextMember(&key));
+  EXPECT_TRUE(reader.ok());
+  EXPECT_TRUE(reader.Finish());
+
+  // Errors are sticky and typed.
+  JsonReader bad("[1,]");
+  ASSERT_TRUE(bad.BeginArray());
+  ASSERT_TRUE(bad.NextElement());
+  ASSERT_TRUE(bad.SkipValue());
+  ASSERT_TRUE(bad.NextElement());
+  EXPECT_FALSE(bad.SkipValue());
+  EXPECT_FALSE(bad.NextElement());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
 // Property: random documents survive dump->parse->dump.

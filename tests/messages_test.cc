@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "core/messages.h"
 #include "dw/csv.h"
 #include "sim/online.h"
 #include "sim/workload.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace flexvis {
@@ -73,10 +78,10 @@ TEST(FlexOfferJsonTest, RoundTripsAllFields) {
 
 TEST(FlexOfferJsonTest, OmitsOptionalFieldsWhenAbsent) {
   FlexOffer plain = MakeOffer(1);
-  JsonValue json = core::FlexOfferToJson(plain);
+  JsonValue json = *JsonValue::Parse(core::EncodeFlexOffer(plain));
   EXPECT_FALSE(json.Has("schedule"));
   EXPECT_FALSE(json.Has("aggregated_from"));
-  Result<FlexOffer> decoded = core::FlexOfferFromJson(json);
+  Result<FlexOffer> decoded = core::DecodeFlexOffer(json.Dump());
   ASSERT_TRUE(decoded.ok());
   EXPECT_FALSE(decoded->schedule.has_value());
   EXPECT_TRUE(decoded->aggregated_from.empty());
@@ -87,12 +92,212 @@ TEST(FlexOfferJsonTest, DecodingErrors) {
   EXPECT_FALSE(core::DecodeFlexOffer("[]").ok());
   EXPECT_FALSE(core::DecodeFlexOffer("{}").ok());  // missing fields
   // Corrupt a single field.
-  JsonValue json = core::FlexOfferToJson(MakeOffer(1));
+  JsonValue json = *JsonValue::Parse(core::EncodeFlexOffer(MakeOffer(1)));
   json.Set("energy_type", JsonValue::Str("Antimatter"));
-  EXPECT_FALSE(core::FlexOfferFromJson(json).ok());
-  json = core::FlexOfferToJson(MakeOffer(1));
+  EXPECT_FALSE(core::DecodeFlexOffer(json.Dump()).ok());
+  json = *JsonValue::Parse(core::EncodeFlexOffer(MakeOffer(1)));
   json.Set("profile", JsonValue::Int(5));
-  EXPECT_FALSE(core::FlexOfferFromJson(json).ok());
+  EXPECT_FALSE(core::DecodeFlexOffer(json.Dump()).ok());
+}
+
+// ---- Pinned bytes -------------------------------------------------------------------
+// Literal encodings captured from the std::map-backed document codec these
+// records were first written with. Warehouse, checkpoint, journal and wire
+// bytes all depend on them staying put.
+
+FlexOffer EdgeNumberOffer() {
+  FlexOffer o = MakeOffer(1);
+  o.id = std::numeric_limits<int64_t>::max();
+  o.prosumer = std::numeric_limits<int64_t>::min();
+  o.profile = {ProfileSlice{1, 5e-324, 0.1}, ProfileSlice{2, 1e-7, 1e21},
+               ProfileSlice{1, 100000, 100000}};
+  o.schedule = core::Schedule{T0() + kMinutesPerSlice, {-0.0, 5e-324, 0.1, 1e21, 1e-7, 100000}};
+  o.aggregated_from = {std::numeric_limits<int64_t>::min(), 4,
+                       std::numeric_limits<int64_t>::max()};
+  return o;
+}
+
+TEST(FlexOfferJsonTest, PinnedBytesForEdgeNumbersAndIds) {
+  const FlexOffer offer = EdgeNumberOffer();
+  const std::string expected =
+      R"({"acceptance_min":6858180,"aggregated_from":[-9223372036854775808,4)"
+      R"(,9223372036854775807],"appliance_type":"BatteryStorage","assignment_min":6858240)"
+      R"(,"creation_min":6858120,"direction":"Production","earliest_start_min":6858720)"
+      R"(,"energy_type":"Wind","grid_node":7,"id":9223372036854775807)"
+      R"(,"latest_start_min":6858780,"profile":[{"max_kwh":0.10000000000000001)"
+      R"(,"min_kwh":4.9406564584124654e-324,"slices":1},{"max_kwh":1e+21)"
+      R"(,"min_kwh":9.9999999999999995e-08,"slices":2},{"max_kwh":100000,"min_kwh":100000)"
+      R"(,"slices":1}],"prosumer":-9223372036854775808,"prosumer_type":"Commercial")"
+      R"(,"region":100,"schedule":{"energy_kwh":[-0,4.9406564584124654e-324)"
+      R"(,0.10000000000000001,1e+21,9.9999999999999995e-08,100000],"start_min":6858735})"
+      R"(,"state":"Accepted"})";
+  EXPECT_EQ(core::EncodeFlexOffer(offer), expected);
+
+  Result<FlexOffer> back = core::DecodeFlexOffer(expected);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->id, offer.id);
+  EXPECT_EQ(back->prosumer, offer.prosumer);
+  EXPECT_EQ(back->aggregated_from, offer.aggregated_from);
+  EXPECT_EQ(back->profile, offer.profile);
+  ASSERT_TRUE(back->schedule.has_value());
+  // -0 is written as "-0", an integer token, so it reads back as +0.
+  EXPECT_EQ(back->schedule->energy_kwh[0], 0.0);
+  EXPECT_FALSE(std::signbit(back->schedule->energy_kwh[0]));
+  const std::vector<double> rest(back->schedule->energy_kwh.begin() + 1,
+                                 back->schedule->energy_kwh.end());
+  EXPECT_EQ(rest, (std::vector<double>{5e-324, 0.1, 1e21, 1e-7, 100000}));
+}
+
+TEST(FlexOfferJsonTest, PinnedBytesForEmptyScheduleAndProfile) {
+  FlexOffer offer = MakeOffer(2);
+  offer.schedule = core::Schedule{T0(), {}};
+  offer.profile.clear();
+  const std::string expected =
+      R"({"acceptance_min":6858180,"appliance_type":"BatteryStorage")"
+      R"(,"assignment_min":6858240,"creation_min":6858120,"direction":"Production")"
+      R"(,"earliest_start_min":6858720,"energy_type":"Wind","grid_node":7,"id":2)"
+      R"(,"latest_start_min":6858780,"profile":[],"prosumer":20)"
+      R"(,"prosumer_type":"Commercial","region":100,"schedule":{"energy_kwh":[])"
+      R"(,"start_min":6858720},"state":"Accepted"})";
+  EXPECT_EQ(core::EncodeFlexOffer(offer), expected);
+  Result<FlexOffer> back = core::DecodeFlexOffer(expected);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(core::EncodeFlexOffer(*back), expected);
+}
+
+TEST(FlexOfferJsonTest, PinnedBytesForEveryEnumName) {
+  // Offer i carries energy type i, prosumer type i % 6, appliance type i,
+  // direction i % 2 and state i % 4: every name of every enum appears.
+  const std::string expected[] = {
+      R"({"acceptance_min":6858180,"appliance_type":"ElectricVehicle")"
+      R"(,"assignment_min":6858240,"creation_min":6858120,"direction":"Consumption")"
+      R"(,"earliest_start_min":6858720,"energy_type":"Wind","grid_node":7,"id":10)"
+      R"(,"latest_start_min":6858780,"profile":[{"max_kwh":1.5,"min_kwh":0.5,"slices":1}])"
+      R"(,"prosumer":100,"prosumer_type":"Household","region":100,"state":"Offered"})",
+      R"({"acceptance_min":6858180,"appliance_type":"HeatPump","assignment_min":6858240)"
+      R"(,"creation_min":6858120,"direction":"Production","earliest_start_min":6858720)"
+      R"(,"energy_type":"Solar","grid_node":7,"id":11,"latest_start_min":6858780)"
+      R"(,"profile":[{"max_kwh":1.5,"min_kwh":0.5,"slices":1}],"prosumer":110)"
+      R"(,"prosumer_type":"Commercial","region":100,"state":"Accepted"})",
+      R"({"acceptance_min":6858180,"appliance_type":"WashingMachine")"
+      R"(,"assignment_min":6858240,"creation_min":6858120,"direction":"Consumption")"
+      R"(,"earliest_start_min":6858720,"energy_type":"Hydro","grid_node":7,"id":12)"
+      R"(,"latest_start_min":6858780,"profile":[{"max_kwh":1.5,"min_kwh":0.5,"slices":1}])"
+      R"(,"prosumer":120,"prosumer_type":"SmallIndustry","region":100,"state":"Assigned"})",
+      R"({"acceptance_min":6858180,"appliance_type":"Dishwasher","assignment_min":6858240)"
+      R"(,"creation_min":6858120,"direction":"Production","earliest_start_min":6858720)"
+      R"(,"energy_type":"Biomass","grid_node":7,"id":13,"latest_start_min":6858780)"
+      R"(,"profile":[{"max_kwh":1.5,"min_kwh":0.5,"slices":1}],"prosumer":130)"
+      R"(,"prosumer_type":"LargeIndustry","region":100,"state":"Rejected"})",
+      R"({"acceptance_min":6858180,"appliance_type":"WaterHeater","assignment_min":6858240)"
+      R"(,"creation_min":6858120,"direction":"Consumption","earliest_start_min":6858720)"
+      R"(,"energy_type":"Nuclear","grid_node":7,"id":14,"latest_start_min":6858780)"
+      R"(,"profile":[{"max_kwh":1.5,"min_kwh":0.5,"slices":1}],"prosumer":140)"
+      R"(,"prosumer_type":"SmallPowerPlant","region":100,"state":"Offered"})",
+      R"({"acceptance_min":6858180,"appliance_type":"BatteryStorage")"
+      R"(,"assignment_min":6858240,"creation_min":6858120,"direction":"Production")"
+      R"(,"earliest_start_min":6858720,"energy_type":"Coal","grid_node":7,"id":15)"
+      R"(,"latest_start_min":6858780,"profile":[{"max_kwh":1.5,"min_kwh":0.5,"slices":1}])"
+      R"(,"prosumer":150,"prosumer_type":"LargePowerPlant","region":100)"
+      R"(,"state":"Accepted"})",
+      R"({"acceptance_min":6858180,"appliance_type":"IndustrialProcess")"
+      R"(,"assignment_min":6858240,"creation_min":6858120,"direction":"Consumption")"
+      R"(,"earliest_start_min":6858720,"energy_type":"Gas","grid_node":7,"id":16)"
+      R"(,"latest_start_min":6858780,"profile":[{"max_kwh":1.5,"min_kwh":0.5,"slices":1}])"
+      R"(,"prosumer":160,"prosumer_type":"Household","region":100,"state":"Assigned"})",
+      R"({"acceptance_min":6858180,"appliance_type":"Generator","assignment_min":6858240)"
+      R"(,"creation_min":6858120,"direction":"Production","earliest_start_min":6858720)"
+      R"(,"energy_type":"MixedGrid","grid_node":7,"id":17,"latest_start_min":6858780)"
+      R"(,"profile":[{"max_kwh":1.5,"min_kwh":0.5,"slices":1}],"prosumer":170)"
+      R"(,"prosumer_type":"Commercial","region":100,"state":"Rejected"})",
+  };
+  for (int i = 0; i < 8; ++i) {
+    FlexOffer offer = MakeOffer(10 + i);
+    offer.profile = {ProfileSlice{1, 0.5, 1.5}};
+    offer.energy_type = static_cast<core::EnergyType>(i);
+    offer.prosumer_type = static_cast<core::ProsumerType>(i % 6);
+    offer.appliance_type = static_cast<core::ApplianceType>(i);
+    offer.direction = static_cast<core::Direction>(i % 2);
+    offer.state = static_cast<core::FlexOfferState>(i % 4);
+    EXPECT_EQ(core::EncodeFlexOffer(offer), expected[i]) << "offer " << i;
+    Result<FlexOffer> back = core::DecodeFlexOffer(expected[i]);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(core::EncodeFlexOffer(*back), expected[i]) << "offer " << i;
+  }
+}
+
+TEST(MessageTest, PinnedBytesForEveryKind) {
+  FlexOffer offer = MakeOffer(9);
+  offer.schedule = core::Schedule{T0() + kMinutesPerSlice, {1.5, 2.0, 0.25}};
+  AssignmentMessage assignment;
+  assignment.offer = 43;
+  assignment.schedule = core::Schedule{T0(), {1.0, -0.0, 2.5, 1e-7}};
+  assignment.sent_at = T0() - 30;
+  AssignmentMessage empty_assignment;
+  empty_assignment.offer = 44;
+  empty_assignment.schedule = core::Schedule{T0(), {}};
+  empty_assignment.sent_at = T0();
+  const std::vector<std::pair<Message, std::string>> cases = {
+      {Message(offer),
+       R"({"payload":{"acceptance_min":6858180,"appliance_type":"BatteryStorage")"
+       R"(,"assignment_min":6858240,"creation_min":6858120,"direction":"Production")"
+       R"(,"earliest_start_min":6858720,"energy_type":"Wind","grid_node":7,"id":9)"
+       R"(,"latest_start_min":6858780,"profile":[{"max_kwh":2,"min_kwh":1,"slices":2})"
+       R"(,{"max_kwh":0.75,"min_kwh":0.25,"slices":1}],"prosumer":90)"
+       R"(,"prosumer_type":"Commercial","region":100,"schedule":{"energy_kwh":[1.5,2,0.25])"
+       R"(,"start_min":6858735},"state":"Accepted"},"type":"flex_offer"})"},
+      {Message(AcceptanceMessage{42, true, T0()}),
+       R"({"payload":{"accepted":true,"offer":42,"sent_at_min":6858720})"
+       R"(,"type":"acceptance"})"},
+      {Message(AcceptanceMessage{-7, false, T0() - 5}),
+       R"({"payload":{"accepted":false,"offer":-7,"sent_at_min":6858715})"
+       R"(,"type":"acceptance"})"},
+      {Message(assignment),
+       R"({"payload":{"energy_kwh":[1,-0,2.5,9.9999999999999995e-08],"offer":43)"
+       R"(,"sent_at_min":6858690,"start_min":6858720},"type":"assignment"})"},
+      {Message(empty_assignment),
+       R"({"payload":{"energy_kwh":[],"offer":44,"sent_at_min":6858720)"
+       R"(,"start_min":6858720},"type":"assignment"})"},
+  };
+  for (const auto& [message, expected] : cases) {
+    EXPECT_EQ(core::EncodeMessage(message), expected);
+    Result<Message> back = core::DecodeMessage(expected);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->index(), message.index());
+  }
+  // The -0 energy reads back as +0; everything else round-trips exactly.
+  Result<Message> back = core::DecodeMessage(cases[3].second);
+  ASSERT_TRUE(back.ok());
+  const AssignmentMessage& decoded = std::get<AssignmentMessage>(*back);
+  EXPECT_FALSE(std::signbit(decoded.schedule.energy_kwh[1]));
+  EXPECT_EQ(decoded, assignment);  // -0.0 == 0.0
+}
+
+// An integer field holding a double outside int64 used to reach an undefined
+// float-to-int cast; a non-finite energy used to parse to +inf.
+TEST(FlexOfferJsonTest, RejectsOutOfRangeNumbers) {
+  const std::string valid = core::EncodeFlexOffer(MakeOffer(1));
+  ASSERT_TRUE(core::DecodeFlexOffer(valid).ok());
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string text = valid;
+    const size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  const std::vector<std::string> inputs = {
+      replaced(R"("id":1)", R"("id":1e300)"),
+      replaced(R"("region":100)", R"("region":-1e300)"),
+      replaced(R"("slices":1)", R"("slices":9.3e18)"),
+      replaced(R"("max_kwh":2)", R"("max_kwh":1e999)"),
+      replaced(R"("prosumer":10)", R"("prosumer":99999999999999999999)"),
+  };
+  for (const std::string& text : inputs) {
+    Result<FlexOffer> decoded = core::DecodeFlexOffer(text);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << text;
+    Result<Message> message =
+        core::DecodeMessage(R"({"payload":)" + text + R"(,"type":"flex_offer"})");
+    EXPECT_EQ(message.status().code(), StatusCode::kInvalidArgument) << text;
+  }
 }
 
 // ---- Message envelopes --------------------------------------------------------------
