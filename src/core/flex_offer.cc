@@ -1,5 +1,8 @@
 #include "core/flex_offer.h"
 
+#include <cmath>
+#include <unordered_set>
+
 #include "util/strings.h"
 
 namespace flexvis::core {
@@ -61,6 +64,8 @@ Status Validate(const FlexOffer& offer) {
     return InvalidArgumentError(StrFormat("flex-offer %lld: empty profile",
                                           static_cast<long long>(offer.id)));
   }
+  // Summed in 64 bits: each duration fits an int, their total need not.
+  int64_t num_units = 0;
   for (size_t i = 0; i < offer.profile.size(); ++i) {
     const ProfileSlice& s = offer.profile[i];
     if (s.duration_slices < 1) {
@@ -68,11 +73,24 @@ Status Validate(const FlexOffer& offer) {
                                             static_cast<long long>(offer.id), i,
                                             s.duration_slices));
     }
+    // NaN would pass the bound comparisons below (both are false).
+    if (!std::isfinite(s.min_energy_kwh) || !std::isfinite(s.max_energy_kwh)) {
+      return InvalidArgumentError(
+          StrFormat("flex-offer %lld: slice %zu has non-finite bounds [%g, %g]",
+                    static_cast<long long>(offer.id), i, s.min_energy_kwh, s.max_energy_kwh));
+    }
     if (s.min_energy_kwh < 0.0 || s.min_energy_kwh > s.max_energy_kwh) {
       return InvalidArgumentError(
           StrFormat("flex-offer %lld: slice %zu has invalid bounds [%g, %g]",
                     static_cast<long long>(offer.id), i, s.min_energy_kwh, s.max_energy_kwh));
     }
+    num_units += s.duration_slices;
+  }
+  if (num_units > kMaxProfileUnitSlices) {
+    return InvalidArgumentError(
+        StrFormat("flex-offer %lld: profile spans %lld unit slices, over the limit of %lld",
+                  static_cast<long long>(offer.id), static_cast<long long>(num_units),
+                  static_cast<long long>(kMaxProfileUnitSlices)));
   }
   if (offer.latest_start < offer.earliest_start) {
     return InvalidArgumentError(StrFormat("flex-offer %lld: latest_start before earliest_start",
@@ -100,11 +118,11 @@ Status Validate(const FlexOffer& offer) {
     // Walk the RLE profile directly instead of materializing UnitProfile():
     // validation runs on every offer of every aggregation pass, and the
     // allocation dominated its cost.
-    const size_t num_units = static_cast<size_t>(offer.profile_duration_slices());
-    if (sched.energy_kwh.size() != num_units) {
+    if (sched.energy_kwh.size() != static_cast<size_t>(num_units)) {
       return InvalidArgumentError(
           StrFormat("flex-offer %lld: schedule has %zu energies for %zu unit slices",
-                    static_cast<long long>(offer.id), sched.energy_kwh.size(), num_units));
+                    static_cast<long long>(offer.id), sched.energy_kwh.size(),
+                    static_cast<size_t>(num_units)));
     }
     if (sched.start < offer.earliest_start || offer.latest_start < sched.start) {
       return InvalidArgumentError(StrFormat("flex-offer %lld: scheduled start outside flexibility",
@@ -119,6 +137,11 @@ Status Validate(const FlexOffer& offer) {
     for (const ProfileSlice& s : offer.profile) {
       for (int k = 0; k < s.duration_slices; ++k, ++unit) {
         double e = sched.energy_kwh[unit];
+        if (!std::isfinite(e)) {
+          return InvalidArgumentError(
+              StrFormat("flex-offer %lld: non-finite scheduled energy at unit slice %zu",
+                        static_cast<long long>(offer.id), unit));
+        }
         if (e < s.min_energy_kwh - kEnergyTolerance || e > s.max_energy_kwh + kEnergyTolerance) {
           return InvalidArgumentError(
               StrFormat("flex-offer %lld: scheduled energy %g outside [%g, %g] at unit slice %zu",
@@ -129,6 +152,20 @@ Status Validate(const FlexOffer& offer) {
     }
   }
   return OkStatus();
+}
+
+size_t FirstRepeatedId(const std::vector<FlexOffer>& offers) {
+  size_t ascending = 1;
+  while (ascending < offers.size() && offers[ascending - 1].id < offers[ascending].id) {
+    ++ascending;
+  }
+  if (ascending >= offers.size()) return offers.size();
+  std::unordered_set<FlexOfferId> seen;
+  seen.reserve(offers.size());
+  for (size_t i = 0; i < offers.size(); ++i) {
+    if (!seen.insert(offers[i].id).second) return i;
+  }
+  return offers.size();
 }
 
 std::string Describe(const FlexOffer& offer) {

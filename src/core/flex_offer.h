@@ -135,14 +135,29 @@ struct FlexOffer {
   std::vector<ProfileSlice> UnitProfile() const;
 };
 
+/// Longest profile Validate accepts, in 15-minute unit slices: one year.
+/// Generated, aggregated, scenario and golden profiles span at most days, so
+/// the bound only stops a hostile record from expanding into billions of
+/// unit-slice rows (and from overflowing profile_duration_slices()).
+inline constexpr int64_t kMaxProfileUnitSlices =
+    365 * timeutil::kMinutesPerDay / timeutil::kMinutesPerSlice;
+
 /// Checks the structural invariants of `offer`:
-///  - profile non-empty, every slice has duration >= 1 and 0 <= min <= max;
+///  - profile non-empty, every slice has duration >= 1 and finite bounds
+///    with 0 <= min <= max, and at most kMaxProfileUnitSlices unit slices
+///    in total;
 ///  - earliest_start <= latest_start;
 ///  - start times aligned to the 15-minute grid;
 ///  - creation <= acceptance deadline <= assignment deadline <= latest_start;
 ///  - if a schedule is present: one energy per unit slice, start within
-///    [earliest_start, latest_start], slice-aligned, energies within bounds.
+///    [earliest_start, latest_start], slice-aligned, energies finite and
+///    within bounds.
 Status Validate(const FlexOffer& offer);
+
+/// Index of the first offer whose id an earlier offer in `offers` already
+/// carries, or offers.size() when every id is distinct. Linear, with no
+/// hashing, while the ids ascend (as every saved offer file lists them).
+size_t FirstRepeatedId(const std::vector<FlexOffer>& offers);
 
 /// One-line description used by hover tooltips and diagnostics.
 std::string Describe(const FlexOffer& offer);

@@ -1,9 +1,13 @@
 #include "core/messages.h"
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
 #include <type_traits>
 
 #include "util/fault.h"
 #include "util/json.h"
+#include "util/parallel.h"
 #include "util/strings.h"
 
 namespace flexvis::core {
@@ -273,6 +277,11 @@ bool ReadProfileSlice(JsonReader& reader, ProfileSlice* slice, Status* error) {
   if (!reader.ok()) return false;
   int64_t duration = 0;
   *error = TakeInt(slices, "slices", &duration);
+  if (error->ok() && (duration < 1 || duration > std::numeric_limits<int>::max())) {
+    *error = InvalidArgumentError(
+        StrFormat("JSON: field 'slices' is %lld, outside [1, %d]", static_cast<long long>(duration),
+                  std::numeric_limits<int>::max()));
+  }
   if (error->ok()) *error = TakeDouble(min_kwh, "min_kwh", &slice->min_energy_kwh);
   if (error->ok()) *error = TakeDouble(max_kwh, "max_kwh", &slice->max_energy_kwh);
   slice->duration_slices = static_cast<int>(duration);
@@ -576,6 +585,127 @@ Result<Message> DecodeMessage(std::string_view text) {
   if (*type == kTypeAcceptance) return DecodeAcceptance(payload);
   if (*type == kTypeAssignment) return DecodeAssignment(payload);
   return InvalidArgumentError(StrFormat("message: unknown type '%s'", type->c_str()));
+}
+
+namespace {
+
+/// The smallest line start at or after `pos`: 0, or a byte after a '\n'.
+size_t LineStartAtOrAfter(std::string_view text, size_t pos) {
+  if (pos == 0) return 0;
+  if (pos >= text.size()) return text.size();
+  const size_t newline = text.find('\n', pos - 1);
+  return newline == std::string_view::npos ? text.size() : newline + 1;
+}
+
+/// One decode chunk: its records and their line starts, in file order, up to
+/// its first bad record (if any).
+struct DecodedChunk {
+  std::vector<FlexOffer> offers;
+  std::vector<size_t> starts;
+  Status bad_record;
+  size_t bad_start = 0;
+};
+
+/// Decodes the lines starting in [begin, end); `end` is a line start or the
+/// end of the text, so every line lies wholly inside the chunk.
+void DecodeChunk(std::string_view text, size_t begin, size_t end, DecodedChunk* chunk) {
+  size_t start = begin;
+  while (start < end) {
+    size_t stop = text.find('\n', start);
+    if (stop == std::string_view::npos) stop = text.size();
+    const std::string_view line = text.substr(start, stop - start);
+    if (!StripWhitespace(line).empty()) {
+      Result<FlexOffer> offer = DecodeFlexOffer(line);
+      if (!offer.ok()) {
+        chunk->bad_record = offer.status();
+        chunk->bad_start = start;
+        return;
+      }
+      chunk->offers.push_back(*std::move(offer));
+      chunk->starts.push_back(start);
+    }
+    start = stop + 1;
+  }
+}
+
+size_t LineNumberAt(std::string_view text, size_t offset) {
+  return 1 + static_cast<size_t>(std::count(text.begin(), text.begin() + offset, '\n'));
+}
+
+}  // namespace
+
+std::string EncodeFlexOfferLines(const std::vector<FlexOffer>& offers) {
+  const size_t num_chunks = (offers.size() + kFlexOfferLinesEncodeChunk - 1) /
+                            kFlexOfferLinesEncodeChunk;
+  std::vector<std::string> chunks(num_chunks);
+  ParallelFor(0, offers.size(), kFlexOfferLinesEncodeChunk, [&](size_t begin, size_t end) {
+    std::string& out = chunks[begin / kFlexOfferLinesEncodeChunk];
+    for (size_t i = begin; i < end; ++i) {
+      AppendFlexOffer(&out, offers[i]);
+      out += '\n';
+    }
+  });
+  size_t total = 0;
+  for (const std::string& chunk : chunks) total += chunk.size();
+  std::string lines;
+  lines.reserve(total);
+  for (std::string& chunk : chunks) {
+    lines += chunk;
+    std::string().swap(chunk);
+  }
+  return lines;
+}
+
+bool DecodeFlexOfferLines(std::string_view text, DuplicateIds duplicates,
+                          std::vector<FlexOffer>* offers, FlexOfferLineError* error) {
+  offers->clear();
+  // Chunk c holds the lines starting in [c * chunk bytes, (c + 1) * chunk
+  // bytes): its bounds move forward to line starts, so they depend on the
+  // bytes alone. A line longer than a chunk leaves the chunks it covers
+  // empty.
+  const size_t num_chunks = (text.size() + kFlexOfferLinesDecodeChunkBytes - 1) /
+                            kFlexOfferLinesDecodeChunkBytes;
+  std::vector<DecodedChunk> chunks(num_chunks);
+  ParallelFor(0, num_chunks, 1, [&](size_t chunk_begin, size_t chunk_end) {
+    for (size_t c = chunk_begin; c < chunk_end; ++c) {
+      DecodeChunk(text, LineStartAtOrAfter(text, c * kFlexOfferLinesDecodeChunkBytes),
+                  LineStartAtOrAfter(text, (c + 1) * kFlexOfferLinesDecodeChunkBytes),
+                  &chunks[c]);
+    }
+  });
+
+  // Merge in file order up to the first bad record, which ends the file as
+  // the serial loop would; a repeated id before it is the earlier failure.
+  size_t total = 0;
+  size_t merged = 0;
+  while (merged < num_chunks) {
+    total += chunks[merged].offers.size();
+    if (!chunks[merged++].bad_record.ok()) break;
+  }
+  offers->reserve(total);
+  std::vector<size_t> starts;
+  starts.reserve(total);
+  for (size_t c = 0; c < merged; ++c) {
+    std::move(chunks[c].offers.begin(), chunks[c].offers.end(), std::back_inserter(*offers));
+    starts.insert(starts.end(), chunks[c].starts.begin(), chunks[c].starts.end());
+    std::vector<FlexOffer>().swap(chunks[c].offers);
+  }
+  const size_t repeated =
+      duplicates == DuplicateIds::kReject ? FirstRepeatedId(*offers) : offers->size();
+  FlexOfferLineError found;
+  if (repeated < offers->size()) {
+    found.byte_offset = starts[repeated];
+    found.duplicate_id = (*offers)[repeated].id;
+  } else if (merged > 0 && !chunks[merged - 1].bad_record.ok()) {
+    found.byte_offset = chunks[merged - 1].bad_start;
+    found.bad_record = chunks[merged - 1].bad_record;
+  } else {
+    return true;
+  }
+  found.line_number = LineNumberAt(text, found.byte_offset);
+  offers->clear();
+  if (error != nullptr) *error = std::move(found);
+  return false;
 }
 
 }  // namespace flexvis::core

@@ -1,6 +1,7 @@
 #include "core/profile_columns.h"
 
 #include <cassert>
+#include <cmath>
 #include <cstring>
 
 #include "util/parallel.h"
@@ -132,10 +133,11 @@ ProfileColumns ProfileColumns::Build(size_t count, const OfferAt& at) {
 
         // The validity verdict accumulates branch-free alongside the fill:
         // every operand Validate() inspects passes through this loop anyway,
-        // and the comparison forms below are Validate()'s own, so NaN bounds
-        // pass or fail identically.
+        // and the checks below are Validate()'s own (finite energies, the
+        // 64-bit profile length against kMaxProfileUnitSlices, then the
+        // comparison forms), so every offer passes or fails identically.
         double total_min = 0.0, total_max = 0.0;
-        int duration = 0;
+        int64_t duration = 0;
         unsigned bad = o.profile.empty() ? 1u : 0u;
         for (const ProfileSlice& s : o.profile) {
           cols.slice_duration_[s_at] = s.duration_slices;
@@ -146,6 +148,8 @@ ProfileColumns ProfileColumns::Build(size_t count, const OfferAt& at) {
           total_max += s.max_energy_kwh * s.duration_slices;
           duration += s.duration_slices;
           bad |= static_cast<unsigned>(s.duration_slices < 1) |
+                 static_cast<unsigned>(!std::isfinite(s.min_energy_kwh)) |
+                 static_cast<unsigned>(!std::isfinite(s.max_energy_kwh)) |
                  static_cast<unsigned>(s.min_energy_kwh < 0.0) |
                  static_cast<unsigned>(s.min_energy_kwh > s.max_energy_kwh);
           if (s.duration_slices != 1) chunk_all_unit = false;
@@ -153,7 +157,8 @@ ProfileColumns ProfileColumns::Build(size_t count, const OfferAt& at) {
         }
         cols.total_min_kwh_[i] = total_min;
         cols.total_max_kwh_[i] = total_max;
-        cols.duration_slices_[i] = duration;
+        cols.duration_slices_[i] = static_cast<int32_t>(duration);
+        bad |= static_cast<unsigned>(duration > kMaxProfileUnitSlices);
 
         double total_sched = 0.0;
         if (o.schedule.has_value()) {
@@ -202,7 +207,8 @@ ProfileColumns ProfileColumns::Build(size_t count, const OfferAt& at) {
               const double lo = s.min_energy_kwh - kEnergyTolerance;
               const double hi = s.max_energy_kwh + kEnergyTolerance;
               for (int32_t k = 0; k < s.duration_slices; ++k, ++unit) {
-                bad |= static_cast<unsigned>(energy[unit] < lo) |
+                bad |= static_cast<unsigned>(!std::isfinite(energy[unit])) |
+                       static_cast<unsigned>(energy[unit] < lo) |
                        static_cast<unsigned>(energy[unit] > hi);
               }
             }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/aggregation.h"
+#include "util/parallel.h"
 #include "util/strings.h"
 
 namespace flexvis::dw {
@@ -12,6 +13,33 @@ using core::FlexOfferId;
 using timeutil::TimePoint;
 
 namespace {
+
+/// fact_flexoffer's columns, in FactFlexOfferSchema() order.
+enum FactColumn : size_t {
+  kOfferId,
+  kProsumerId,
+  kRegionId,
+  kGridNodeId,
+  kEnergyType,
+  kProsumerType,
+  kApplianceType,
+  kDirection,
+  kState,
+  kCreationMin,
+  kAcceptanceMin,
+  kAssignmentMin,
+  kEarliestStartMin,
+  kLatestStartMin,
+  kLatestEndMin,
+  kProfileSlices,
+  kTotalMinKwh,
+  kTotalMaxKwh,
+  kTimeFlexMin,
+  kScheduledStartMin,
+  kScheduledKwh,
+  kIsAggregate,
+  kNumFactColumns
+};
 
 std::vector<ColumnSpec> FactFlexOfferSchema() {
   return {
@@ -38,6 +66,36 @@ std::vector<ColumnSpec> FactFlexOfferSchema() {
       {"scheduled_kwh", ColumnType::kDouble},
       {"is_aggregate", ColumnType::kInt64},
   };
+}
+
+/// fact_profile_slice's columns, in the order the constructor declares them.
+enum SliceColumn : size_t {
+  kSliceOfferId,
+  kSliceUnitIndex,
+  kSliceMinKwh,
+  kSliceMaxKwh,
+  kSliceScheduledKwh
+};
+
+/// bridge_aggregation's columns, in the order the constructor declares them.
+enum MemberColumn : size_t { kMemberAggregateId, kMemberId };
+
+/// Offers per Validate chunk and per reconstruct chunk: a select of a few
+/// offers, the serving layer's usual request, stays on the calling thread.
+constexpr size_t kValidateGrain = 4096;
+constexpr size_t kReconstructGrain = 1024;
+
+/// Index of the first offer core::Validate refuses, or offers.size().
+size_t FirstInvalidOffer(const std::vector<FlexOffer>& offers) {
+  return ParallelReduce(
+      0, offers.size(), kValidateGrain, offers.size(),
+      [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          if (!core::Validate(offers[i]).ok()) return i;
+        }
+        return offers.size();
+      },
+      [](size_t a, size_t b) { return std::min(a, b); });
 }
 
 /// Appends a sorted integer list (or "*" when unconstrained) to `out`.
@@ -193,71 +251,110 @@ std::vector<core::GridNodeId> Database::GridSubtree(core::GridNodeId root) const
   return out;
 }
 
-Status Database::AppendFactRow(const FlexOffer& offer) {
-  Value scheduled_start = Value::Null();
-  double scheduled_kwh = 0.0;
-  if (offer.schedule.has_value()) {
-    scheduled_start = Value(offer.schedule->start.minutes());
-    scheduled_kwh = offer.total_scheduled_energy_kwh();
-  }
-  return fact_flexoffer_.AppendRow({
-      Value(offer.id),
-      Value(offer.prosumer),
-      Value(offer.region),
-      Value(offer.grid_node),
-      Value(static_cast<int64_t>(offer.energy_type)),
-      Value(static_cast<int64_t>(offer.prosumer_type)),
-      Value(static_cast<int64_t>(offer.appliance_type)),
-      Value(static_cast<int64_t>(offer.direction)),
-      Value(static_cast<int64_t>(offer.state)),
-      Value(offer.creation_time.minutes()),
-      Value(offer.acceptance_deadline.minutes()),
-      Value(offer.assignment_deadline.minutes()),
-      Value(offer.earliest_start.minutes()),
-      Value(offer.latest_start.minutes()),
-      Value(offer.latest_end().minutes()),
-      Value(static_cast<int64_t>(offer.profile_duration_slices())),
-      Value(offer.total_min_energy_kwh()),
-      Value(offer.total_max_energy_kwh()),
-      Value(offer.time_flexibility_minutes()),
-      scheduled_start,
-      Value(scheduled_kwh),
-      Value(static_cast<int64_t>(offer.is_aggregate() ? 1 : 0)),
-  });
-}
-
 Status Database::LoadFlexOffers(const std::vector<FlexOffer>& offers) {
-  for (const FlexOffer& offer : offers) {
-    FLEXVIS_RETURN_IF_ERROR(core::Validate(offer));
-    if (offer_row_.count(offer.id) != 0) {
-      return AlreadyExistsError(StrFormat("flex-offer %lld already loaded",
-                                          static_cast<long long>(offer.id)));
+  // Every check runs before the first append. The first failing offer in
+  // batch order decides the error, and an offer is validated before its id
+  // is checked, as one serial pass over the batch would.
+  const size_t invalid = FirstInvalidOffer(offers);
+  const size_t repeated = core::FirstRepeatedId(offers);
+  size_t loaded = offers.size();
+  if (!offer_row_.empty()) {
+    for (size_t i = 0; i < std::min(invalid, repeated); ++i) {
+      if (offer_row_.count(offers[i].id) != 0) {
+        loaded = i;
+        break;
+      }
     }
   }
-  for (const FlexOffer& offer : offers) {
-    FLEXVIS_RETURN_IF_ERROR(AppendFactRow(offer));
-    offer_row_[offer.id] = fact_flexoffer_.NumRows() - 1;
+  if (loaded < invalid && loaded <= repeated) {
+    return AlreadyExistsError(StrFormat("flex-offer %lld already loaded",
+                                        static_cast<long long>(offers[loaded].id)));
+  }
+  if (repeated < invalid) {
+    return AlreadyExistsError(StrFormat("flex-offer %lld appears twice in one load",
+                                        static_cast<long long>(offers[repeated].id)));
+  }
+  if (invalid < offers.size()) return core::Validate(offers[invalid]);
 
-    const std::vector<core::ProfileSlice> units = offer.UnitProfile();
-    std::vector<size_t>& rows = slice_rows_[offer.id];
-    rows.reserve(units.size());
-    for (size_t i = 0; i < units.size(); ++i) {
-      Value scheduled = Value::Null();
-      if (offer.schedule.has_value() && i < offer.schedule->energy_kwh.size()) {
-        scheduled = Value(offer.schedule->energy_kwh[i]);
-      }
-      FLEXVIS_RETURN_IF_ERROR(fact_profile_slice_.AppendRow(
-          {Value(offer.id), Value(static_cast<int64_t>(i)), Value(units[i].min_energy_kwh),
-           Value(units[i].max_energy_kwh), scheduled}));
-      rows.push_back(fact_profile_slice_.NumRows() - 1);
-    }
-    if (offer.is_aggregate()) {
-      for (FlexOfferId member : offer.aggregated_from) {
-        FLEXVIS_RETURN_IF_ERROR(bridge_aggregation_.AppendRow({Value(offer.id), Value(member)}));
-      }
-      aggregate_members_[offer.id] = offer.aggregated_from;
-    }
+  // Each offer's unit slices and members land as one contiguous range.
+  // Validate bounded every profile, so the unit counts cannot overflow.
+  std::vector<DetailRows> details(offers.size());
+  size_t slice_end = fact_profile_slice_.NumRows();
+  size_t member_end = bridge_aggregation_.NumRows();
+  for (size_t i = 0; i < offers.size(); ++i) {
+    details[i] = {slice_end, static_cast<size_t>(offers[i].profile_duration_slices()),
+                  member_end, offers[i].aggregated_from.size()};
+    slice_end += details[i].slice_count;
+    member_end += details[i].member_count;
   }
+
+  const size_t first_row = fact_flexoffer_.NumRows();
+  FLEXVIS_RETURN_IF_ERROR(fact_flexoffer_.AppendRows(offers.size(), [&](Column* c) {
+    for (const FlexOffer& o : offers) {
+      c[kOfferId].AppendInt64(o.id);
+      c[kProsumerId].AppendInt64(o.prosumer);
+      c[kRegionId].AppendInt64(o.region);
+      c[kGridNodeId].AppendInt64(o.grid_node);
+      c[kEnergyType].AppendInt64(static_cast<int64_t>(o.energy_type));
+      c[kProsumerType].AppendInt64(static_cast<int64_t>(o.prosumer_type));
+      c[kApplianceType].AppendInt64(static_cast<int64_t>(o.appliance_type));
+      c[kDirection].AppendInt64(static_cast<int64_t>(o.direction));
+      c[kState].AppendInt64(static_cast<int64_t>(o.state));
+      c[kCreationMin].AppendInt64(o.creation_time.minutes());
+      c[kAcceptanceMin].AppendInt64(o.acceptance_deadline.minutes());
+      c[kAssignmentMin].AppendInt64(o.assignment_deadline.minutes());
+      c[kEarliestStartMin].AppendInt64(o.earliest_start.minutes());
+      c[kLatestStartMin].AppendInt64(o.latest_start.minutes());
+      c[kLatestEndMin].AppendInt64(o.latest_end().minutes());
+      c[kProfileSlices].AppendInt64(o.profile_duration_slices());
+      c[kTotalMinKwh].AppendDouble(o.total_min_energy_kwh());
+      c[kTotalMaxKwh].AppendDouble(o.total_max_energy_kwh());
+      c[kTimeFlexMin].AppendInt64(o.time_flexibility_minutes());
+      if (o.schedule.has_value()) {
+        c[kScheduledStartMin].AppendInt64(o.schedule->start.minutes());
+      } else {
+        c[kScheduledStartMin].AppendNull();
+      }
+      c[kScheduledKwh].AppendDouble(o.total_scheduled_energy_kwh());  // 0 when unassigned
+      c[kIsAggregate].AppendInt64(o.is_aggregate() ? 1 : 0);
+    }
+  }));
+
+  FLEXVIS_RETURN_IF_ERROR(fact_profile_slice_.AppendRows(
+      slice_end - fact_profile_slice_.NumRows(), [&](Column* c) {
+        for (const FlexOffer& o : offers) {
+          const std::vector<double>* scheduled =
+              o.schedule.has_value() ? &o.schedule->energy_kwh : nullptr;
+          size_t unit = 0;
+          for (const core::ProfileSlice& s : o.profile) {
+            for (int k = 0; k < s.duration_slices; ++k, ++unit) {
+              c[kSliceOfferId].AppendInt64(o.id);
+              c[kSliceUnitIndex].AppendInt64(static_cast<int64_t>(unit));
+              c[kSliceMinKwh].AppendDouble(s.min_energy_kwh);
+              c[kSliceMaxKwh].AppendDouble(s.max_energy_kwh);
+              if (scheduled != nullptr && unit < scheduled->size()) {
+                c[kSliceScheduledKwh].AppendDouble((*scheduled)[unit]);
+              } else {
+                c[kSliceScheduledKwh].AppendNull();
+              }
+            }
+          }
+        }
+      }));
+
+  FLEXVIS_RETURN_IF_ERROR(bridge_aggregation_.AppendRows(
+      member_end - bridge_aggregation_.NumRows(), [&](Column* c) {
+        for (const FlexOffer& o : offers) {
+          for (FlexOfferId member : o.aggregated_from) {
+            c[kMemberAggregateId].AppendInt64(o.id);
+            c[kMemberId].AppendInt64(member);
+          }
+        }
+      }));
+
+  offer_row_.reserve(offer_row_.size() + offers.size());
+  for (size_t i = 0; i < offers.size(); ++i) offer_row_.emplace(offers[i].id, first_row + i);
+  detail_rows_.insert(detail_rows_.end(), details.begin(), details.end());
   return OkStatus();
 }
 
@@ -271,93 +368,95 @@ Status Database::UpdateFlexOffer(const FlexOffer& offer) {
   const size_t row = it->second;
   // Only the mutable planning outputs are updated; identity and profile are
   // immutable once loaded.
-  Result<size_t> state_col = fact_flexoffer_.ColumnIndex("state");
-  Result<size_t> sched_start_col = fact_flexoffer_.ColumnIndex("scheduled_start_min");
-  Result<size_t> sched_kwh_col = fact_flexoffer_.ColumnIndex("scheduled_kwh");
   FLEXVIS_RETURN_IF_ERROR(
-      fact_flexoffer_.column(*state_col).Set(row, Value(static_cast<int64_t>(offer.state))));
+      fact_flexoffer_.column(kState).Set(row, Value(static_cast<int64_t>(offer.state))));
+  Column& sched_start = fact_flexoffer_.column(kScheduledStartMin);
+  Column& sched_kwh = fact_flexoffer_.column(kScheduledKwh);
   if (offer.schedule.has_value()) {
-    FLEXVIS_RETURN_IF_ERROR(fact_flexoffer_.column(*sched_start_col)
-                                .Set(row, Value(offer.schedule->start.minutes())));
-    FLEXVIS_RETURN_IF_ERROR(fact_flexoffer_.column(*sched_kwh_col)
-                                .Set(row, Value(offer.total_scheduled_energy_kwh())));
+    FLEXVIS_RETURN_IF_ERROR(sched_start.Set(row, Value(offer.schedule->start.minutes())));
+    FLEXVIS_RETURN_IF_ERROR(sched_kwh.Set(row, Value(offer.total_scheduled_energy_kwh())));
   } else {
-    FLEXVIS_RETURN_IF_ERROR(fact_flexoffer_.column(*sched_start_col).Set(row, Value::Null()));
-    FLEXVIS_RETURN_IF_ERROR(fact_flexoffer_.column(*sched_kwh_col).Set(row, Value(0.0)));
+    FLEXVIS_RETURN_IF_ERROR(sched_start.Set(row, Value::Null()));
+    FLEXVIS_RETURN_IF_ERROR(sched_kwh.Set(row, Value(0.0)));
   }
   // Per-slice scheduled energies.
-  auto slice_it = slice_rows_.find(offer.id);
-  if (slice_it != slice_rows_.end()) {
-    Result<size_t> col = fact_profile_slice_.ColumnIndex("scheduled_kwh");
-    for (size_t i = 0; i < slice_it->second.size(); ++i) {
-      Value v = Value::Null();
-      if (offer.schedule.has_value() && i < offer.schedule->energy_kwh.size()) {
-        v = Value(offer.schedule->energy_kwh[i]);
-      }
-      FLEXVIS_RETURN_IF_ERROR(fact_profile_slice_.column(*col).Set(slice_it->second[i], v));
+  const DetailRows& details = detail_rows_[row];
+  Column& unit_kwh = fact_profile_slice_.column(kSliceScheduledKwh);
+  for (size_t i = 0; i < details.slice_count; ++i) {
+    Value v = Value::Null();
+    if (offer.schedule.has_value() && i < offer.schedule->energy_kwh.size()) {
+      v = Value(offer.schedule->energy_kwh[i]);
     }
+    FLEXVIS_RETURN_IF_ERROR(unit_kwh.Set(details.slice_begin + i, v));
   }
   return OkStatus();
 }
 
-core::FlexOffer Database::ReconstructOffer(size_t fact_row) const {
-  const Table& f = fact_flexoffer_;
-  auto geti = [&](const char* name) {
-    return f.FindColumn(name)->GetInt64(fact_row);
-  };
-  auto getd = [&](const char* name) {
-    return f.FindColumn(name)->GetDouble(fact_row);
-  };
-  (void)getd;
+struct Database::OfferColumns {
+  const Column* fact[kNumFactColumns];
+  const double* unit_min_kwh;
+  const double* unit_max_kwh;
+  const Column* unit_scheduled_kwh;  // nullable
+  const int64_t* member_ids;
+};
+
+Database::OfferColumns Database::ResolveOfferColumns() const {
+  OfferColumns columns;
+  for (size_t c = 0; c < kNumFactColumns; ++c) columns.fact[c] = &fact_flexoffer_.column(c);
+  columns.unit_min_kwh = fact_profile_slice_.column(kSliceMinKwh).DoubleData();
+  columns.unit_max_kwh = fact_profile_slice_.column(kSliceMaxKwh).DoubleData();
+  columns.unit_scheduled_kwh = &fact_profile_slice_.column(kSliceScheduledKwh);
+  columns.member_ids = bridge_aggregation_.column(kMemberId).Int64Data();
+  return columns;
+}
+
+core::FlexOffer Database::ReconstructOffer(const OfferColumns& columns, size_t fact_row) const {
+  auto geti = [&](FactColumn c) { return columns.fact[c]->GetInt64(fact_row); };
 
   FlexOffer offer;
-  offer.id = geti("offer_id");
-  offer.prosumer = geti("prosumer_id");
-  offer.region = geti("region_id");
-  offer.grid_node = geti("grid_node_id");
-  offer.energy_type = static_cast<core::EnergyType>(geti("energy_type"));
-  offer.prosumer_type = static_cast<core::ProsumerType>(geti("prosumer_type"));
-  offer.appliance_type = static_cast<core::ApplianceType>(geti("appliance_type"));
-  offer.direction = static_cast<core::Direction>(geti("direction"));
-  offer.state = static_cast<core::FlexOfferState>(geti("state"));
-  offer.creation_time = TimePoint::FromMinutes(geti("creation_min"));
-  offer.acceptance_deadline = TimePoint::FromMinutes(geti("acceptance_min"));
-  offer.assignment_deadline = TimePoint::FromMinutes(geti("assignment_min"));
-  offer.earliest_start = TimePoint::FromMinutes(geti("earliest_start_min"));
-  offer.latest_start = TimePoint::FromMinutes(geti("latest_start_min"));
+  offer.id = geti(kOfferId);
+  offer.prosumer = geti(kProsumerId);
+  offer.region = geti(kRegionId);
+  offer.grid_node = geti(kGridNodeId);
+  offer.energy_type = static_cast<core::EnergyType>(geti(kEnergyType));
+  offer.prosumer_type = static_cast<core::ProsumerType>(geti(kProsumerType));
+  offer.appliance_type = static_cast<core::ApplianceType>(geti(kApplianceType));
+  offer.direction = static_cast<core::Direction>(geti(kDirection));
+  offer.state = static_cast<core::FlexOfferState>(geti(kState));
+  offer.creation_time = TimePoint::FromMinutes(geti(kCreationMin));
+  offer.acceptance_deadline = TimePoint::FromMinutes(geti(kAcceptanceMin));
+  offer.assignment_deadline = TimePoint::FromMinutes(geti(kAssignmentMin));
+  offer.earliest_start = TimePoint::FromMinutes(geti(kEarliestStartMin));
+  offer.latest_start = TimePoint::FromMinutes(geti(kLatestStartMin));
 
-  // Profile from the slice fact table.
-  auto slice_it = slice_rows_.find(offer.id);
-  std::vector<core::ProfileSlice> units;
-  std::vector<double> scheduled;
-  bool any_scheduled = false;
-  if (slice_it != slice_rows_.end()) {
-    const Column* min_col = fact_profile_slice_.FindColumn("min_kwh");
-    const Column* max_col = fact_profile_slice_.FindColumn("max_kwh");
-    const Column* sch_col = fact_profile_slice_.FindColumn("scheduled_kwh");
-    units.reserve(slice_it->second.size());
-    for (size_t r : slice_it->second) {
-      units.push_back(core::ProfileSlice{1, min_col->GetDouble(r), max_col->GetDouble(r)});
-      if (!sch_col->IsNull(r)) {
-        any_scheduled = true;
-        scheduled.push_back(sch_col->GetDouble(r));
-      } else {
-        scheduled.push_back(0.0);
+  // Profile from the offer's range of the slice fact table.
+  const DetailRows& details = detail_rows_[fact_row];
+  offer.profile = core::CompressColumns(columns.unit_min_kwh + details.slice_begin,
+                                        columns.unit_max_kwh + details.slice_begin,
+                                        details.slice_count);
+
+  // A schedule needs a start and at least one scheduled slice; unscheduled
+  // slices read back as 0.
+  const Column& unit_kwh = *columns.unit_scheduled_kwh;
+  const size_t slice_end = details.slice_begin + details.slice_count;
+  if (!columns.fact[kScheduledStartMin]->IsNull(fact_row)) {
+    size_t r = details.slice_begin;
+    while (r < slice_end && unit_kwh.IsNull(r)) ++r;
+    if (r < slice_end) {
+      core::Schedule sched;
+      sched.start = TimePoint::FromMinutes(geti(kScheduledStartMin));
+      sched.energy_kwh.reserve(details.slice_count);
+      for (r = details.slice_begin; r < slice_end; ++r) {
+        sched.energy_kwh.push_back(unit_kwh.IsNull(r) ? 0.0 : unit_kwh.GetDouble(r));
       }
+      offer.schedule = std::move(sched);
     }
   }
-  offer.profile = core::CompressProfile(units);
 
-  const Column* sched_start = f.FindColumn("scheduled_start_min");
-  if (!sched_start->IsNull(fact_row) && any_scheduled) {
-    core::Schedule sched;
-    sched.start = TimePoint::FromMinutes(sched_start->GetInt64(fact_row));
-    sched.energy_kwh = std::move(scheduled);
-    offer.schedule = std::move(sched);
+  if (details.member_count > 0) {
+    const int64_t* members = columns.member_ids + details.member_begin;
+    offer.aggregated_from.assign(members, members + details.member_count);
   }
-
-  auto agg_it = aggregate_members_.find(offer.id);
-  if (agg_it != aggregate_members_.end()) offer.aggregated_from = agg_it->second;
   return offer;
 }
 
@@ -408,11 +507,15 @@ Result<std::vector<FlexOffer>> Database::SelectFlexOffers(const FlexOfferFilter&
   Result<std::vector<size_t>> rows = FilterRows(fact_flexoffer_, where);
   if (!rows.ok()) return rows.status();
 
-  std::vector<FlexOffer> out;
-  out.reserve(rows->size());
-  for (size_t r : *rows) out.push_back(ReconstructOffer(r));
-  std::sort(out.begin(), out.end(),
-            [](const FlexOffer& a, const FlexOffer& b) { return a.id < b.id; });
+  const OfferColumns columns = ResolveOfferColumns();
+  std::vector<FlexOffer> out(rows->size());
+  ParallelFor(0, rows->size(), kReconstructGrain, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) out[i] = ReconstructOffer(columns, (*rows)[i]);
+  });
+  // Rows come in load order, which is id order for every warehouse loaded
+  // from a saved file.
+  auto by_id = [](const FlexOffer& a, const FlexOffer& b) { return a.id < b.id; };
+  if (!std::is_sorted(out.begin(), out.end(), by_id)) std::sort(out.begin(), out.end(), by_id);
   return out;
 }
 
@@ -437,7 +540,7 @@ Result<core::FlexOffer> Database::GetFlexOffer(core::FlexOfferId id) const {
   if (it == offer_row_.end()) {
     return NotFoundError(StrFormat("flex-offer %lld not loaded", static_cast<long long>(id)));
   }
-  return ReconstructOffer(it->second);
+  return ReconstructOffer(ResolveOfferColumns(), it->second);
 }
 
 }  // namespace flexvis::dw

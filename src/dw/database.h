@@ -122,7 +122,9 @@ class Database {
   // ---- Fact loading ---------------------------------------------------------
 
   /// Loads flex-offers into the fact tables. Offers must validate and ids
-  /// must be unique across all loads.
+  /// must be unique within the batch and across all loads. Every check runs
+  /// before the first append, so a refused batch (the first failing offer's
+  /// InvalidArgument, or AlreadyExists) leaves the warehouse as it was.
   Status LoadFlexOffers(const std::vector<core::FlexOffer>& offers);
 
   /// Replaces the stored state/schedule of an already-loaded offer (used
@@ -154,8 +156,21 @@ class Database {
   Result<Table> QueryFacts(const Query& query) const { return Execute(fact_flexoffer_, query); }
 
  private:
-  Status AppendFactRow(const core::FlexOffer& offer);
-  core::FlexOffer ReconstructOffer(size_t fact_row) const;
+  /// Where one fact row's detail rows sit: its unit slices in
+  /// fact_profile_slice and its members in bridge_aggregation, each one
+  /// contiguous range.
+  struct DetailRows {
+    size_t slice_begin = 0;
+    size_t slice_count = 0;
+    size_t member_begin = 0;
+    size_t member_count = 0;
+  };
+  /// Raw storage of the columns ReconstructOffer reads, resolved once per
+  /// call.
+  struct OfferColumns;
+
+  OfferColumns ResolveOfferColumns() const;
+  core::FlexOffer ReconstructOffer(const OfferColumns& columns, size_t fact_row) const;
 
   Table fact_flexoffer_;
   Table fact_profile_slice_;
@@ -173,8 +188,7 @@ class Database {
   std::unordered_map<core::GridNodeId, size_t> grid_node_index_;
 
   std::unordered_map<core::FlexOfferId, size_t> offer_row_;
-  std::unordered_map<core::FlexOfferId, std::vector<size_t>> slice_rows_;
-  std::unordered_map<core::FlexOfferId, std::vector<core::FlexOfferId>> aggregate_members_;
+  std::vector<DetailRows> detail_rows_;  // indexed by fact row
 };
 
 }  // namespace flexvis::dw

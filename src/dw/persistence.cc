@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
-#include <set>
 #include <utility>
 
 #include "core/messages.h"
@@ -58,11 +57,7 @@ Status SaveDatabase(const Database& db, const std::string& directory) {
   // so order does not matter for correctness; id order keeps diffs stable.
   Result<std::vector<core::FlexOffer>> offers = db.SelectFlexOffers(FlexOfferFilter{});
   if (!offers.ok()) return offers.status();
-  std::string lines;
-  for (const core::FlexOffer& offer : *offers) {
-    lines += core::EncodeFlexOffer(offer);
-    lines += '\n';
-  }
+  std::string lines = core::EncodeFlexOfferLines(*offers);
 
   // The store writes every file atomically and commits the manifest last, so
   // a crash mid-save leaves no manifest pairing old files with new content —
@@ -136,34 +131,21 @@ Result<Database> LoadDatabase(const std::string& directory) {
   if (lines_it == recovery->files.end()) {
     return DataLossError(StrFormat("snapshot manifest does not cover '%s'", kOffersFile));
   }
-  const std::string& lines = lines_it->second;
   std::vector<core::FlexOffer> offers;
-  std::set<core::FlexOfferId> seen_ids;
-  size_t start = 0;
-  size_t line_number = 0;
-  while (start < lines.size()) {
-    size_t end = lines.find('\n', start);
-    if (end == std::string::npos) end = lines.size();
-    std::string_view line(lines.data() + start, end - start);
-    ++line_number;
-    if (!StripWhitespace(line).empty()) {
-      Result<core::FlexOffer> offer = core::DecodeFlexOffer(line);
-      if (!offer.ok()) {
-        return InvalidArgumentError(
-            StrFormat("%s: bad offer record near byte %zu: %s", kOffersFile, start,
-                      offer.status().message().c_str()));
-      }
-      // A duplicated id means two lines claim the same offer; silently
-      // letting the last line win would hide whichever state the first
-      // carried. Name the id and the line so the operator can diff the file.
-      if (!seen_ids.insert(offer->id).second) {
-        return InvalidArgumentError(
-            StrFormat("%s: duplicate flex-offer id %lld at line %zu", kOffersFile,
-                      static_cast<long long>(offer->id), line_number));
-      }
-      offers.push_back(*std::move(offer));
+  core::FlexOfferLineError bad;
+  // A duplicated id means two lines claim the same offer; silently letting
+  // the last line win would hide whichever state the first carried. Name
+  // the id and the line so the operator can diff the file.
+  if (!core::DecodeFlexOfferLines(lines_it->second, core::DuplicateIds::kReject, &offers,
+                                  &bad)) {
+    if (!bad.bad_record.ok()) {
+      return InvalidArgumentError(StrFormat("%s: bad offer record near byte %zu: %s",
+                                            kOffersFile, bad.byte_offset,
+                                            bad.bad_record.message().c_str()));
     }
-    start = end + 1;
+    return InvalidArgumentError(StrFormat("%s: duplicate flex-offer id %lld at line %zu",
+                                          kOffersFile, static_cast<long long>(bad.duplicate_id),
+                                          bad.line_number));
   }
   FLEXVIS_RETURN_IF_ERROR(db.LoadFlexOffers(offers));
   return db;

@@ -73,6 +73,36 @@ void Column::AppendString(std::string v) {
   MarkValidity(true);
 }
 
+void Column::AppendNull() {
+  switch (spec_.type) {
+    case ColumnType::kInt64: ints_.push_back(0); break;
+    case ColumnType::kDouble: doubles_.push_back(0.0); break;
+    case ColumnType::kString: strings_.emplace_back(); break;
+  }
+  MarkValidity(false);
+}
+
+void Column::Reserve(size_t rows) {
+  auto grow = [rows](auto& cells) {
+    if (cells.capacity() < rows) cells.reserve(std::max(rows, 2 * cells.capacity()));
+  };
+  switch (spec_.type) {
+    case ColumnType::kInt64: grow(ints_); break;
+    case ColumnType::kDouble: grow(doubles_); break;
+    case ColumnType::kString: grow(strings_); break;
+  }
+  if (!valid_.empty()) grow(valid_);
+}
+
+void Column::Truncate(size_t rows) {
+  switch (spec_.type) {
+    case ColumnType::kInt64: ints_.resize(rows); break;
+    case ColumnType::kDouble: doubles_.resize(rows); break;
+    case ColumnType::kString: strings_.resize(rows); break;
+  }
+  if (valid_.size() > rows) valid_.resize(rows);
+}
+
 bool Column::IsNull(size_t row) const { return !valid_.empty() && valid_[row] == 0; }
 
 Value Column::Get(size_t row) const {
@@ -161,6 +191,21 @@ Status Table::AppendRow(const std::vector<Value>& cells) {
     if (!s.ok()) return s;  // unreachable after pre-validation
   }
   ++num_rows_;
+  return OkStatus();
+}
+
+Status Table::AppendRows(size_t rows, const std::function<void(Column* columns)>& fill) {
+  for (Column& column : columns_) column.Reserve(num_rows_ + rows);
+  fill(columns_.data());
+  for (const Column& column : columns_) {
+    if (column.size() != num_rows_ + rows) {
+      const size_t got = column.size() - std::min(column.size(), num_rows_);
+      for (Column& c : columns_) c.Truncate(num_rows_);
+      return InternalError(StrFormat("bulk append of %zu rows to table '%s' gave column '%s' %zu",
+                                     rows, name_.c_str(), column.name().c_str(), got));
+    }
+  }
+  num_rows_ += rows;
   return OkStatus();
 }
 

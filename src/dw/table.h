@@ -1,6 +1,7 @@
 #ifndef FLEXVIS_DW_TABLE_H_
 #define FLEXVIS_DW_TABLE_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,7 @@ class Column {
   void AppendInt64(int64_t v);
   void AppendDouble(double v);
   void AppendString(std::string v);
+  void AppendNull();
 
   /// Cell accessor (returns Null for null cells). Precondition: row < size().
   Value Get(size_t row) const;
@@ -56,7 +58,14 @@ class Column {
   const double* DoubleData() const { return doubles_.data(); }
 
  private:
+  friend class Table;
+
   void MarkValidity(bool valid);
+  /// Makes room for `rows` cells in total, growing geometrically so that
+  /// repeated bulk appends stay linear.
+  void Reserve(size_t rows);
+  /// Drops every cell from row `rows` on.
+  void Truncate(size_t rows);
 
   ColumnSpec spec_;
   std::vector<int64_t> ints_;
@@ -67,7 +76,8 @@ class Column {
 };
 
 /// A columnar table: a schema plus equally sized columns. Rows are appended
-/// as vectors of Values in schema order.
+/// as vectors of Values in schema order, or in bulk through the typed
+/// column appends.
 class Table {
  public:
   Table() = default;
@@ -89,6 +99,12 @@ class Table {
   /// Appends one row; `cells.size()` must equal NumColumns() and each cell
   /// must match its column type (or be null).
   Status AppendRow(const std::vector<Value>& cells);
+
+  /// Appends `rows` rows through the typed appends, for bulk loads that hold
+  /// typed data: `fill(columns)` appends exactly `rows` cells to each of
+  /// columns[0, NumColumns()). kInternal, with the table left as it was,
+  /// when a column did not grow by exactly `rows`.
+  Status AppendRows(size_t rows, const std::function<void(Column* columns)>& fill);
 
   /// One row as Values in schema order.
   std::vector<Value> GetRow(size_t row) const;

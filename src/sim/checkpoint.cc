@@ -141,37 +141,6 @@ Status DecodeMeta(std::string_view text, OnlineParams* params,
   return OkStatus();
 }
 
-std::string EncodeOffers(const std::vector<core::FlexOffer>& offers) {
-  // Input order preserved: the report's offers vector mirrors it, and
-  // byte-identical recovery depends on the exact order coming back.
-  std::string lines;
-  for (const core::FlexOffer& offer : offers) {
-    lines += core::EncodeFlexOffer(offer);
-    lines += '\n';
-  }
-  return lines;
-}
-
-Status DecodeOffers(std::string_view lines, std::vector<core::FlexOffer>* offers) {
-  offers->clear();
-  size_t start = 0;
-  while (start < lines.size()) {
-    size_t end = lines.find('\n', start);
-    if (end == std::string_view::npos) end = lines.size();
-    std::string_view line = lines.substr(start, end - start);
-    if (!StripWhitespace(line).empty()) {
-      Result<core::FlexOffer> offer = core::DecodeFlexOffer(line);
-      if (!offer.ok()) {
-        return DataLossError(StrFormat("checkpoint offers.jsonl: bad record near byte %zu: %s",
-                                       start, offer.status().message().c_str()));
-      }
-      offers->push_back(*std::move(offer));
-    }
-    start = end + 1;
-  }
-  return OkStatus();
-}
-
 /// Executes the remaining ticks live: journal append + flush before the next
 /// tick starts (the flush is the durability point), folding every record
 /// into `fold` and compacting the store on the params cadences.
@@ -284,7 +253,9 @@ StoreFiles EncodeOnlineSnapshot(const OnlineParams& params,
                                 const timeutil::TimeInterval& window) {
   StoreFiles files;
   files.emplace_back(kCheckpointMetaFile, EncodeMeta(params, window));
-  files.emplace_back(kCheckpointOffersFile, EncodeOffers(offers));
+  // Input order preserved: the report's offers vector mirrors it, and
+  // byte-identical recovery depends on the exact order coming back.
+  files.emplace_back(kCheckpointOffersFile, core::EncodeFlexOfferLines(offers));
   return files;
 }
 
@@ -300,7 +271,13 @@ Status DecodeOnlineSnapshot(const StoreRecovery& recovery, OnlineParams* params,
   if (offer_lines == recovery.files.end()) {
     return DataLossError("checkpoint store has no offers.jsonl");
   }
-  return DecodeOffers(offer_lines->second, offers);
+  core::FlexOfferLineError bad;
+  if (!core::DecodeFlexOfferLines(offer_lines->second, core::DuplicateIds::kAllow, offers,
+                                  &bad)) {
+    return DataLossError(StrFormat("checkpoint offers.jsonl: bad record near byte %zu: %s",
+                                   bad.byte_offset, bad.bad_record.message().c_str()));
+  }
+  return OkStatus();
 }
 
 JsonValue EncodeStateChange(const OnlineStateChange& change) {

@@ -153,6 +153,10 @@ Result<FlexOffer> OracleFlexOfferFromJson(const JsonValue& json) {
     Result<double> min_kwh = slice.GetDouble("min_kwh");
     Result<double> max_kwh = slice.GetDouble("max_kwh");
     if (!slices.ok()) return slices.status();
+    // A slice count must fit the model's int and be at least 1.
+    if (*slices < 1 || *slices > std::numeric_limits<int>::max()) {
+      return InvalidArgumentError("flex-offer JSON: slices outside [1, INT_MAX]");
+    }
     if (!min_kwh.ok()) return min_kwh.status();
     if (!max_kwh.ok()) return max_kwh.status();
     offer.profile.push_back(ProfileSlice{static_cast<int>(*slices), *min_kwh, *max_kwh});

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -325,6 +326,44 @@ TEST_F(ColumnarTest, ValidMaskMatchesValidateOnCorruptedOffers) {
       EXPECT_GT(num_invalid, 0u);
     }
   }
+}
+
+TEST_F(ColumnarTest, ValidMaskMatchesValidateOnNonFiniteAndOverlongOffers) {
+  std::vector<FlexOffer> offers = RandomOffers(41, 96, false);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const int longest = static_cast<int>(core::kMaxProfileUnitSlices);
+  for (size_t i = 0; i < offers.size(); ++i) {
+    FlexOffer& o = offers[i];
+    if (o.profile.empty()) continue;
+    switch (i % 8) {
+      case 1: o.profile[0].min_energy_kwh = nan; break;
+      case 2: o.profile.back().max_energy_kwh = nan; break;
+      case 3: o.profile[0].max_energy_kwh = inf; break;
+      case 4:
+        if (o.schedule.has_value()) o.schedule->energy_kwh.back() = nan;
+        break;
+      case 5:  // exactly the limit: valid
+        o.profile = {ProfileSlice{longest, 0.0, 1.0}};
+        o.schedule.reset();
+        break;
+      case 6:  // one unit slice past it
+        o.profile = {ProfileSlice{longest, 0.0, 1.0}, ProfileSlice{1, 0.0, 1.0}};
+        o.schedule.reset();
+        break;
+      default: break;
+    }
+  }
+  const ProfileColumns cols = ProfileColumns::FromOffers(offers);
+  std::vector<uint8_t> mask(offers.size(), 2);
+  core::ValidMask(cols, mask.data());
+  size_t num_invalid = 0;
+  for (size_t i = 0; i < offers.size(); ++i) {
+    const uint8_t expected = core::Validate(offers[i]).ok() ? 1 : 0;
+    ASSERT_EQ(mask[i], expected) << "offer " << i << " case " << i % 8;
+    num_invalid += expected == 0 ? 1 : 0;
+  }
+  EXPECT_GT(num_invalid, offers.size() / 4);
 }
 
 // ---- CubeQuery oracle: every measure, 1 vs 8 threads ------------------------

@@ -327,6 +327,45 @@ TEST(DatabaseTest, DuplicateAndInvalidLoadRejected) {
   EXPECT_EQ(db.NumFlexOffers(), 1u);
 }
 
+TEST(DatabaseTest, DuplicateIdsInsideOneBatchAreRejectedBeforeAnyAppend) {
+  Database db;
+  ASSERT_TRUE(db.LoadFlexOffers({MakeOffer(7, 5, 0, 4)}).ok());
+  FlexOffer twin = MakeOffer(1, 5, 0, 4);
+  twin.profile.push_back(ProfileSlice{3, 0.0, 1.0});
+  Status status = db.LoadFlexOffers({MakeOffer(1, 5, 0, 4), MakeOffer(2, 6, 0, 4), twin});
+  EXPECT_EQ(status.code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(status.message(), "flex-offer 1 appears twice in one load");
+  // Nothing of the batch landed.
+  EXPECT_EQ(db.NumFlexOffers(), 1u);
+  EXPECT_EQ(db.fact_profile_slice().NumRows(), 3u);
+  EXPECT_FALSE(db.GetFlexOffer(1).ok());
+  EXPECT_EQ(db.SelectFlexOffers({})->size(), 1u);
+
+  // The first failing offer decides: an invalid offer before the repeat...
+  FlexOffer bad = MakeOffer(3, 5, 0, 4);
+  bad.profile.clear();
+  EXPECT_EQ(db.LoadFlexOffers({MakeOffer(1, 5, 0, 4), bad, MakeOffer(1, 5, 0, 4)}).code(),
+            StatusCode::kInvalidArgument);
+  // ...and an id loaded earlier before an in-batch repeat.
+  EXPECT_EQ(db.LoadFlexOffers({MakeOffer(4, 5, 0, 4), MakeOffer(7, 5, 0, 4),
+                               MakeOffer(4, 5, 0, 4)})
+                .message(),
+            "flex-offer 7 already loaded");
+  EXPECT_EQ(db.NumFlexOffers(), 1u);
+}
+
+TEST(DatabaseTest, LoadRefusesProfilesPastTheUnitSliceLimit) {
+  // 2 x 1.5e9 unit slices: the row expansion would overflow and abort, so
+  // the batch must be refused before it.
+  Database db;
+  FlexOffer huge = MakeOffer(2, 5, 0, 4);
+  huge.profile = {ProfileSlice{1'500'000'000, 0.0, 1.0}, ProfileSlice{1'500'000'000, 0.0, 1.0}};
+  Status status = db.LoadFlexOffers({MakeOffer(1, 5, 0, 4), huge});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.NumFlexOffers(), 0u);
+  EXPECT_EQ(db.fact_profile_slice().NumRows(), 0u);
+}
+
 TEST(DatabaseTest, AggregateProvenancePersists) {
   Database db;
   FlexOffer member1 = MakeOffer(1, 5, 0, 4);

@@ -14,6 +14,7 @@
 // identity total = spot + imbalance holds and no energy goes missing.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -270,7 +271,11 @@ class FaultMatrixTest : public ::testing::Test {
     params.horizon = TimeInterval(T0(), T0() + kMinutesPerDay);
     workload_ = *generator_.Generate(params);
     window_ = params.horizon;
-    temp_dir_ = ::testing::TempDir() + "/fault_matrix";
+    // Suffix with the pid: ctest runs each test in its own process, possibly
+    // in parallel, and a shared root lets one test's fixture re-save
+    // saved_db while another test is loading it.
+    temp_dir_ = ::testing::TempDir() + "/fault_matrix." + std::to_string(::getpid());
+    std::filesystem::remove_all(temp_dir_);
     std::filesystem::create_directories(temp_dir_);
     // A persisted warehouse fixture, written before any point is armed.
     dw::Database db;
@@ -279,7 +284,11 @@ class FaultMatrixTest : public ::testing::Test {
     save_fixture_ok_ = dw::SaveDatabase(db, saved_dir_).ok();
   }
 
-  ~FaultMatrixTest() override { FaultRegistry::Global().DisarmAll(); }
+  ~FaultMatrixTest() override {
+    FaultRegistry::Global().DisarmAll();
+    std::error_code ec;
+    std::filesystem::remove_all(temp_dir_, ec);
+  }
 
   void BuildDatabase(dw::Database& db) {
     ASSERT_TRUE(atlas_.RegisterWithDatabase(db).ok());

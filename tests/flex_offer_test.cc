@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/flex_offer.h"
 #include "core/types.h"
 
@@ -129,6 +131,51 @@ TEST(FlexOfferTest, ScheduleValidation) {
   EXPECT_FALSE(Validate(o).ok());
   o.schedule->energy_kwh[0] = 0.2;  // below min 1.0
   EXPECT_FALSE(Validate(o).ok());
+}
+
+TEST(FlexOfferTest, ValidateRejectsNonFiniteEnergies) {
+  // NaN passes every bound comparison (all are false), so it needs its own
+  // check; infinities need one for the upper bound.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf, -inf}) {
+    FlexOffer o = MakeValidOffer();
+    o.profile[0].min_energy_kwh = bad;
+    EXPECT_EQ(Validate(o).code(), StatusCode::kInvalidArgument) << bad;
+    o = MakeValidOffer();
+    o.profile[1].max_energy_kwh = bad;
+    EXPECT_EQ(Validate(o).code(), StatusCode::kInvalidArgument) << bad;
+    o = MakeValidOffer();
+    o.profile[0] = ProfileSlice{2, bad, bad};
+    EXPECT_EQ(Validate(o).code(), StatusCode::kInvalidArgument) << bad;
+
+    o = MakeValidOffer();
+    o.schedule = Schedule{o.earliest_start, {1.5, bad, 0.5}};
+    Status status = Validate(o);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(status.message().find("non-finite scheduled energy at unit slice 1"),
+              std::string::npos)
+        << status.message();
+  }
+}
+
+TEST(FlexOfferTest, ValidateBoundsTheProfileLength) {
+  // Two slices of 1.5e9 sum past INT_MAX: counted in 64 bits, the profile is
+  // refused before anything expands it into unit slices.
+  FlexOffer o = MakeValidOffer();
+  o.profile = {ProfileSlice{1'500'000'000, 0.0, 1.0}, ProfileSlice{1'500'000'000, 0.0, 1.0}};
+  Status status = Validate(o);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("profile spans 3000000000 unit slices"), std::string::npos)
+      << status.message();
+
+  // The limit itself is one year of slices, and is inclusive.
+  EXPECT_EQ(kMaxProfileUnitSlices, 35040);
+  o.profile = {ProfileSlice{static_cast<int>(kMaxProfileUnitSlices) - 1, 0.0, 1.0},
+               ProfileSlice{1, 0.5, 0.5}};
+  EXPECT_TRUE(Validate(o).ok());
+  o.profile.back().duration_slices = 2;
+  EXPECT_EQ(Validate(o).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FlexOfferTest, DescribeMentionsKeyFacts) {

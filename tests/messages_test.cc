@@ -300,6 +300,26 @@ TEST(FlexOfferJsonTest, RejectsOutOfRangeNumbers) {
   }
 }
 
+TEST(FlexOfferJsonTest, RejectsSliceCountsOutsideInt) {
+  // 4294967297 = 2^32 + 1 used to decode as a 1-slice profile (and pass
+  // Validate); counts that do not fit an int, or are below 1, are refused.
+  const std::string valid = core::EncodeFlexOffer(MakeOffer(1));
+  ASSERT_NE(valid.find(R"("slices":1})"), std::string::npos);
+  for (const char* count : {"4294967297", "2147483648", "-4294967295", "0", "-1"}) {
+    std::string text = valid;
+    text.replace(text.find(R"("slices":1})"), 11, std::string(R"("slices":)") + count + "}");
+    Result<FlexOffer> decoded = core::DecodeFlexOffer(text);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << count;
+    EXPECT_NE(decoded.status().message().find("'slices'"), std::string::npos)
+        << decoded.status().message();
+  }
+  std::string widest = valid;
+  widest.replace(widest.find(R"("slices":1})"), 11, R"("slices":2147483647})");
+  Result<FlexOffer> decoded = core::DecodeFlexOffer(widest);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->profile.back().duration_slices, std::numeric_limits<int>::max());
+}
+
 // ---- Message envelopes --------------------------------------------------------------
 
 TEST(MessageTest, FlexOfferEnvelopeRoundTrips) {

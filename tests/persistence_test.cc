@@ -239,6 +239,32 @@ TEST_F(PersistenceTest, DuplicateOfferIdNamesIdAndLine) {
       << restored.status().message();
 }
 
+TEST_F(PersistenceTest, ShardedLoadRejectsAnIdTwoShardsClaim) {
+  std::string dir = TempDir("sharded_dup");
+  ASSERT_TRUE(dw::SaveDatabaseSharded(
+                  db_, dir, 2,
+                  [](const core::FlexOffer& offer) { return static_cast<int>(offer.id % 2); })
+                  .ok());
+  ASSERT_TRUE(dw::LoadDatabaseSharded(dir).ok());
+  // Rewrite shard-0001, a complete warehouse of its own, so that it also
+  // holds one of shard-0000's offers.
+  Result<dw::Database> shard0 = dw::LoadDatabase(dir + "/shard-0000");
+  Result<dw::Database> shard1 = dw::LoadDatabase(dir + "/shard-0001");
+  ASSERT_TRUE(shard0.ok() && shard1.ok());
+  Result<std::vector<core::FlexOffer>> offers0 = shard0->SelectFlexOffers({});
+  ASSERT_TRUE(offers0.ok() && !offers0->empty());
+  const core::FlexOffer claimed = offers0->front();
+  ASSERT_TRUE(shard1->LoadFlexOffers({claimed}).ok());
+  ASSERT_TRUE(dw::SaveDatabase(*shard1, dir + "/shard-0001").ok());
+
+  Result<dw::Database> merged = dw::LoadDatabaseSharded(dir);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_NE(merged.status().message().find("flex-offer " + std::to_string(claimed.id)),
+            std::string::npos)
+      << merged.status().message();
+}
+
 TEST_F(PersistenceTest, ShortWriteSurfacesAsTypedError) {
   // /dev/full makes every write report ENOSPC: the save must fail with a
   // typed error instead of leaving a silently truncated file. (Directory
