@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/aggregation.h"
+#include "dw/lod.h"
 #include "util/parallel.h"
 #include "util/strings.h"
 
@@ -197,6 +198,7 @@ Database::Database()
                       {"parent_id", ColumnType::kInt64}}) {}
 
 Status Database::RegisterProsumer(const ProsumerInfo& prosumer) {
+  lod_.reset();
   return RegisterDimension(prosumer, "prosumer", &prosumers_, &prosumer_index_, [&] {
     return dim_prosumer_.AppendRow({Value(prosumer.id), Value(prosumer.name),
                                     Value(int64_t{static_cast<int64_t>(prosumer.type)}),
@@ -205,6 +207,7 @@ Status Database::RegisterProsumer(const ProsumerInfo& prosumer) {
 }
 
 Status Database::RegisterRegion(const RegionInfo& region) {
+  lod_.reset();
   return RegisterDimension(region, "region", &regions_, &region_index_, [&] {
     return dim_region_.AppendRow(
         {Value(region.id), Value(region.name), Value(region.parent), Value(region.level)});
@@ -212,6 +215,7 @@ Status Database::RegisterRegion(const RegionInfo& region) {
 }
 
 Status Database::RegisterGridNode(const GridNodeInfo& node) {
+  lod_.reset();
   return RegisterDimension(node, "grid node", &grid_nodes_, &grid_node_index_, [&] {
     return dim_grid_node_.AppendRow(
         {Value(node.id), Value(node.name), Value(node.kind), Value(node.parent)});
@@ -252,6 +256,7 @@ std::vector<core::GridNodeId> Database::GridSubtree(core::GridNodeId root) const
 }
 
 Status Database::LoadFlexOffers(const std::vector<FlexOffer>& offers) {
+  lod_.reset();
   // Every check runs before the first append. The first failing offer in
   // batch order decides the error, and an offer is validated before its id
   // is checked, as one serial pass over the batch would.
@@ -359,6 +364,7 @@ Status Database::LoadFlexOffers(const std::vector<FlexOffer>& offers) {
 }
 
 Status Database::UpdateFlexOffer(const FlexOffer& offer) {
+  lod_.reset();
   FLEXVIS_RETURN_IF_ERROR(core::Validate(offer));
   auto it = offer_row_.find(offer.id);
   if (it == offer_row_.end()) {
@@ -389,6 +395,16 @@ Status Database::UpdateFlexOffer(const FlexOffer& offer) {
     }
     FLEXVIS_RETURN_IF_ERROR(unit_kwh.Set(details.slice_begin + i, v));
   }
+  return OkStatus();
+}
+
+Status Database::AttachLod(LodPyramid lod) {
+  if (!lod.HasShapeOf(*this)) {
+    return FailedPreconditionError(StrFormat(
+        "LOD pyramid of %lld offers over %lld slices does not match the warehouse",
+        static_cast<long long>(lod.num_offers()), static_cast<long long>(lod.num_slices())));
+  }
+  lod_ = std::make_shared<const LodPyramid>(std::move(lod));
   return OkStatus();
 }
 

@@ -1,6 +1,7 @@
 #ifndef FLEXVIS_DW_DATABASE_H_
 #define FLEXVIS_DW_DATABASE_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -61,6 +62,7 @@ struct FlexOfferFilter {
 };
 
 class Database;
+class LodPyramid;
 
 /// Canonical cache-key text for a filter: two filters selecting the same
 /// offers via the same constraints produce the same key regardless of the
@@ -86,6 +88,11 @@ Result<FlexOfferFilter> MakeGridFilter(const Database& db, core::GridNodeId node
 /// per-unit-slice profile fact table, an aggregation bridge table, and
 /// prosumer / geography / grid-topology dimensions. Substitutes the paper's
 /// PostgreSQL instance; see DESIGN.md §2.
+///
+/// A database may carry the LOD pyramid of its offers (AttachLod), so a
+/// warehouse opened from disk serves the pyramid its save built. Every
+/// mutator — the Register* calls, LoadFlexOffers and UpdateFlexOffer —
+/// drops it, whether or not the mutation succeeds.
 ///
 /// Column names of fact_flexoffer (all times are minutes since epoch):
 ///   offer_id, prosumer_id, region_id, grid_node_id, energy_type,
@@ -132,6 +139,17 @@ class Database {
   Status UpdateFlexOffer(const core::FlexOffer& offer);
 
   size_t NumFlexOffers() const { return fact_flexoffer_.NumRows(); }
+
+  // ---- Attached LOD pyramid -------------------------------------------------
+
+  /// Attaches the LOD pyramid of this database's offers and regions.
+  /// FailedPrecondition, and nothing attached, unless `lod` has this
+  /// database's shape (LodPyramid::HasShapeOf): the check cannot see bucket
+  /// contents, so the caller vouches that `lod` was built over these offers.
+  Status AttachLod(LodPyramid lod);
+
+  /// The attached pyramid, or null when none is attached.
+  const LodPyramid* lod() const { return lod_.get(); }
 
   // ---- Retrieval ------------------------------------------------------------
 
@@ -189,6 +207,9 @@ class Database {
 
   std::unordered_map<core::FlexOfferId, size_t> offer_row_;
   std::vector<DetailRows> detail_rows_;  // indexed by fact row
+
+  // Immutable, so copies of the database share it.
+  std::shared_ptr<const LodPyramid> lod_;
 };
 
 }  // namespace flexvis::dw

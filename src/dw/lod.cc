@@ -26,6 +26,33 @@ int64_t FloorDiv(int64_t a, int64_t b) {
 
 int64_t CeilDiv(int64_t a, int64_t b) { return -FloorDiv(-a, b); }
 
+/// Serialized bytes of one bucket and of one region-start count.
+constexpr size_t kBucketBytes = 48;
+constexpr size_t kCountBytes = 8;
+
+/// The slice-aligned span a build over `extent` covers: the origin rounded
+/// down to a slice boundary and the unit slices up to the rounded-up end.
+struct SliceSpan {
+  int64_t origin_minutes = 0;
+  int64_t num_slices = 0;
+};
+
+SliceSpan SlicesCovering(const timeutil::TimeInterval& extent) {
+  if (extent.empty()) return {};
+  const int64_t origin_minutes = FloorDiv(extent.start.minutes(), kSlice) * kSlice;
+  return {origin_minutes,
+          std::max<int64_t>(0, CeilDiv(extent.end.minutes() - origin_minutes, kSlice))};
+}
+
+/// The number of levels LodBuilder::Finish derives from `num_slices` level-0
+/// buckets: halve (rounding up) until one bucket is left.
+int64_t LevelCount(int64_t num_slices) {
+  if (num_slices <= 0) return 0;
+  int64_t levels = 1;
+  for (int64_t buckets = num_slices; buckets > 1; buckets = (buckets + 1) / 2) ++levels;
+  return levels;
+}
+
 uint64_t DoubleBits(double d) { return std::bit_cast<uint64_t>(d); }
 
 void AppendU64(std::string& out, uint64_t v) {
@@ -67,6 +94,7 @@ class Reader {
   }
 
   bool done() const { return pos_ == bytes_.size(); }
+  size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
   std::string_view bytes_;
@@ -76,6 +104,10 @@ class Reader {
 }  // namespace
 
 void LodBucket::AddContribution(double slice_min_kwh, double slice_max_kwh) {
+  // -0.0 + 0.0 is +0.0: a -0 energy folds as +0, which is what it reads back
+  // as once the offer went through the JSON codec ("-0" parses as integer 0).
+  slice_min_kwh += 0.0;
+  slice_max_kwh += 0.0;
   if (count == 0) {
     min_kwh = slice_min_kwh;
     max_kwh = slice_max_kwh;
@@ -194,6 +226,8 @@ std::string LodPyramid::Serialize() const {
 }
 
 Result<LodPyramid> LodPyramid::Parse(std::string_view bytes) {
+  // Every count is bounded by the bytes left before anything is sized from
+  // it, so a corrupt header cannot make Parse allocate past the payload.
   if (bytes.size() < sizeof(kLodMagic) ||
       std::memcmp(bytes.data(), kLodMagic, sizeof(kLodMagic)) != 0) {
     return DataLossError("LOD pyramid: bad magic");
@@ -209,12 +243,32 @@ Result<LodPyramid> LodPyramid::Parse(std::string_view bytes) {
     return DataLossError("LOD pyramid: truncated header");
   }
   pyramid.origin_ = timeutil::TimePoint::FromMinutes(origin_minutes);
-  if (pyramid.num_slices_ < 0 || num_regions < 0 || num_levels < 0 || num_levels > 64) {
+  if (pyramid.num_slices_ < 0 || pyramid.num_offers_ < 0 || num_regions < 0 ||
+      FloorDiv(origin_minutes, kSlice) * kSlice != origin_minutes) {
     return DataLossError("LOD pyramid: implausible header");
   }
+  // Level 0 alone holds num_slices buckets; each region id is one count.
+  if (static_cast<uint64_t>(pyramid.num_slices_) > reader.remaining() / kBucketBytes ||
+      static_cast<uint64_t>(num_regions) > reader.remaining() / kCountBytes) {
+    return DataLossError("LOD pyramid: header counts exceed the payload");
+  }
+  int64_t extent_end = 0;
+  if (__builtin_add_overflow(origin_minutes, pyramid.num_slices_ * kSlice, &extent_end)) {
+    return DataLossError("LOD pyramid: extent overflows");
+  }
+  if (num_levels != LevelCount(pyramid.num_slices_)) {
+    return DataLossError(StrFormat("LOD pyramid: %lld levels for %lld slices",
+                                   static_cast<long long>(num_levels),
+                                   static_cast<long long>(pyramid.num_slices_)));
+  }
   pyramid.regions_.resize(static_cast<size_t>(num_regions));
-  for (core::RegionId& region : pyramid.regions_) {
-    if (!reader.ReadI64(&region)) return DataLossError("LOD pyramid: truncated region ids");
+  for (size_t r = 0; r < pyramid.regions_.size(); ++r) {
+    if (!reader.ReadI64(&pyramid.regions_[r])) {
+      return DataLossError("LOD pyramid: truncated region ids");
+    }
+    if (r > 0 && pyramid.regions_[r] <= pyramid.regions_[r - 1]) {
+      return DataLossError("LOD pyramid: region ids not ascending and unique");
+    }
   }
   pyramid.levels_.resize(static_cast<size_t>(num_levels));
   for (int64_t l = 0; l < num_levels; ++l) {
@@ -231,6 +285,9 @@ Result<LodPyramid> LodPyramid::Parse(std::string_view bytes) {
       return DataLossError(StrFormat("LOD pyramid: inconsistent level %lld geometry",
                                      static_cast<long long>(l)));
     }
+    if (static_cast<uint64_t>(num_buckets) > reader.remaining() / kBucketBytes) {
+      return DataLossError("LOD pyramid: truncated bucket");
+    }
     lvl.buckets.resize(static_cast<size_t>(num_buckets));
     for (LodBucket& b : lvl.buckets) {
       if (!reader.ReadI64(&b.count) || !reader.ReadI64(&b.starts) ||
@@ -238,14 +295,40 @@ Result<LodPyramid> LodPyramid::Parse(std::string_view bytes) {
           !reader.ReadDouble(&b.sum_min_kwh) || !reader.ReadDouble(&b.sum_max_kwh)) {
         return DataLossError("LOD pyramid: truncated bucket");
       }
+      if (b.count < 0 || b.starts < 0) return DataLossError("LOD pyramid: negative count");
     }
-    lvl.region_starts.resize(static_cast<size_t>(num_regions * num_buckets));
+    int64_t num_region_starts = 0;
+    if (__builtin_mul_overflow(num_regions, num_buckets, &num_region_starts) ||
+        static_cast<uint64_t>(num_region_starts) > reader.remaining() / kCountBytes) {
+      return DataLossError("LOD pyramid: truncated region starts");
+    }
+    lvl.region_starts.resize(static_cast<size_t>(num_region_starts));
     for (int64_t& s : lvl.region_starts) {
       if (!reader.ReadI64(&s)) return DataLossError("LOD pyramid: truncated region starts");
+      if (s < 0) return DataLossError("LOD pyramid: negative count");
     }
   }
   if (!reader.done()) return DataLossError("LOD pyramid: trailing bytes");
   return pyramid;
+}
+
+bool LodPyramid::HasShapeOf(const Database& db) const {
+  if (num_offers_ != static_cast<int64_t>(db.NumFlexOffers()) || regions_ != LodRegions(db)) {
+    return false;
+  }
+  // The union extent of the offers, as BuildLodPyramid derives it.
+  timeutil::TimeInterval extent;
+  const size_t n = db.NumFlexOffers();
+  if (n > 0) {
+    const Table& facts = db.fact_flexoffer();
+    const int64_t* starts = facts.FindColumn("earliest_start_min")->Int64Data();
+    const int64_t* ends = facts.FindColumn("latest_end_min")->Int64Data();
+    extent = timeutil::TimeInterval(
+        timeutil::TimePoint::FromMinutes(*std::min_element(starts, starts + n)),
+        timeutil::TimePoint::FromMinutes(*std::max_element(ends, ends + n)));
+  }
+  const SliceSpan span = SlicesCovering(extent);
+  return origin_.minutes() == span.origin_minutes && num_slices_ == span.num_slices;
 }
 
 LodBuilder::LodBuilder(timeutil::TimeInterval extent, std::vector<core::RegionId> regions) {
@@ -254,13 +337,10 @@ LodBuilder::LodBuilder(timeutil::TimeInterval extent, std::vector<core::RegionId
   pyramid_.regions_.erase(std::unique(pyramid_.regions_.begin(), pyramid_.regions_.end()),
                           pyramid_.regions_.end());
   if (extent.empty()) return;
-  const int64_t origin_minutes = FloorDiv(extent.start.minutes(), kSlice) * kSlice;
-  pyramid_.origin_ = timeutil::TimePoint::FromMinutes(origin_minutes);
-  pyramid_.num_slices_ = CeilDiv(extent.end.minutes() - origin_minutes, kSlice);
-  if (pyramid_.num_slices_ <= 0) {
-    pyramid_.num_slices_ = 0;
-    return;
-  }
+  const SliceSpan span = SlicesCovering(extent);
+  pyramid_.origin_ = timeutil::TimePoint::FromMinutes(span.origin_minutes);
+  pyramid_.num_slices_ = span.num_slices;
+  if (pyramid_.num_slices_ == 0) return;
   LodLevel level0;
   level0.level = 0;
   level0.bucket_slices = 1;
@@ -409,13 +489,18 @@ LodPyramid BuildLodPyramid(const std::vector<core::FlexOffer>& offers,
   return builder.Finish();
 }
 
-Result<LodPyramid> BuildLodPyramid(const Database& db, const FlexOfferFilter& filter) {
-  Result<std::vector<core::FlexOffer>> offers = db.SelectFlexOffers(filter);
-  if (!offers.ok()) return offers.status();
+std::vector<core::RegionId> LodRegions(const Database& db) {
   std::vector<core::RegionId> regions;
   regions.reserve(db.regions().size());
   for (const RegionInfo& region : db.regions()) regions.push_back(region.id);
-  return BuildLodPyramid(*offers, std::move(regions));
+  std::sort(regions.begin(), regions.end());
+  return regions;
+}
+
+Result<LodPyramid> BuildLodPyramid(const Database& db, const FlexOfferFilter& filter) {
+  Result<std::vector<core::FlexOffer>> offers = db.SelectFlexOffers(filter);
+  if (!offers.ok()) return offers.status();
+  return BuildLodPyramid(*offers, LodRegions(db));
 }
 
 }  // namespace flexvis::dw

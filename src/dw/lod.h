@@ -48,7 +48,9 @@ struct LodBucket {
   double mean_min_kwh() const { return count > 0 ? sum_min_kwh / static_cast<double>(count) : 0.0; }
   double mean_max_kwh() const { return count > 0 ? sum_max_kwh / static_cast<double>(count) : 0.0; }
 
-  /// Folds one profile contribution (canonical order: ascending offer).
+  /// Folds one profile contribution (canonical order: ascending offer). A
+  /// -0.0 energy folds as +0.0, so a pyramid built before a save equals one
+  /// built after the reload.
   void AddContribution(double slice_min_kwh, double slice_max_kwh);
   /// Folds a child bucket of the next finer level (canonical order: left
   /// child first). `starts` and `count` add; min/max widen; sums add.
@@ -121,7 +123,18 @@ class LodPyramid {
   /// bit patterns): equal pyramids serialize to equal bytes. This is the
   /// `lod.bin` payload persisted inside warehouse store generations.
   std::string Serialize() const;
+  /// Decodes Serialize's bytes. kDataLoss unless they hold the geometry a
+  /// LodBuilder produces: an aligned origin, ascending unique region ids,
+  /// exactly Finish's level count, each level's bucket count, non-negative
+  /// counts and no trailing bytes. Every count is checked against the bytes
+  /// left before anything is sized from it.
   static Result<LodPyramid> Parse(std::string_view bytes);
+
+  /// True when this pyramid has the shape a build over all of `db` gives:
+  /// the same offer count, the same region ids (LodRegions) and the same
+  /// slice extent, read from the fact table's earliest_start_min and
+  /// latest_end_min columns. Bucket contents are not compared.
+  bool HasShapeOf(const Database& db) const;
 
  private:
   friend class LodBuilder;
@@ -165,6 +178,10 @@ class LodBuilder {
 /// offers' extents.
 LodPyramid BuildLodPyramid(const std::vector<core::FlexOffer>& offers,
                            std::vector<core::RegionId> regions = {});
+
+/// The region rows a warehouse pyramid tracks: every region registered in
+/// `db`, ascending.
+std::vector<core::RegionId> LodRegions(const Database& db);
 
 /// Builds the pyramid over the offers matching `filter` — selection runs
 /// through Database::SelectFlexOffers, so every predicate (including the

@@ -7,6 +7,7 @@
 
 #include "core/messages.h"
 #include "dw/csv.h"
+#include "dw/lod.h"
 #include "util/json.h"
 #include "util/store.h"
 #include "util/strings.h"
@@ -62,17 +63,14 @@ Status SaveDatabase(const Database& db, const std::string& directory) {
   // The store writes every file atomically and commits the manifest last, so
   // a crash mid-save leaves no manifest pairing old files with new content —
   // LoadDatabase then reports kDataLoss instead of loading garbage.
-  // The LOD pyramid rides inside the same generation so a recovered snapshot
-  // always pins aggregates consistent with its offer set.
-  Result<LodPyramid> pyramid = BuildLodPyramid(db, FlexOfferFilter{});
-  if (!pyramid.ok()) return pyramid.status();
-
+  // The LOD pyramid of the same offers rides inside the same generation, so
+  // a recovered snapshot pins aggregates consistent with its offer set.
   StoreFiles files;
   files.emplace_back(kProsumerFile, TableToCsv(db.dim_prosumer()));
   files.emplace_back(kRegionFile, TableToCsv(db.dim_region()));
   files.emplace_back(kGridFile, TableToCsv(db.dim_grid_node()));
   files.emplace_back(kOffersFile, std::move(lines));
-  files.emplace_back(kLodFile, pyramid->Serialize());
+  files.emplace_back(kLodFile, BuildLodPyramid(*offers, LodRegions(db)).Serialize());
   Result<DurableStore> store =
       DurableStore::Create(directory, SnapshotStoreOptions(), files, JsonValue());
   if (!store.ok()) return store.status();
@@ -148,21 +146,17 @@ Result<Database> LoadDatabase(const std::string& directory) {
                                           bad.line_number));
   }
   FLEXVIS_RETURN_IF_ERROR(db.LoadFlexOffers(offers));
-  return db;
-}
 
-Result<LodPyramid> LoadLodPyramid(const std::string& directory, const Database& db) {
-  Result<StoreRecovery> recovery = DurableStore::Recover(directory, SnapshotStoreOptions());
-  if (!recovery.ok()) return recovery.status();
-  auto it = recovery->files.find(kLodFile);
-  if (it != recovery->files.end()) {
-    Result<LodPyramid> parsed = LodPyramid::Parse(it->second);
-    if (parsed.ok()) return parsed;
+  // The pyramid the save built over these offers, when it is still there and
+  // still has their shape. Anything else — no lod.bin, a payload that does
+  // not parse, a pyramid of other offers — leaves the database without one,
+  // and publishing it builds the pyramid afresh.
+  auto lod_it = recovery->files.find(kLodFile);
+  if (lod_it != recovery->files.end()) {
+    Result<LodPyramid> saved = LodPyramid::Parse(lod_it->second);
+    if (saved.ok()) (void)db.AttachLod(*std::move(saved));
   }
-  // Snapshot predates the pyramid (or the payload does not parse): rebuild.
-  // Build and parse are byte-equivalent for the same offers, so this path is
-  // indistinguishable to callers.
-  return BuildLodPyramid(db, FlexOfferFilter{});
+  return db;
 }
 
 namespace {

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "dw/database.h"
-#include "dw/lod.h"
 #include "util/status.h"
 
 namespace flexvis::dw {
@@ -42,14 +41,14 @@ Status SaveDatabase(const Database& db, const std::string& directory);
 /// kDataLoss when the manifest is missing or any file fails its size/CRC
 /// check (partial or corrupt snapshot); InvalidArgument on malformed or
 /// duplicate offer records (the message names the offending id and line).
+///
+/// When the manifest covers a `lod.bin` that parses and has the loaded
+/// offers' shape (LodPyramid::HasShapeOf), the pyramid is attached to the
+/// database (Database::lod) and publishing serves it. It is byte-equal to
+/// `BuildLodPyramid(db, {})`: the save built it over the same offers, and a
+/// -0.0 energy, which the offer codec reads back as +0.0, folds as +0.0 in
+/// both. Without one the database loads the same, with no pyramid attached.
 Result<Database> LoadDatabase(const std::string& directory);
-
-/// Recovers the LOD pyramid of the snapshot under `directory`. Parses the
-/// persisted `lod.bin` when the committed manifest covers one; for snapshots
-/// predating the LOD pyramid (or an unparsable payload) it rebuilds from
-/// `db` — build and parse yield byte-identical pyramids for the same offer
-/// set, so callers cannot observe which path ran.
-Result<LodPyramid> LoadLodPyramid(const std::string& directory, const Database& db);
 
 // ---- Sharded persistence ----------------------------------------------------
 //

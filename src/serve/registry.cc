@@ -44,11 +44,17 @@ int64_t GenerationRegistry::Publish(std::shared_ptr<const dw::Database> db,
   // cube; ignore the status so Publish stays infallible for callers.
   (void)cube->AddStandardDimensions();
   snapshot->cube = std::move(cube);
-  // The LOD pyramid also materializes outside the lock. An unconstrained
-  // select over an immutable database cannot fail; keep Publish infallible
-  // by publishing an empty pyramid in that impossible case.
-  Result<dw::LodPyramid> lod = dw::BuildLodPyramid(*snapshot->db, dw::FlexOfferFilter{});
-  if (lod.ok()) snapshot->lod = *std::move(lod);
+  // The LOD pyramid also materializes outside the lock: a copy of the one
+  // attached to the database (a warehouse opened from disk carries the one
+  // its save built), else a build. An unconstrained select over an
+  // immutable database cannot fail; keep Publish infallible by publishing an
+  // empty pyramid in that impossible case.
+  if (snapshot->db->lod() != nullptr) {
+    snapshot->lod = *snapshot->db->lod();
+  } else {
+    Result<dw::LodPyramid> lod = dw::BuildLodPyramid(*snapshot->db, dw::FlexOfferFilter{});
+    if (lod.ok()) snapshot->lod = *std::move(lod);
+  }
 
   std::vector<Entry> retired;
   int64_t generation;

@@ -80,8 +80,9 @@ class GenerationRegistry {
   GenerationRegistry& operator=(const GenerationRegistry&) = delete;
 
   /// Publishes `db` as the next generation and returns its number
-  /// (monotonically increasing from 0). Builds the generation's OLAP cube
-  /// (standard dimensions) before taking the lock. `store_pin` optionally
+  /// (monotonically increasing from 0). Before taking the lock it builds the
+  /// generation's OLAP cube (standard dimensions) and its LOD pyramid, or
+  /// copies the pyramid `db` carries (Database::lod). `store_pin` optionally
   /// ties the generation to its durable store files: the pin is held until
   /// the generation retires, so the store's GC defers deleting those files
   /// past the last concurrent reader. Superseded generations with no

@@ -7,6 +7,12 @@
 
 namespace flexvis {
 
+/// Bytes per chunk of the pooled checksum. An input of at least two chunks
+/// is split into fixed chunks of this size (never derived from the thread
+/// count), checksummed on the ParallelFor pool and joined in order, so the
+/// value is the same at every thread count.
+inline constexpr size_t kCrc32Chunk = size_t{1} << 20;
+
 /// CRC-32 (ISO 3309 / PNG polynomial 0xEDB88320), the integrity check shared
 /// by the PNG encoder, the write-ahead journal framing, and the snapshot
 /// manifests. `seed` allows incremental computation: pass the previous result

@@ -303,9 +303,7 @@ Result<DurableStore> DurableStore::Create(const std::string& directory,
   const fs::path dir(directory);
   for (const auto& [name, content] : files) {
     FLEXVIS_RETURN_IF_ERROR(WriteContent(options, (dir / name).string(), content));
-    store.entries_.emplace_back(name,
-                                std::make_pair<uint64_t, uint32_t>(content.size(),
-                                                                   Crc32(content)));
+    store.entries_.push_back({name, content.size(), Crc32(content)});
   }
   FLEXVIS_RETURN_IF_ERROR(store.Recommit(meta));
   if (!options.journal_name.empty()) {
@@ -340,6 +338,7 @@ Result<StoreRecovery> DurableStore::Recover(const std::string& directory,
 
   const JsonValue& files = manifest->Get("files");
   std::vector<std::string> logical_names;
+  recovery.entries.reserve(files.size());
   for (size_t i = 0; i < files.size(); ++i) {
     const JsonValue& entry = files[i];
     Result<std::string> name = entry.GetString("name");
@@ -369,9 +368,10 @@ Result<StoreRecovery> DurableStore::Recover(const std::string& directory,
           StrFormat("snapshot file '%s' fails its CRC-32 check (corrupt)", physical.c_str()));
     }
     recovery.files[*name] = *std::move(data);
+    recovery.entries.push_back(
+        {*name, static_cast<uint64_t>(*bytes), static_cast<uint32_t>(*crc)});
     logical_names.push_back(*std::move(name));
   }
-  recovery.file_order = logical_names;
 
   if (!options.journal_name.empty()) {
     const std::string wal =
@@ -405,12 +405,7 @@ Result<DurableStore> DurableStore::Resume(const std::string& directory,
   store.directory_ = directory;
   store.options_ = options;
   store.generation_ = recovered->generation;
-  for (const std::string& name : recovered->file_order) {
-    const std::string& content = recovered->files.at(name);
-    store.entries_.emplace_back(name,
-                                std::make_pair<uint64_t, uint32_t>(content.size(),
-                                                                   Crc32(content)));
-  }
+  store.entries_ = recovered->entries;
   if (!options.journal_name.empty()) {
     const std::string wal =
         (fs::path(directory) / GenerationFileName(options.journal_name, store.generation_))
@@ -442,11 +437,11 @@ Status DurableStore::Flush() {
 
 Status DurableStore::Recommit(const JsonValue& meta) {
   JsonValue files = JsonValue::Array();
-  for (const auto& [name, sized] : entries_) {
+  for (const StoreFileEntry& file : entries_) {
     JsonValue entry = JsonValue::Object();
-    entry.Set("name", JsonValue::Str(name));
-    entry.Set("bytes", JsonValue::Int(static_cast<int64_t>(sized.first)));
-    entry.Set("crc32", JsonValue::Int(static_cast<int64_t>(sized.second)));
+    entry.Set("name", JsonValue::Str(file.name));
+    entry.Set("bytes", JsonValue::Int(static_cast<int64_t>(file.bytes)));
+    entry.Set("crc32", JsonValue::Int(static_cast<int64_t>(file.crc32)));
     files.Append(std::move(entry));
   }
   JsonValue manifest = JsonValue::Object();
@@ -468,19 +463,16 @@ Status DurableStore::Compact(const StoreFiles& files, const JsonValue& meta) {
   const fs::path dir(directory_);
 
   // 1. Write the next-generation snapshot files (each atomic + fsynced).
-  std::vector<std::pair<std::string, std::pair<uint64_t, uint32_t>>> next_entries;
+  std::vector<StoreFileEntry> next_entries;
   for (const auto& [name, content] : files) {
     FLEXVIS_RETURN_IF_ERROR(
         WriteContent(options_, (dir / GenerationFileName(name, next)).string(), content));
-    next_entries.emplace_back(name,
-                              std::make_pair<uint64_t, uint32_t>(content.size(),
-                                                                 Crc32(content)));
+    next_entries.push_back({name, content.size(), Crc32(content)});
   }
 
   // 2. Commit: the manifest rename atomically supersedes the old generation.
   const int64_t old_generation = generation_;
-  const std::vector<std::pair<std::string, std::pair<uint64_t, uint32_t>>> old_entries =
-      std::move(entries_);
+  const std::vector<StoreFileEntry> old_entries = std::move(entries_);
   entries_ = std::move(next_entries);
   generation_ = next;
   Status committed = Recommit(meta);
@@ -498,8 +490,8 @@ Status DurableStore::Compact(const StoreFiles& files, const JsonValue& meta) {
   journal_ = JournalWriter();
   std::vector<std::string> old_paths;
   old_paths.reserve(old_entries.size() + 1);
-  for (const auto& [name, sized] : old_entries) {
-    old_paths.push_back((dir / GenerationFileName(name, old_generation)).string());
+  for (const StoreFileEntry& file : old_entries) {
+    old_paths.push_back((dir / GenerationFileName(file.name, old_generation)).string());
   }
   old_paths.push_back(
       (dir / GenerationFileName(options_.journal_name, old_generation)).string());

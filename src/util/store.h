@@ -157,14 +157,22 @@ class StoreGenerationPin {
   int64_t generation_ = 0;
 };
 
+/// One snapshot file's manifest entry: its logical name, size and CRC-32.
+struct StoreFileEntry {
+  std::string name;
+  uint64_t bytes = 0;
+  uint32_t crc32 = 0;
+};
+
 /// What Recover() decoded from a store directory.
 struct StoreRecovery {
   /// The committed generation named by the manifest.
   int64_t generation = 0;
   /// Verified snapshot content by logical name.
   std::map<std::string, std::string> files;
-  /// Logical names in manifest order (the order Create/Compact received).
-  std::vector<std::string> file_order;
+  /// The manifest's file entries in manifest order (the order Create/Compact
+  /// received), each checked against the bytes in `files`.
+  std::vector<StoreFileEntry> entries;
   /// Intact WAL records of the committed generation, in append order.
   /// Empty when the store is snapshot-only or the WAL was never started.
   std::vector<std::string> records;
@@ -218,6 +226,8 @@ class DurableStore {
   static Result<StoreRecovery> Recover(const std::string& directory, const StoreOptions& options);
 
   /// Recover() + reopen the WAL of the committed generation for appending.
+  /// The handle keeps the manifest entries Recover verified, so a later
+  /// Recommit writes them back without checksumming the files again.
   /// `recovery`, when non-null, receives the decoded state.
   static Result<DurableStore> Resume(const std::string& directory, const StoreOptions& options,
                                      StoreRecovery* recovery);
@@ -267,9 +277,9 @@ class DurableStore {
   std::string directory_;
   StoreOptions options_;
   int64_t generation_ = 0;
-  /// Manifest entries of the committed generation (logical name, bytes,
-  /// crc32) cached so Recommit need not re-read disk.
-  std::vector<std::pair<std::string, std::pair<uint64_t, uint32_t>>> entries_;
+  /// Manifest entries of the committed generation, cached so Recommit need
+  /// not re-read disk.
+  std::vector<StoreFileEntry> entries_;
   JournalWriter journal_;
   bool open_ = false;
 };

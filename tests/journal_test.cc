@@ -9,6 +9,7 @@
 
 #include "util/crc32.h"
 #include "util/fileio.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -104,6 +105,35 @@ TEST(Crc32Test, SlicingBy8MatchesBytewiseReference) {
     const uint32_t head = Crc32(buffer.data(), split);
     EXPECT_EQ(Crc32(buffer.data() + split, buffer.size() - split, head), whole)
         << "split " << split;
+  }
+}
+
+TEST(Crc32Test, PooledChunksMatchBytewiseReferenceAtAnyThreadCount) {
+  struct ThreadCountGuard {
+    ~ThreadCountGuard() { SetParallelThreadCount(0); }
+  } guard;
+  Rng rng(0xC4C32);
+  std::vector<uint8_t> buffer(5 * kCrc32Chunk + 3);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  // Below two chunks the checksum stays serial; from two chunks on it is
+  // joined from per-chunk values, including a ragged last chunk.
+  const size_t lengths[] = {0,
+                            1,
+                            kCrc32Chunk - 1,
+                            kCrc32Chunk,
+                            kCrc32Chunk + 1,
+                            2 * kCrc32Chunk,
+                            2 * kCrc32Chunk + 7,
+                            5 * kCrc32Chunk + 3};
+  for (size_t length : lengths) {
+    for (uint32_t seed : {0u, 0x9E3779B9u}) {
+      const uint32_t expected = BytewiseCrc32(buffer.data(), length, seed);
+      for (int threads : {1, 2, 8}) {
+        SetParallelThreadCount(threads);
+        ASSERT_EQ(Crc32(buffer.data(), length, seed), expected)
+            << "length " << length << " seed " << seed << " threads " << threads;
+      }
+    }
   }
 }
 

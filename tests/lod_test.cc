@@ -8,15 +8,23 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dw/lod.h"
 #include "dw/persistence.h"
 #include "geo/atlas.h"
 #include "grid/topology.h"
+#include "serve/registry.h"
+#include "sim/enterprise.h"
 #include "sim/workload.h"
+#include "util/fileio.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/store.h"
 
 namespace flexvis {
 namespace {
@@ -325,26 +333,101 @@ TEST(LodTest, SerializeParseRoundTripsByteExactly) {
   EXPECT_FALSE(LodPyramid::Parse(flipped).ok());
 }
 
+TEST(LodTest, NegativeZeroEnergyFoldsAsPositiveZero) {
+  // The offer codec writes -0.0 as "-0", which reads back as +0.0; the
+  // pyramid must not tell the two apart, or a saved lod.bin would differ
+  // from a rebuild after reload.
+  std::vector<core::FlexOffer> negative = MakeOffers(13, 20, {});
+  negative[0].profile = {core::ProfileSlice{1, -0.0, 1.0}, core::ProfileSlice{1, 0.5, 1.0}};
+  negative[0].schedule.reset();
+  std::vector<core::FlexOffer> positive = negative;
+  positive[0].profile[0].min_energy_kwh = 0.0;
+  ASSERT_TRUE(core::Validate(negative[0]).ok());
+  EXPECT_EQ(dw::BuildLodPyramid(negative).Serialize(), dw::BuildLodPyramid(positive).Serialize());
+}
+
+void AppendLe64(std::string* out, int64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
+// A serialized pyramid header: magic, origin 0, the counts, 0 offers.
+std::string LodHeader(int64_t num_slices, int64_t num_regions, int64_t num_levels) {
+  std::string bytes = "FLXLOD1\n";
+  for (int64_t v : {int64_t{0}, num_slices, int64_t{0}, num_regions, num_levels}) {
+    AppendLe64(&bytes, v);
+  }
+  return bytes;
+}
+
+TEST(LodTest, ParseRejectsCountsThePayloadCannotHold) {
+  // 48 bytes claiming 2^40 region ids.
+  const std::string regions = LodHeader(0, int64_t{1} << 40, 0);
+  ASSERT_EQ(regions.size(), 48u);
+  EXPECT_EQ(LodPyramid::Parse(regions).status().code(), StatusCode::kDataLoss);
+  // 72 bytes claiming 2^40 slices: the header plus level 0's own header.
+  std::string slices = LodHeader(int64_t{1} << 40, 0, 41);
+  for (int64_t v : {int64_t{0}, int64_t{1}, int64_t{1} << 40}) AppendLe64(&slices, v);
+  ASSERT_EQ(slices.size(), 72u);
+  EXPECT_EQ(LodPyramid::Parse(slices).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(LodTest, ParseSurvivesEveryTruncationAndBitFlip) {
+  // A narrow extent keeps the payload small enough to flip every bit of it.
+  const std::vector<core::RegionId> regions = {3, 4};
+  std::vector<core::FlexOffer> offers = MakeOffers(41, 12, regions);
+  for (core::FlexOffer& o : offers) {
+    o.earliest_start = T0() + (o.id % 6) * kMinutesPerSlice;
+    o.latest_start = o.earliest_start;
+    o.schedule.reset();
+  }
+  const std::string bytes = dw::BuildLodPyramid(offers, regions).Serialize();
+  ASSERT_GT(bytes.size(), 1000u);
+  for (size_t length = 0; length < bytes.size(); ++length) {
+    ASSERT_EQ(LodPyramid::Parse(std::string_view(bytes).substr(0, length)).status().code(),
+              StatusCode::kDataLoss)
+        << "truncated to " << length;
+  }
+  // A flip either leaves a payload that still has a builder's geometry
+  // (then it parses back to exactly those bytes) or is kDataLoss.
+  for (size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    Result<LodPyramid> parsed = LodPyramid::Parse(flipped);
+    if (parsed.ok()) {
+      ASSERT_EQ(parsed->Serialize(), flipped) << "bit " << bit;
+    } else {
+      ASSERT_EQ(parsed.status().code(), StatusCode::kDataLoss) << "bit " << bit;
+    }
+  }
+}
+
 // ---- Filter equivalence (the satellite fix) --------------------------------
+
+/// A 30-prosumer synthetic day on the Denmark atlas and a radial grid.
+dw::Database WorkloadWarehouse(uint64_t seed, bool planned) {
+  const geo::Atlas atlas = geo::Atlas::MakeDenmark();
+  const grid::GridTopology topology = grid::GridTopology::MakeRadial(2, 2, 2, 3);
+  dw::Database db;
+  EXPECT_TRUE(atlas.RegisterWithDatabase(db).ok());
+  EXPECT_TRUE(topology.RegisterWithDatabase(db).ok());
+  sim::WorkloadGenerator generator(&atlas, &topology);
+  sim::WorkloadParams params;
+  params.seed = seed;
+  params.num_prosumers = 30;
+  params.horizon = TimeInterval(T0(), T0() + timeutil::kMinutesPerDay);
+  sim::Workload workload = *generator.Generate(params);
+  EXPECT_TRUE(sim::WorkloadGenerator::LoadIntoDatabase(workload, db).ok());
+  // Planning adds scheduled aggregates, and schedules move placements.
+  if (planned) {
+    EXPECT_TRUE(sim::Enterprise().RunDayAhead(db, params.horizon).ok());
+  }
+  return db;
+}
 
 class LodFilterTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    atlas_ = geo::Atlas::MakeDenmark();
-    topology_ = grid::GridTopology::MakeRadial(2, 2, 2, 3);
-    ASSERT_TRUE(atlas_.RegisterWithDatabase(db_).ok());
-    ASSERT_TRUE(topology_.RegisterWithDatabase(db_).ok());
-    sim::WorkloadGenerator generator(&atlas_, &topology_);
-    sim::WorkloadParams params;
-    params.seed = 515;
-    params.num_prosumers = 30;
-    params.horizon = TimeInterval(T0(), T0() + timeutil::kMinutesPerDay);
-    sim::Workload workload = *generator.Generate(params);
-    ASSERT_TRUE(sim::WorkloadGenerator::LoadIntoDatabase(workload, db_).ok());
-  }
+  void SetUp() override { db_ = WorkloadWarehouse(515, false); }
 
-  geo::Atlas atlas_;
-  grid::GridTopology topology_ = grid::GridTopology::MakeRadial(1, 1, 1, 1);
   dw::Database db_;
 };
 
@@ -408,13 +491,219 @@ TEST_F(LodFilterTest, PersistedPyramidRoundTripsThroughStoreGenerations) {
 
   Result<dw::Database> restored = dw::LoadDatabase(dir.string());
   ASSERT_TRUE(restored.ok());
-  Result<LodPyramid> loaded = dw::LoadLodPyramid(dir.string(), *restored);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_NE(restored->lod(), nullptr);
   Result<LodPyramid> rebuilt = dw::BuildLodPyramid(*restored, dw::FlexOfferFilter{});
   ASSERT_TRUE(rebuilt.ok());
-  ExpectPyramidsEqual(*loaded, *rebuilt, "persisted vs rebuilt");
-  EXPECT_EQ(loaded->Serialize(), rebuilt->Serialize());
+  ExpectPyramidsEqual(*restored->lod(), *rebuilt, "persisted vs rebuilt");
+  EXPECT_EQ(restored->lod()->Serialize(), rebuilt->Serialize());
   fs::remove_all(dir);
+}
+
+// ---- Attached pyramids: what a cold open publishes --------------------------
+
+/// Every warehouse shape the attached-pyramid tests cover, by name.
+std::vector<std::pair<std::string, dw::Database>> TestWarehouses() {
+  std::vector<std::pair<std::string, dw::Database>> out;
+  out.emplace_back("workload", WorkloadWarehouse(515, false));
+  out.emplace_back("planned", WorkloadWarehouse(808, true));
+
+  // A valid -0.0 profile energy: the codec writes "-0" and reads back +0.0.
+  dw::Database negative_zero;
+  EXPECT_TRUE(negative_zero.RegisterRegion({11, "west", core::kInvalidRegionId, "region"}).ok());
+  std::vector<core::FlexOffer> offers = MakeOffers(77, 40, {11});
+  offers[0].profile = {core::ProfileSlice{1, -0.0, 1.0}, core::ProfileSlice{1, 0.5, 1.0}};
+  offers[0].schedule.reset();
+  EXPECT_TRUE(negative_zero.LoadFlexOffers(offers).ok());
+  out.emplace_back("negative_zero", std::move(negative_zero));
+
+  dw::Database no_regions;
+  EXPECT_TRUE(no_regions.LoadFlexOffers(MakeOffers(5, 30, {})).ok());
+  out.emplace_back("no_regions", std::move(no_regions));
+
+  dw::Database empty;
+  EXPECT_TRUE(empty.RegisterRegion({11, "west", core::kInvalidRegionId, "region"}).ok());
+  out.emplace_back("empty", std::move(empty));
+  return out;
+}
+
+/// The pyramid a fresh registry publishes for `db`, serialized.
+std::string PublishedLod(const dw::Database& db) {
+  serve::GenerationRegistry registry;
+  registry.Publish(std::make_shared<const dw::Database>(db));
+  serve::SnapshotRef pin = registry.PinCurrent();
+  return pin.empty() ? std::string() : pin->lod.Serialize();
+}
+
+std::string RebuiltLod(const dw::Database& db) {
+  Result<LodPyramid> rebuilt = dw::BuildLodPyramid(db, dw::FlexOfferFilter{});
+  EXPECT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  return rebuilt.ok() ? rebuilt->Serialize() : std::string();
+}
+
+std::string LodTempDir(const std::string& name) {
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() / "flexvis_lod" / name;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir.string();
+}
+
+/// One mutation of each Database mutator, by name. Each must drop the
+/// attached pyramid, succeed or fail.
+std::vector<std::pair<std::string, std::function<Status(dw::Database&)>>> Mutators() {
+  return {
+      {"RegisterProsumer",
+       [](dw::Database& db) {
+         dw::ProsumerInfo p;
+         p.id = 900001;
+         p.name = "added";
+         return db.RegisterProsumer(p);
+       }},
+      {"RegisterRegion",
+       [](dw::Database& db) {
+         return db.RegisterRegion({900002, "added", core::kInvalidRegionId, "region"});
+       }},
+      {"RegisterGridNode",
+       [](dw::Database& db) {
+         return db.RegisterGridNode({900003, "added", "feeder", core::kInvalidGridNodeId});
+       }},
+      {"LoadFlexOffers",
+       [](dw::Database& db) {
+         core::FlexOffer offer = MakeOffers(3, 1, {}).front();
+         offer.id = 900004;
+         offer.earliest_start = T0() - timeutil::kMinutesPerDay;
+         offer.latest_start = offer.earliest_start;
+         offer.schedule.reset();
+         return db.LoadFlexOffers({offer});
+       }},
+      {"UpdateFlexOffer",
+       [](dw::Database& db) {
+         Result<std::vector<core::FlexOffer>> offers = db.SelectFlexOffers(dw::FlexOfferFilter{});
+         if (!offers.ok()) return offers.status();
+         // An empty warehouse has nothing to update: the refused call still
+         // drops the pyramid.
+         core::FlexOffer offer = offers->empty() ? MakeOffers(3, 1, {}).front() : offers->back();
+         core::Schedule schedule;
+         schedule.start = offer.latest_start;
+         for (const core::ProfileSlice& unit : offer.UnitProfile()) {
+           schedule.energy_kwh.push_back(unit.max_energy_kwh);
+         }
+         offer.schedule = schedule;
+         offer.state = core::FlexOfferState::kAssigned;
+         return db.UpdateFlexOffer(offer);
+       }},
+  };
+}
+
+TEST(LodTest, ColdOpenPublishesTheSavedPyramidOnEveryTestWarehouse) {
+  ThreadCountGuard guard;
+  for (const auto& [name, warehouse] : TestWarehouses()) {
+    for (int threads : {1, 8}) {
+      SetParallelThreadCount(threads);
+      const std::string label = name + " at " + std::to_string(threads) + " threads";
+      const std::string dir = LodTempDir("attach_" + name);
+      ASSERT_TRUE(dw::SaveDatabase(warehouse, dir).ok()) << label;
+      Result<dw::Database> loaded = dw::LoadDatabase(dir);
+      ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.status().ToString();
+      ASSERT_NE(loaded->lod(), nullptr) << label;
+      const std::string rebuilt = RebuiltLod(*loaded);
+      EXPECT_EQ(loaded->lod()->Serialize(), rebuilt) << label;
+      EXPECT_EQ(PublishedLod(*loaded), rebuilt) << label;
+      Result<std::string> saved =
+          ReadFileToString((std::filesystem::path(dir) / dw::kLodFile).string());
+      ASSERT_TRUE(saved.ok());
+      EXPECT_EQ(*saved, rebuilt) << label;
+
+      for (const auto& [mutator, mutate] : Mutators()) {
+        dw::Database mutated = *loaded;
+        ASSERT_NE(mutated.lod(), nullptr);
+        (void)mutate(mutated);
+        EXPECT_EQ(mutated.lod(), nullptr) << label << " after " << mutator;
+        EXPECT_EQ(PublishedLod(mutated), RebuiltLod(mutated)) << label << " after " << mutator;
+      }
+      std::filesystem::remove_all(dir);
+    }
+  }
+}
+
+TEST(LodTest, ColdOpenRebuildsWhenTheSavedPyramidIsMissingUnreadableOrStale) {
+  const dw::Database warehouse = WorkloadWarehouse(515, false);
+  StoreOptions options;
+  options.manifest_name = dw::kSnapshotManifest;
+  // Re-seals the warehouse with `edit` applied to its files: the manifest
+  // stays valid, so only the pyramid check can notice.
+  auto reseal = [&](const std::string& dir, const std::function<void(StoreFiles&)>& edit) {
+    Result<StoreRecovery> recovery = DurableStore::Recover(dir, options);
+    ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
+    StoreFiles files;
+    for (const StoreFileEntry& entry : recovery->entries) {
+      files.emplace_back(entry.name, recovery->files.at(entry.name));
+    }
+    edit(files);
+    Result<DurableStore> store = DurableStore::Create(dir, options, files, JsonValue());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE(store->Close().ok());
+  };
+  const std::vector<std::pair<std::string, std::function<void(StoreFiles&)>>> cases = {
+      {"uncovered",
+       [](StoreFiles& files) {
+         std::erase_if(files, [](const auto& file) { return file.first == dw::kLodFile; });
+       }},
+      {"unparsable",
+       [](StoreFiles& files) {
+         for (auto& [name, content] : files) {
+           if (name == dw::kLodFile) content = "not a pyramid";
+         }
+       }},
+      {"stale",
+       [](StoreFiles& files) {
+         // Drop the last offer line: lod.bin now counts one offer too many.
+         for (auto& [name, content] : files) {
+           if (name != "flexoffers.jsonl") continue;
+           content.pop_back();
+           content.resize(content.rfind('\n') + 1);
+         }
+       }},
+  };
+  for (const auto& [name, edit] : cases) {
+    const std::string dir = LodTempDir("fallback_" + name);
+    ASSERT_TRUE(dw::SaveDatabase(warehouse, dir).ok());
+    reseal(dir, edit);
+    Result<dw::Database> loaded = dw::LoadDatabase(dir);
+    ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status().ToString();
+    EXPECT_EQ(loaded->lod(), nullptr) << name;
+    if (name == "stale") {
+      EXPECT_EQ(loaded->NumFlexOffers(), warehouse.NumFlexOffers() - 1);
+    }
+    EXPECT_EQ(PublishedLod(*loaded), RebuiltLod(*loaded)) << name;
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(LodTest, AttachRefusesAPyramidOfAnotherShape) {
+  const dw::Database warehouse = WorkloadWarehouse(515, false);
+  Result<std::vector<core::FlexOffer>> offers = warehouse.SelectFlexOffers(dw::FlexOfferFilter{});
+  ASSERT_TRUE(offers.ok());
+  ASSERT_GT(offers->size(), 2u);
+  const std::vector<core::RegionId> regions = dw::LodRegions(warehouse);
+
+  std::vector<core::FlexOffer> fewer(offers->begin(), offers->end() - 1);
+  std::vector<core::FlexOffer> shifted = *offers;
+  shifted.front().earliest_start = shifted.front().earliest_start - timeutil::kMinutesPerDay;
+  const std::vector<core::RegionId> fewer_regions(regions.begin() + 1, regions.end());
+  const std::vector<std::pair<const char*, LodPyramid>> wrong = {
+      {"offer count", dw::BuildLodPyramid(fewer, regions)},
+      {"extent", dw::BuildLodPyramid(shifted, regions)},
+      {"regions", dw::BuildLodPyramid(*offers, fewer_regions)},
+  };
+  dw::Database db = warehouse;
+  for (const auto& [what, pyramid] : wrong) {
+    EXPECT_EQ(db.AttachLod(pyramid).code(), StatusCode::kFailedPrecondition) << what;
+    EXPECT_EQ(db.lod(), nullptr) << what;
+  }
+  ASSERT_TRUE(db.AttachLod(dw::BuildLodPyramid(*offers, regions)).ok());
+  ASSERT_NE(db.lod(), nullptr);
+  EXPECT_EQ(db.lod()->Serialize(), RebuiltLod(warehouse));
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/crc32.h"
 #include "util/fileio.h"
 #include "util/json.h"
 #include "util/status.h"
@@ -87,7 +88,11 @@ TEST(StoreTest, CreateResumeRecoverRoundtrip) {
   EXPECT_EQ(recovery->generation, 0);
   EXPECT_EQ(recovery->files.at("state.json"), "{\"x\":1}");
   EXPECT_EQ(recovery->files.at("offers.jsonl"), "a\nb\n");
-  EXPECT_EQ(recovery->file_order, (std::vector<std::string>{"state.json", "offers.jsonl"}));
+  ASSERT_EQ(recovery->entries.size(), 2u);
+  EXPECT_EQ(recovery->entries[0].name, "state.json");
+  EXPECT_EQ(recovery->entries[1].name, "offers.jsonl");
+  EXPECT_EQ(recovery->entries[1].bytes, 4u);
+  EXPECT_EQ(recovery->entries[1].crc32, Crc32("a\nb\n"));
   EXPECT_EQ(recovery->records, (std::vector<std::string>{"rec-1", "rec-2"}));
   ASSERT_TRUE(recovery->meta.is_object());
   EXPECT_EQ(recovery->meta.Get("tag").AsInt(), 7);
@@ -199,6 +204,41 @@ TEST(StoreTest, RecommitRewritesMetaWithoutTouchingFilesOrRecords) {
   EXPECT_EQ(recovery->meta.Get("tag").AsInt(), 2);
   EXPECT_EQ(recovery->files.at("state.json"), "fixed");
   EXPECT_EQ(recovery->records, (std::vector<std::string>{"rec"}));
+}
+
+TEST(StoreTest, ResumeThenRecommitKeepsTheManifestFileEntries) {
+  const std::string dir = TempDir("resume_recommit");
+  // One file past two CRC chunks, so Create and Recover checksum it on the
+  // worker pool.
+  std::string big(2 * kCrc32Chunk + 7, '\0');
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>((i * 131) >> 3);
+  Result<DurableStore> store = DurableStore::Create(
+      dir, TestOptions(), {{"state.json", "{\"x\":1}"}, {"offers.jsonl", big}}, MetaTagged(1));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE(store->Close().ok());
+  const std::string manifest = dir + "/" + TestOptions().manifest_name;
+  Result<JsonValue> before = JsonValue::Parse(ReadRaw(manifest));
+  ASSERT_TRUE(before.ok());
+
+  // Resume hands over the entries Recover verified; Recommit writes them
+  // back unchanged and only the meta moves.
+  StoreRecovery recovery;
+  Result<DurableStore> resumed = DurableStore::Resume(dir, TestOptions(), &recovery);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ASSERT_EQ(recovery.entries.size(), 2u);
+  EXPECT_EQ(recovery.entries[1].name, "offers.jsonl");
+  EXPECT_EQ(recovery.entries[1].bytes, big.size());
+  EXPECT_EQ(recovery.entries[1].crc32, Crc32(big));
+  ASSERT_TRUE(resumed->Recommit(MetaTagged(2)).ok());
+  ASSERT_TRUE(resumed->Close().ok());
+
+  Result<JsonValue> after = JsonValue::Parse(ReadRaw(manifest));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->Get("files").Dump(), before->Get("files").Dump());
+  EXPECT_EQ(after->Get("meta").Get("tag").AsInt(), 2);
+  Result<StoreRecovery> reread = DurableStore::Recover(dir, TestOptions());
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+  EXPECT_EQ(reread->files.at("offers.jsonl"), big);
 }
 
 TEST(StoreTest, SnapshotOnlyStoreRejectsAppendAndCompact) {
