@@ -2,11 +2,13 @@
 // consistency costs and how fast a crashed run comes back. The custom main
 // writes bench_out/BENCH_recovery.json with snapshot save/load throughput,
 // WAL append rates (fsync-per-record vs buffered), store recovery rate, and
-// ResumeOnline wall time against the number of journaled ticks — with and
-// without generational compaction. With compaction at interval C the resume
-// replays at most C tick records no matter how long the run was; the
-// `replay_bounded_by_interval` counter gates that bound in CI (the bench
-// exits nonzero when a compacted resume replays more than its interval).
+// the resume wall time of a checkpointed online run (a 1-shard coordinator
+// run, resumed by Coordinator::ResumeSharded) against the number of
+// journaled ticks — with and without generational compaction. With
+// compaction at interval C the resume replays at most C tick records no
+// matter how long the run was; the `replay_bounded_by_interval` counter
+// gates that bound in CI (the bench exits nonzero when a compacted resume
+// replays more than its interval).
 //
 // All durable I/O goes through util/store's DurableStore — the journal and
 // manifest primitives are implementation details of util/ and are not used
@@ -14,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -22,6 +25,7 @@
 #include "bench/bench_common.h"
 #include "dw/persistence.h"
 #include "sim/checkpoint.h"
+#include "sim/coordinator.h"
 #include "sim/online.h"
 #include "util/parallel.h"
 #include "util/store.h"
@@ -183,11 +187,11 @@ bool WriteRecoveryReport() {
   SetParallelThreadCount(1);
 
   // Resume wall time vs run length x compaction cadence (EXPERIMENTS.md Q9):
-  // run once checkpointed at a 15-minute tick over growing windows, then
-  // time ResumeOnline over the completed store. Without compaction the
-  // replayed-tick count grows linearly with the run; with compaction at
-  // interval C the resume replays at most C records — the hard bound the
-  // `replay_bounded_by_interval` counter gates.
+  // run once checkpointed (one shard) at a 15-minute tick over growing
+  // windows, then time ResumeSharded over the completed directory. Without
+  // compaction the replayed-tick count grows linearly with the run; with
+  // compaction at interval C the resume replays at most C records — the hard
+  // bound the `replay_bounded_by_interval` counter gates.
   std::vector<core::FlexOffer> offers =
       bench::MakeRandomOffers(31, bench::EnvSize("FLEXVIS_BENCH_RESUME_OFFERS", 200));
   const int64_t tick_minutes = 15;
@@ -205,26 +209,28 @@ bool WriteRecoveryReport() {
     timeutil::TimeInterval window(bench::BenchDay(),
                                   bench::BenchDay() + run_ticks * tick_minutes);
     for (int compact_ticks : compact_settings) {
-      sim::OnlineParams params;
-      params.tick_minutes = tick_minutes;
-      params.compact_ticks = compact_ticks;
+      sim::CoordinatorParams params;
+      params.num_shards = 1;
+      params.online.tick_minutes = tick_minutes;
+      params.online.compact_ticks = compact_ticks;
       const std::string dir =
           BenchDir(StrFormat("resume_%dticks_c%d", run_ticks, compact_ticks));
-      Result<sim::OnlineReport> baseline =
-          sim::RunOnlineCheckpointed(params, offers, window, dir);
+      Result<sim::MergedOnlineReport> baseline =
+          sim::Coordinator::RunShardedCheckpointed(params, offers, window, dir);
       if (!baseline.ok()) {
         std::fprintf(stderr, "FAIL: checkpointed run errored: %s\n",
                      baseline.status().ToString().c_str());
         return false;
       }
       const std::string label =
-          StrFormat("resume_%dticks_c%d", baseline->ticks, compact_ticks);
-      sim::ResumeInfo info;
-      Result<sim::OnlineReport> resumed = sim::ResumeOnline(dir, &info);
+          StrFormat("resume_%dticks_c%d", baseline->global.ticks, compact_ticks);
+      sim::ShardResumeInfo shards;
+      Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir, &shards);
+      const sim::ResumeInfo info = shards.shards.empty() ? sim::ResumeInfo{} : shards.shards[0];
       if (!resumed.ok() ||
-          info.ticks_folded + info.ticks_replayed != baseline->ticks ||
-          info.ticks_continued != 0 || resumed->outbox != baseline->outbox ||
-          resumed->imbalance_kwh != baseline->imbalance_kwh) {
+          info.ticks_folded + info.ticks_replayed != baseline->global.ticks ||
+          info.ticks_continued != 0 || resumed->global.outbox != baseline->global.outbox ||
+          resumed->global.imbalance_kwh != baseline->global.imbalance_kwh) {
         std::fprintf(stderr, "FAIL: resume diverged from the checkpointed run (%s)\n",
                      label.c_str());
         ok = false;
@@ -238,12 +244,12 @@ bool WriteRecoveryReport() {
       }
       double resume_s = bench::MeasureSeconds(
           [&] {
-            Result<sim::OnlineReport> timed = sim::ResumeOnline(dir);
+            Result<sim::MergedOnlineReport> timed = sim::Coordinator::ResumeSharded(dir);
             if (!timed.ok()) ok = false;
             benchmark::DoNotOptimize(timed);
           },
           1);
-      report.AddSample(label, resume_s, 1, static_cast<double>(baseline->ticks));
+      report.AddSample(label, resume_s, 1, static_cast<double>(baseline->global.ticks));
       report.SetCounter(label + "_ticks_replayed", static_cast<double>(info.ticks_replayed));
       report.SetCounter(label + "_generation", static_cast<double>(info.generation));
     }

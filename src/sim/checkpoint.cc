@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <utility>
 
 #include "core/messages.h"
@@ -14,30 +15,6 @@
 namespace flexvis::sim {
 
 namespace {
-
-JsonValue IdArray(const std::vector<core::FlexOfferId>& ids) {
-  JsonValue out = JsonValue::Array();
-  for (core::FlexOfferId id : ids) out.Append(JsonValue::Int(id));
-  return out;
-}
-
-Status ReadIdArray(const JsonValue& parent, std::string_view key,
-                   std::vector<core::FlexOfferId>* out) {
-  const JsonValue& array = parent.Get(key);
-  if (!array.is_array()) {
-    return DataLossError(StrFormat("tick record field '%.*s' is not an array",
-                                   static_cast<int>(key.size()), key.data()));
-  }
-  out->clear();
-  for (size_t i = 0; i < array.size(); ++i) {
-    if (!array[i].is_int()) {
-      return DataLossError(StrFormat("tick record field '%.*s' holds a non-integer id",
-                                     static_cast<int>(key.size()), key.data()));
-    }
-    out->push_back(array[i].AsInt());
-  }
-  return OkStatus();
-}
 
 /// Optional-with-default integer: pre-overload / pre-compaction checkpoints
 /// lack the newer keys and must keep resuming with the historical behaviour.
@@ -74,7 +51,6 @@ std::string EncodeMeta(const OnlineParams& params, const timeutil::TimeInterval&
   meta.Set("ingest_queue_capacity", JsonValue::Int(params.ingest_queue_capacity));
   meta.Set("shed_policy", JsonValue::Int(static_cast<int64_t>(params.shed_policy)));
   meta.Set("compact_ticks", JsonValue::Int(params.compact_ticks));
-  meta.Set("compact_bytes", JsonValue::Int(params.compact_bytes));
   meta.Set("forecaster", JsonValue::Str(params.forecaster));
   meta.Set("bidding", JsonValue::Str(params.bidding));
   return meta.Dump();
@@ -121,7 +97,6 @@ Status DecodeMeta(std::string_view text, OnlineParams* params,
       static_cast<int>(GetIntOr(meta, "ingest_queue_capacity", 0));
   params->shed_policy = static_cast<ShedPolicy>(GetIntOr(meta, "shed_policy", 0));
   params->compact_ticks = static_cast<int>(GetIntOr(meta, "compact_ticks", 0));
-  params->compact_bytes = GetIntOr(meta, "compact_bytes", 0);
   // Pinned strategy identity. Absent keys (pre-strategy checkpoints) resume
   // under the defaults; a *present* unknown name is a configuration error
   // surfaced before any replay, naming the registered options.
@@ -141,82 +116,25 @@ Status DecodeMeta(std::string_view text, OnlineParams* params,
   return OkStatus();
 }
 
-/// Executes the remaining ticks live: journal append + flush before the next
-/// tick starts (the flush is the durability point), folding every record
-/// into `fold` and compacting the store on the params cadences.
-/// `journal_bytes` is the record payload already sitting in the WAL when the
-/// loop starts (0 on a fresh run; the replayed tail's bytes on a resume), so
-/// the byte trigger continues exactly where the interrupted run left off.
-Result<OnlineReport> ContinueJournaled(const OnlineEnterprise& enterprise,
-                                       OnlineLoopState state, DurableStore& store,
-                                       const StoreFiles& snapshot_files,
-                                       OnlineTickRecord* fold, int* ticks_continued,
-                                       uint64_t journal_bytes) {
-  const int compact_ticks = enterprise.params().compact_ticks;
-  const int64_t compact_bytes = enterprise.params().compact_bytes;
-  while (!enterprise.Done(state)) {
-    OnlineTickRecord record;
-    enterprise.Tick(state, &record);
-    const std::string encoded = EncodeTickRecord(record);
-    FLEXVIS_RETURN_IF_ERROR(store.Append(encoded));
-    FLEXVIS_RETURN_IF_ERROR(store.Flush());
-    journal_bytes += encoded.size();
-    FoldTickRecordInto(fold, record);
-    if (ticks_continued != nullptr) ++*ticks_continued;
-    const bool ticks_due = compact_ticks > 0 && (record.tick + 1) % compact_ticks == 0;
-    const bool bytes_due =
-        compact_bytes > 0 && journal_bytes >= static_cast<uint64_t>(compact_bytes);
-    if (ticks_due || bytes_due) {
-      // Fold the journal into a new generation: the fold covers every tick
-      // since Begin (including any previously folded base), so the new
-      // snapshot alone reproduces the post-tick state and the WAL restarts
-      // empty. The tick cadence keys off the absolute tick index and the
-      // byte trigger off the deterministic encoded record sizes, so a
-      // resumed run compacts at the same boundaries the uninterrupted run
-      // would.
-      StoreFiles files = snapshot_files;
-      files.emplace_back(kCheckpointStateFile, EncodeTickRecord(*fold));
-      FLEXVIS_RETURN_IF_ERROR(store.Compact(files, JsonValue()));
-      journal_bytes = 0;
-    }
-  }
-  FLEXVIS_RETURN_IF_ERROR(store.Close());
-  return enterprise.Finish(std::move(state));
-}
-
 }  // namespace
 
-namespace {
-
-/// Shared parse for the compaction env knobs: unset/empty = 0 (off); a set
-/// value must be a strictly positive integer or the result is an
-/// InvalidArgument error naming the variable.
-Result<int64_t> CompactEnvValue(const char* var) {
-  const char* env = std::getenv(var);
-  if (env == nullptr || *env == '\0') return static_cast<int64_t>(0);
+Result<int> CompactTicksFromEnv() {
+  const char* env = std::getenv(kCompactTicksEnvVar);
+  if (env == nullptr || *env == '\0') return 0;
   char* end = nullptr;
   const long long value = std::strtoll(env, &end, 10);
   if (end == env || *end != '\0') {
     return InvalidArgumentError(
-        StrFormat("$%s is not an integer: '%s'", var, env));
+        StrFormat("$%s is not an integer: '%s'", kCompactTicksEnvVar, env));
   }
-  if (value <= 0) {
-    return InvalidArgumentError(StrFormat(
-        "$%s must be a positive integer (unset it to disable compaction), got '%s'", var,
-        env));
+  if (value <= 0 || value > std::numeric_limits<int>::max()) {
+    return InvalidArgumentError(
+        StrFormat("$%s must be a positive integer of at most %d (unset it to disable "
+                  "compaction), got '%s'",
+                  kCompactTicksEnvVar, std::numeric_limits<int>::max(), env));
   }
-  return static_cast<int64_t>(value);
+  return static_cast<int>(value);
 }
-
-}  // namespace
-
-Result<int> CompactTicksFromEnv() {
-  Result<int64_t> value = CompactEnvValue(kCompactTicksEnvVar);
-  if (!value.ok()) return value.status();
-  return static_cast<int>(*value);
-}
-
-Result<int64_t> CompactBytesFromEnv() { return CompactEnvValue(kCompactBytesEnvVar); }
 
 StoreOptions CheckpointStoreOptions() {
   StoreOptions options;
@@ -321,6 +239,36 @@ Result<OnlineStateChange> DecodeStateChange(const JsonValue& c) {
   return change;
 }
 
+JsonValue EncodeIdArray(const std::vector<core::FlexOfferId>& ids) {
+  JsonValue out = JsonValue::Array();
+  for (core::FlexOfferId id : ids) out.Append(JsonValue::Int(id));
+  return out;
+}
+
+Status DecodeIdArray(const JsonValue& value, const char* what,
+                     std::vector<core::FlexOfferId>* out) {
+  if (!value.is_array()) {
+    return DataLossError(StrFormat("%s is not an array", what));
+  }
+  out->clear();
+  for (size_t i = 0; i < value.size(); ++i) {
+    if (!value[i].is_int()) {
+      return DataLossError(StrFormat("%s holds a non-integer id", what));
+    }
+    out->push_back(value[i].AsInt());
+  }
+  return OkStatus();
+}
+
+Status NarrowToInt(int64_t value, const char* record, const char* field, int* out) {
+  if (value < std::numeric_limits<int>::min() || value > std::numeric_limits<int>::max()) {
+    return DataLossError(StrFormat("%s field '%s' holds %lld, outside int", record, field,
+                                   static_cast<long long>(value)));
+  }
+  *out = static_cast<int>(value);
+  return OkStatus();
+}
+
 std::string EncodeTickRecord(const OnlineTickRecord& record) {
   JsonValue json = JsonValue::Object();
   json.Set("tick", JsonValue::Int(record.tick));
@@ -345,8 +293,8 @@ std::string EncodeTickRecord(const OnlineTickRecord& record) {
   json.Set("shed", JsonValue::Int(record.shed_offers));
   json.Set("qhw", JsonValue::Int(record.queue_high_watermark));
   json.Set("next_arrival", JsonValue::Int(record.next_arrival));
-  json.Set("pend_acc", IdArray(record.pending_acceptance));
-  json.Set("pend_asn", IdArray(record.pending_assignment));
+  json.Set("pend_acc", EncodeIdArray(record.pending_acceptance));
+  json.Set("pend_asn", EncodeIdArray(record.pending_assignment));
   return json.Dump();
 }
 
@@ -355,41 +303,54 @@ Result<OnlineTickRecord> DecodeTickRecord(std::string_view text) {
   if (!parsed.ok() || !parsed->is_object()) {
     return DataLossError("journal record is not a JSON object");
   }
-  const JsonValue& json = *parsed;
+  return DecodeTickRecord(*parsed);
+}
+
+Result<OnlineTickRecord> DecodeTickRecord(const JsonValue& json) {
+  if (!json.is_object()) return DataLossError("journal record is not a JSON object");
   OnlineTickRecord record;
-  Result<int64_t> tick = json.GetInt("tick");
-  Result<int64_t> received = json.GetInt("received");
-  Result<int64_t> accepted = json.GetInt("accepted");
-  Result<int64_t> rejected = json.GetInt("rejected");
-  Result<int64_t> assigned = json.GetInt("assigned");
-  Result<int64_t> missed_acc = json.GetInt("missed_acc");
-  Result<int64_t> missed_asn = json.GetInt("missed_asn");
-  Result<int64_t> dropped = json.GetInt("dropped");
-  Result<int64_t> failed_sends = json.GetInt("failed_sends");
-  Result<int64_t> next_arrival = json.GetInt("next_arrival");
-  for (const Status* status :
-       {&tick.status(), &received.status(), &accepted.status(), &rejected.status(),
-        &assigned.status(), &missed_acc.status(), &missed_asn.status(), &dropped.status(),
-        &failed_sends.status(), &next_arrival.status()}) {
-    if (!status->ok()) {
+  struct IntField {
+    const char* key;
+    int* out;
+  };
+  // Required, in the order a missing one is reported (next_arrival, an
+  // int64, comes last).
+  const IntField required[] = {
+      {"tick", &record.tick},
+      {"received", &record.offers_received},
+      {"accepted", &record.accepted},
+      {"rejected", &record.rejected},
+      {"assigned", &record.assigned},
+      {"missed_acc", &record.missed_acceptance},
+      {"missed_asn", &record.missed_assignment},
+      {"dropped", &record.dropped_ingest},
+      {"failed_sends", &record.failed_sends},
+  };
+  for (const IntField& field : required) {
+    Result<int64_t> value = json.GetInt(field.key);
+    if (!value.ok()) {
       return DataLossError(
-          StrFormat("journal record is incomplete: %s", status->message().c_str()));
+          StrFormat("journal record is incomplete: %s", value.status().message().c_str()));
     }
+    FLEXVIS_RETURN_IF_ERROR(NarrowToInt(*value, "journal record", field.key, field.out));
   }
-  record.tick = static_cast<int>(*tick);
-  record.folded = json.Get("folded").is_bool() && json.Get("folded").AsBool();
-  record.shed_policy = static_cast<int>(GetIntOr(json, "shed_policy", 0));
-  record.offers_received = static_cast<int>(*received);
-  record.accepted = static_cast<int>(*accepted);
-  record.rejected = static_cast<int>(*rejected);
-  record.assigned = static_cast<int>(*assigned);
-  record.missed_acceptance = static_cast<int>(*missed_acc);
-  record.missed_assignment = static_cast<int>(*missed_asn);
-  record.dropped_ingest = static_cast<int>(*dropped);
-  record.failed_sends = static_cast<int>(*failed_sends);
-  record.shed_offers = static_cast<int>(GetIntOr(json, "shed", 0));
-  record.queue_high_watermark = static_cast<int>(GetIntOr(json, "qhw", 0));
+  Result<int64_t> next_arrival = json.GetInt("next_arrival");
+  if (!next_arrival.ok()) {
+    return DataLossError(StrFormat("journal record is incomplete: %s",
+                                   next_arrival.status().message().c_str()));
+  }
   record.next_arrival = *next_arrival;
+  // Optional-with-default: pre-overload records lack these keys.
+  const IntField optional[] = {
+      {"shed_policy", &record.shed_policy},
+      {"shed", &record.shed_offers},
+      {"qhw", &record.queue_high_watermark},
+  };
+  for (const IntField& field : optional) {
+    FLEXVIS_RETURN_IF_ERROR(
+        NarrowToInt(GetIntOr(json, field.key, 0), "journal record", field.key, field.out));
+  }
+  record.folded = json.Get("folded").is_bool() && json.Get("folded").AsBool();
 
   const JsonValue& changes = json.Get("changes");
   if (!changes.is_array()) return DataLossError("journal record lacks a 'changes' array");
@@ -410,105 +371,11 @@ Result<OnlineTickRecord> DecodeTickRecord(std::string_view text) {
     }
     record.sent.push_back(sent[i].AsString());
   }
-  FLEXVIS_RETURN_IF_ERROR(ReadIdArray(json, "pend_acc", &record.pending_acceptance));
-  FLEXVIS_RETURN_IF_ERROR(ReadIdArray(json, "pend_asn", &record.pending_assignment));
+  FLEXVIS_RETURN_IF_ERROR(DecodeIdArray(json.Get("pend_acc"), "tick record field 'pend_acc'",
+                                        &record.pending_acceptance));
+  FLEXVIS_RETURN_IF_ERROR(DecodeIdArray(json.Get("pend_asn"), "tick record field 'pend_asn'",
+                                        &record.pending_assignment));
   return record;
-}
-
-Result<OnlineReport> RunOnlineCheckpointed(const OnlineParams& params,
-                                           const std::vector<core::FlexOffer>& offers,
-                                           const timeutil::TimeInterval& window,
-                                           const std::string& directory) {
-  OnlineEnterprise enterprise(params);
-  Result<OnlineLoopState> state = enterprise.Begin(offers, window);
-  if (!state.ok()) return state.status();
-
-  // Create invalidates any previous checkpoint (manifest removed first) and
-  // commits the generation-0 snapshot before the first tick runs.
-  const StoreFiles snapshot = EncodeOnlineSnapshot(params, offers, window);
-  Result<DurableStore> store =
-      DurableStore::Create(directory, CheckpointStoreOptions(), snapshot, JsonValue());
-  if (!store.ok()) return store.status();
-
-  OnlineTickRecord fold;
-  return ContinueJournaled(enterprise, *std::move(state), *store, snapshot, &fold, nullptr,
-                           0);
-}
-
-Result<OnlineReport> ResumeOnline(const std::string& directory, ResumeInfo* info) {
-  if (info != nullptr) *info = ResumeInfo{};
-
-  // Store integrity gates everything: a crash before the manifest landed
-  // means no tick ever ran (the journal is only written after the snapshot
-  // commits), so the caller can simply rerun from its inputs. Resume also
-  // repairs a torn journal tail and garbage-collects compaction debris.
-  StoreRecovery recovery;
-  Result<DurableStore> store =
-      DurableStore::Resume(directory, CheckpointStoreOptions(), &recovery);
-  if (!store.ok()) return store.status();
-
-  OnlineParams params;
-  timeutil::TimeInterval window;
-  std::vector<core::FlexOffer> offers;
-  FLEXVIS_RETURN_IF_ERROR(DecodeOnlineSnapshot(recovery, &params, &offers, &window));
-
-  OnlineEnterprise enterprise(params);
-  Result<OnlineLoopState> state = enterprise.Begin(offers, window);
-  if (!state.ok()) return state.status();
-
-  // A compacted generation carries the fold of every tick before the
-  // compaction point as state.json — one Apply recovers them all.
-  OnlineTickRecord fold;
-  auto folded_state = recovery.files.find(kCheckpointStateFile);
-  if (folded_state != recovery.files.end()) {
-    Result<OnlineTickRecord> base = DecodeTickRecord(folded_state->second);
-    if (!base.ok()) return base.status();
-    if (!base->folded) {
-      return DataLossError("checkpoint state.json is not a folded tick record");
-    }
-    FLEXVIS_RETURN_IF_ERROR(enterprise.Apply(*state, *base));
-    fold = *std::move(base);
-    if (info != nullptr) info->ticks_folded = fold.tick + 1;
-  }
-
-  // Replay the journal tail of the committed generation, accounting its
-  // record payload so the byte trigger resumes mid-budget.
-  uint64_t tail_bytes = 0;
-  for (const std::string& record_text : recovery.records) {
-    Result<OnlineTickRecord> record = DecodeTickRecord(record_text);
-    if (!record.ok()) return record.status();
-    FLEXVIS_RETURN_IF_ERROR(enterprise.Apply(*state, *record));
-    FoldTickRecordInto(&fold, *record);
-    tail_bytes += record_text.size();
-  }
-  if (info != nullptr) {
-    info->ticks_replayed = static_cast<int>(recovery.records.size());
-    info->generation = recovery.generation;
-    info->torn_tail = recovery.torn_tail;
-    info->torn_bytes = recovery.torn_bytes;
-  }
-
-  // A journal tail that ends on a compaction boundary — the tick cadence, or
-  // a record payload at/over the byte budget — means the crash interrupted
-  // that boundary's compaction: an uninterrupted run compacts before the
-  // next tick starts, so it never leaves such a tail. Re-execute the
-  // compaction now: the directory converges to the layout the uninterrupted
-  // run would have, and the bounded-replay guarantees (at most compact_ticks
-  // records / compact_bytes payload, plus one record) hold again after
-  // recovery.
-  const StoreFiles snapshot = EncodeOnlineSnapshot(params, offers, window);
-  const bool ticks_due = params.compact_ticks > 0 &&
-                         (fold.tick + 1) % params.compact_ticks == 0;
-  const bool bytes_due = params.compact_bytes > 0 &&
-                         tail_bytes >= static_cast<uint64_t>(params.compact_bytes);
-  if (!recovery.records.empty() && (ticks_due || bytes_due)) {
-    StoreFiles files = snapshot;
-    files.emplace_back(kCheckpointStateFile, EncodeTickRecord(fold));
-    FLEXVIS_RETURN_IF_ERROR(store->Compact(files, JsonValue()));
-    tail_bytes = 0;
-  }
-  return ContinueJournaled(enterprise, *std::move(state), *store, snapshot, &fold,
-                           info != nullptr ? &info->ticks_continued : nullptr, tail_bytes);
 }
 
 }  // namespace flexvis::sim

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/online.h"
@@ -12,41 +13,32 @@
 
 namespace flexvis::sim {
 
-/// Crash-consistent checkpointing for the online planning loop, built on the
-/// generational util/store engine. A checkpoint directory is one DurableStore
-/// whose generation holds
+/// The per-shard checkpoint store of the online planning loop and its
+/// record codec. Every checkpointed online run goes through the coordinator
+/// (sim/coordinator; a single enterprise is a 1-shard run), which keeps one
+/// generational util/store store per shard (shard-0000/, shard-0001/, ...)
+/// under its run directory. A shard store's generation holds
 ///
-///   meta.json       window + OnlineParams (the run's immutable inputs)
-///   offers.jsonl    the input flex-offers, one message-format offer per line
+///   meta.json       window + the shard's OnlineParams (immutable inputs)
+///   offers.jsonl    the shard's member flex-offers, one message-format offer
+///                   per line, in global input order
 ///   state.json      (generations > 0 only) the folded tick record carrying
 ///                   every tick compacted so far
 ///   SNAPSHOT.json   the store manifest (generation + size/CRC over the
 ///                   files above), written last — the commit point
-///   journal.wal     write-ahead journal of OnlineTickRecords, one frame per
-///                   tick, flushed after every append
+///   journal.wal     write-ahead journal: one tick record per tick (plus the
+///                   coordinator's migration records), flushed every tick
 ///
-/// RunOnlineCheckpointed snapshots the inputs before the first tick and
-/// journals every tick's decisions; ResumeOnline rebuilds the loop state by
-/// replaying snapshot + folded state + journal — applying recorded
-/// decisions, never re-running them — and continues the run, producing an
-/// OnlineReport and outbox byte-identical to an uninterrupted run. A crash
-/// before the snapshot manifest lands surfaces as kDataLoss (nothing was
-/// promised yet; rerun from the inputs); a torn journal tail is truncated
-/// and the lost ticks re-executed.
-///
-/// Compaction: with OnlineParams::compact_ticks = C > 0 the run folds the
-/// journal into a new store generation after every C-th tick — the folded
-/// record becomes state.json, the manifest commit supersedes the old
-/// generation, and the WAL restarts empty — so a resume replays at most C
-/// tick records no matter how long the run is. OnlineParams::compact_bytes
-/// = B > 0 adds a size trigger on the same fold: the run also compacts as
-/// soon as the journal's record payload since the last fold reaches B bytes
-/// (Σ EncodeTickRecord sizes — a deterministic function of the decisions, so
-/// the fold boundaries stay identical across reruns and resumes), bounding
-/// resume replay by byte budget even when tick records vary wildly in size.
-/// Either trigger may be used alone or both together. Generation > 0 files
-/// carry a ".g<G>" suffix; recovery lands on exactly one committed
-/// generation and garbage-collects the debris of the other.
+/// A tick record (EncodeTickRecord) carries everything one tick decided —
+/// offer-state changes, sent wires, post-tick counters, arrival cursor and
+/// queues — so OnlineEnterprise::Apply replays it without re-running any
+/// decision logic or fault draw. FoldTickRecordInto merges consecutive
+/// records into one folded record: compaction (OnlineParams::compact_ticks =
+/// C > 0) writes that fold as state.json of a new generation after every
+/// C-th global tick and restarts the WAL, so a resume replays at most C
+/// records no matter how long the run is. Generation > 0 files carry a
+/// ".g<G>" suffix; recovery lands on exactly one committed generation and
+/// garbage-collects the debris of the other.
 
 inline constexpr const char* kCheckpointMetaFile = "meta.json";
 inline constexpr const char* kCheckpointOffersFile = "offers.jsonl";
@@ -54,11 +46,10 @@ inline constexpr const char* kCheckpointStateFile = "state.json";
 inline constexpr const char* kCheckpointManifestFile = "SNAPSHOT.json";
 inline constexpr const char* kCheckpointJournalFile = "journal.wal";
 
-/// Environment knobs for the compaction cadence. Unset or empty = off;
+/// Environment knob for the compaction cadence. Unset or empty = off;
 /// anything else must parse as a strictly positive integer (ticks between
-/// folds / journal bytes between folds).
+/// folds).
 inline constexpr const char* kCompactTicksEnvVar = "FLEXVIS_COMPACT_TICKS";
-inline constexpr const char* kCompactBytesEnvVar = "FLEXVIS_COMPACT_BYTES";
 
 /// Parses $FLEXVIS_COMPACT_TICKS into an OnlineParams::compact_ticks value.
 /// Unset/empty yields 0 (off); a set value that is unparsable, zero, or
@@ -68,14 +59,12 @@ inline constexpr const char* kCompactBytesEnvVar = "FLEXVIS_COMPACT_BYTES";
 /// environment behind a caller's back.
 Result<int> CompactTicksFromEnv();
 
-/// Same contract for $FLEXVIS_COMPACT_BYTES -> OnlineParams::compact_bytes.
-Result<int64_t> CompactBytesFromEnv();
-
 /// The store layout above as StoreOptions (manifest SNAPSHOT.json, WAL
 /// journal.wal). The sharded coordinator opens one such store per shard.
 StoreOptions CheckpointStoreOptions();
 
-/// Observability of a recovery: how much state came back from disk.
+/// Observability of one shard's recovery (an element of
+/// ShardResumeInfo::shards): how much state came back from disk.
 struct ResumeInfo {
   /// Ticks recovered from the folded state.json of a compacted generation
   /// (no decision logic re-run, no per-tick records read).
@@ -93,31 +82,14 @@ struct ResumeInfo {
   uint64_t torn_bytes = 0;
 };
 
-/// Runs the online loop over `window` with checkpointing into `directory`
-/// (created if needed; any previous run's checkpoint there is replaced).
-/// Each tick is journaled and flushed before the next begins, so at every
-/// instant the directory recovers to a prefix of this run.
-Result<OnlineReport> RunOnlineCheckpointed(const OnlineParams& params,
-                                           const std::vector<core::FlexOffer>& offers,
-                                           const timeutil::TimeInterval& window,
-                                           const std::string& directory);
-
-/// Recovers a run from `directory`: verifies the committed store generation
-/// (kDataLoss when the snapshot is partial or corrupt), applies the folded
-/// state (if the run compacted) and the journal tail (truncating a torn
-/// frame), then continues the remaining ticks — journaling and compacting on
-/// the cadence recorded in meta.json — and returns the completed report.
-/// Byte-identical to the report the uninterrupted run would have produced,
-/// including the outbox stream.
-Result<OnlineReport> ResumeOnline(const std::string& directory, ResumeInfo* info = nullptr);
-
-/// Serialization of one tick record (exposed for tests and the recovery
-/// bench): compact JSON via EncodeTickRecord, strict decode via
-/// DecodeTickRecord (missing fields or type mismatches error; the overload /
-/// compaction fields added later are optional-with-default so older journals
-/// still replay).
+/// Serialization of one tick record: compact JSON via EncodeTickRecord,
+/// strict decode via DecodeTickRecord (kDataLoss for missing fields, type
+/// mismatches, or int fields outside int; the overload / compaction fields
+/// added later are optional-with-default so older journals still replay).
+/// The JsonValue overload decodes a record the caller already parsed.
 std::string EncodeTickRecord(const OnlineTickRecord& record);
 Result<OnlineTickRecord> DecodeTickRecord(std::string_view text);
+Result<OnlineTickRecord> DecodeTickRecord(const JsonValue& json);
 
 /// One offer-state change as a JSON object ({"offer","state"} plus
 /// {"start_min","kwh"} when a schedule is attached) — the element format of
@@ -127,6 +99,18 @@ Result<OnlineTickRecord> DecodeTickRecord(std::string_view text);
 JsonValue EncodeStateChange(const OnlineStateChange& change);
 Result<OnlineStateChange> DecodeStateChange(const JsonValue& value);
 
+/// A list of offer ids as a JSON array of integers — the queue fields of a
+/// tick record and of a migration record. DecodeIdArray replaces `*out`; its
+/// kDataLoss messages start with `what` ("tick record field 'pend_acc'").
+JsonValue EncodeIdArray(const std::vector<core::FlexOfferId>& ids);
+Status DecodeIdArray(const JsonValue& value, const char* what,
+                     std::vector<core::FlexOfferId>* out);
+
+/// Narrows `record`'s decoded int field `field` ("journal record", "tick"):
+/// kDataLoss naming both and the value when it lies outside int, where a
+/// cast would silently wrap.
+Status NarrowToInt(int64_t value, const char* record, const char* field, int* out);
+
 /// Merges `record` (the next tick) into the running fold `*fold`: deltas
 /// (changes, sent wires) concatenate in order, absolute fields (counters,
 /// cursor, queues) come from `record`, and the result is marked folded.
@@ -134,11 +118,7 @@ Result<OnlineStateChange> DecodeStateChange(const JsonValue& value);
 /// live post-tick-K state byte for byte — the invariant compaction rests on.
 void FoldTickRecordInto(OnlineTickRecord* fold, OnlineTickRecord record);
 
-// ---- Snapshot codec (shared with sim/coordinator) ---------------------------
-//
-// The sharded coordinator namespaces one of these checkpoint stores per
-// shard (shard-0000/, shard-0001/, ...) under its run directory, so every
-// shard owns exactly the layout a single-enterprise checkpoint uses.
+// ---- Snapshot codec -----------------------------------------------------------
 
 /// The immutable snapshot content (meta.json, offers.jsonl) for
 /// DurableStore::Create/Compact. Never includes state.json — compaction

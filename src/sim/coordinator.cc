@@ -4,10 +4,12 @@
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <utility>
+#include <variant>
 
 #include "core/messages.h"
 #include "sim/workload.h"
@@ -52,6 +54,84 @@ void AddAligned(core::TimeSeries* acc, const core::TimeSeries& other) {
   acc->Add(other);
 }
 
+/// The energy-model means one shard of an `n`-shard fleet balances: the
+/// zone's means divided by n when `scale` is set (exact at n = 1).
+EnergyModelParams ShardEnergy(EnergyModelParams energy, int n, bool scale) {
+  if (scale) {
+    const double divisor = static_cast<double>(n);
+    energy.wind_mean_kwh /= divisor;
+    energy.solar_peak_kwh /= divisor;
+    energy.demand_base_kwh /= divisor;
+  }
+  return energy;
+}
+
+/// One shard's post-tick load, as the rebalance controller observes it —
+/// the same sample whether the tick ran live or was replayed.
+ShardLoadSample LoadSampleOf(const OnlineLoopState& state) {
+  ShardLoadSample sample;
+  sample.shed_offers = state.report.shed_offers;
+  sample.queue_depth = static_cast<int>(state.pending_acceptance.size());
+  sample.backlog = static_cast<int64_t>(state.arrival.size() - state.next_arrival);
+  return sample;
+}
+
+/// Adds one shard's cumulative counters and outbox into `total`; the queue
+/// watermark is a maximum, not a sum.
+void AddCounters(OnlineReport* total, const OnlineReport& shard) {
+  total->offers_received += shard.offers_received;
+  total->accepted += shard.accepted;
+  total->rejected += shard.rejected;
+  total->assigned += shard.assigned;
+  total->missed_acceptance += shard.missed_acceptance;
+  total->missed_assignment += shard.missed_assignment;
+  total->dropped_ingest += shard.dropped_ingest;
+  total->failed_sends += shard.failed_sends;
+  total->shed_offers += shard.shed_offers;
+  total->queue_high_watermark =
+      std::max(total->queue_high_watermark, shard.queue_high_watermark);
+  total->outbox.insert(total->outbox.end(), shard.outbox.begin(), shard.outbox.end());
+}
+
+/// True when the global tick boundary after `tick` is a compaction point:
+/// the cadence keys off the absolute tick index, so a resumed run compacts
+/// at the same boundaries the uninterrupted run would.
+bool CompactsAfter(int compact_ticks, int64_t tick) {
+  return compact_ticks > 0 && (tick + 1) % compact_ticks == 0;
+}
+
+/// Applies `fold` onto `*state` — a fresh Begin over the shard's new members
+/// under the shard-owning `enterprise` — then verifies that the consumed
+/// arrival prefix is exactly `expect_consumed` as a set (FailedPrecondition
+/// otherwise: ingest-backlog skew would reorder consumed history). On error
+/// `*state` is half-built and must be discarded.
+Status ApplySplice(const OnlineEnterprise& enterprise, const OnlineTickRecord& fold,
+                   const std::vector<core::FlexOfferId>& expect_consumed,
+                   OnlineLoopState* state) {
+  FLEXVIS_RETURN_IF_ERROR(enterprise.Apply(*state, fold));
+  if (state->next_arrival != expect_consumed.size()) {
+    return FailedPreconditionError(
+        StrFormat("spliced arrival cursor %zu does not cover the %zu consumed arrivals; "
+                  "ingest-backlog skew would rewrite consumed history",
+                  state->next_arrival, expect_consumed.size()));
+  }
+  // Set equality over the prefix: stable arrival ordering makes membership
+  // the only degree of freedom — an unconsumed offer sorting into the prefix
+  // (or a consumed one sorting out) is exactly the backlog-skew reorder the
+  // migration must refuse.
+  std::set<core::FlexOfferId> expect(expect_consumed.begin(), expect_consumed.end());
+  for (size_t pos = 0; pos < state->next_arrival; ++pos) {
+    const core::FlexOfferId id = state->report.offers[state->arrival[pos]].id;
+    if (expect.erase(id) == 0) {
+      return FailedPreconditionError(StrFormat(
+          "offer %lld lands inside the spliced consumed-arrival prefix but was never "
+          "consumed; ingest-backlog skew would reorder consumed history",
+          static_cast<long long>(id)));
+    }
+  }
+  return OkStatus();
+}
+
 // ---- Migration journal records ----------------------------------------------
 //
 // Tick records serialize as JSON objects without a "kind" key (the PR 3
@@ -77,26 +157,6 @@ struct MigrationRecord {
   MigratedState moved;
 };
 
-JsonValue IdArray(const std::vector<core::FlexOfferId>& ids) {
-  JsonValue out = JsonValue::Array();
-  for (core::FlexOfferId id : ids) out.Append(JsonValue::Int(id));
-  return out;
-}
-
-Status DecodeIdArray(const JsonValue& value, const char* what,
-                     std::vector<core::FlexOfferId>* out) {
-  if (!value.is_array()) {
-    return DataLossError(StrFormat("migration record '%s' is not an array", what));
-  }
-  for (size_t i = 0; i < value.size(); ++i) {
-    if (!value[i].is_int()) {
-      return DataLossError(StrFormat("migration record '%s' holds a non-integer id", what));
-    }
-    out->push_back(value[i].AsInt());
-  }
-  return OkStatus();
-}
-
 std::string EncodeMigrationRecord(const MigrationRecord& record) {
   JsonValue json = JsonValue::Object();
   json.Set("kind", JsonValue::Str(record.is_in ? "migrate_in" : "migrate_out"));
@@ -113,9 +173,9 @@ std::string EncodeMigrationRecord(const MigrationRecord& record) {
   }
   if (!record.moved.idle()) {
     json.Set("active", JsonValue::Bool(true));
-    json.Set("consumed", IdArray(record.moved.consumed));
-    json.Set("pend_acc", IdArray(record.moved.pending_acceptance));
-    json.Set("pend_asn", IdArray(record.moved.pending_assignment));
+    json.Set("consumed", EncodeIdArray(record.moved.consumed));
+    json.Set("pend_acc", EncodeIdArray(record.moved.pending_acceptance));
+    json.Set("pend_asn", EncodeIdArray(record.moved.pending_assignment));
     JsonValue states = JsonValue::Array();
     for (const OnlineStateChange& change : record.moved.states) {
       states.Append(EncodeStateChange(change));
@@ -141,8 +201,8 @@ Result<MigrationRecord> DecodeMigrationRecord(const JsonValue& json) {
     return DataLossError(StrFormat("unknown journal record kind '%s'", kind->c_str()));
   }
   record.prosumer = *prosumer;
-  record.from = static_cast<int>(*from);
-  record.to = static_cast<int>(*to);
+  FLEXVIS_RETURN_IF_ERROR(NarrowToInt(*from, "migration record", "from", &record.from));
+  FLEXVIS_RETURN_IF_ERROR(NarrowToInt(*to, "migration record", "to", &record.to));
   record.epoch = *epoch;
   if (record.is_in) {
     const JsonValue& offers = json.Get("offers");
@@ -164,12 +224,12 @@ Result<MigrationRecord> DecodeMigrationRecord(const JsonValue& json) {
     if (!active.ok() || !*active) {
       return DataLossError("migration record 'active' flag is malformed");
     }
-    FLEXVIS_RETURN_IF_ERROR(
-        DecodeIdArray(json.Get("consumed"), "consumed", &record.moved.consumed));
-    FLEXVIS_RETURN_IF_ERROR(
-        DecodeIdArray(json.Get("pend_acc"), "pend_acc", &record.moved.pending_acceptance));
-    FLEXVIS_RETURN_IF_ERROR(
-        DecodeIdArray(json.Get("pend_asn"), "pend_asn", &record.moved.pending_assignment));
+    FLEXVIS_RETURN_IF_ERROR(DecodeIdArray(json.Get("consumed"), "migration record 'consumed'",
+                                          &record.moved.consumed));
+    FLEXVIS_RETURN_IF_ERROR(DecodeIdArray(json.Get("pend_acc"), "migration record 'pend_acc'",
+                                          &record.moved.pending_acceptance));
+    FLEXVIS_RETURN_IF_ERROR(DecodeIdArray(json.Get("pend_asn"), "migration record 'pend_asn'",
+                                          &record.moved.pending_assignment));
     const JsonValue& states = json.Get("states");
     if (!states.is_array()) {
       return DataLossError("migration record 'states' is not an array");
@@ -183,15 +243,11 @@ Result<MigrationRecord> DecodeMigrationRecord(const JsonValue& json) {
   return record;
 }
 
-/// One replayed journal entry: either a tick record or a migration record.
-struct ReplayedRecord {
-  bool is_migration = false;
-  OnlineTickRecord tick;
-  MigrationRecord migration;
-};
+/// One replayed journal entry: a tick record or a migration record. A
+/// variant, not a pair: resume holds every WAL record at once.
+using ReplayedRecord = std::variant<OnlineTickRecord, MigrationRecord>;
 
 Result<ReplayedRecord> ParseJournalRecord(const std::string& payload) {
-  ReplayedRecord out;
   Result<JsonValue> parsed = JsonValue::Parse(payload);
   if (!parsed.ok() || !parsed->is_object()) {
     return DataLossError("journal record is not a JSON object");
@@ -199,14 +255,11 @@ Result<ReplayedRecord> ParseJournalRecord(const std::string& payload) {
   if (parsed->Has("kind")) {
     Result<MigrationRecord> migration = DecodeMigrationRecord(*parsed);
     if (!migration.ok()) return migration.status();
-    out.is_migration = true;
-    out.migration = *std::move(migration);
-    return out;
+    return ReplayedRecord(*std::move(migration));
   }
-  Result<OnlineTickRecord> tick = DecodeTickRecord(payload);
+  Result<OnlineTickRecord> tick = DecodeTickRecord(*parsed);
   if (!tick.ok()) return tick.status();
-  out.tick = *std::move(tick);
-  return out;
+  return ReplayedRecord(*std::move(tick));
 }
 
 /// COORDINATOR.json as a zero-file util/store generation: the
@@ -240,11 +293,10 @@ int ShardsFromEnv(int fallback) {
   return static_cast<int>(value);
 }
 
-/// Everything one shard owns: its loop parameters (energy scaled, faults
-/// pointed at the shard registry), its fault registry, its live state, its
-/// history, and — when checkpointed — its open durable store.
+/// Everything one shard owns: its fault registry, its enterprise (whose
+/// params carry the shard's scaled energy and point at that registry), its
+/// live state, its history, and — when checkpointed — its open durable store.
 struct Coordinator::Shard {
-  OnlineParams params;
   std::unique_ptr<FaultRegistry> registry;
   OnlineEnterprise enterprise;
   OnlineLoopState state;
@@ -258,10 +310,12 @@ struct Coordinator::Shard {
   DurableStore store;
 };
 
+// Clamped to [1, kMaxShards] up front, so every manifest a run writes names
+// a count ResumeSharded accepts.
 Coordinator::Coordinator(CoordinatorParams params)
     : params_(std::move(params)),
-      router_(params_.num_shards < 1 ? 1 : params_.num_shards, params_.policy) {
-  if (params_.num_shards < 1) params_.num_shards = 1;
+      router_(std::clamp(params_.num_shards, 1, kMaxShards), params_.policy) {
+  params_.num_shards = router_.num_shards();
 }
 
 Coordinator::~Coordinator() = default;
@@ -279,6 +333,21 @@ std::string Coordinator::ShardDir(int shard) const {
   return (fs::path(directory_) / ShardDirName(topology_, shard)).string();
 }
 
+Status Coordinator::AddShard(int s, OnlineParams params, const std::vector<FlexOffer>& members,
+                             std::vector<std::unique_ptr<Shard>>* fleet) const {
+  auto shard = std::make_unique<Shard>();
+  shard->registry = std::make_unique<FaultRegistry>();
+  FLEXVIS_RETURN_IF_ERROR(
+      InstallFaultsInto(*shard->registry, ShardSeed(params_.fault_seed, s)));
+  params.faults = shard->registry.get();
+  shard->enterprise = OnlineEnterprise(std::move(params));
+  Result<OnlineLoopState> state = shard->enterprise.Begin(members, window_);
+  if (!state.ok()) return state.status();
+  shard->state = *std::move(state);
+  fleet->push_back(std::move(shard));
+  return OkStatus();
+}
+
 Status Coordinator::Begin(const std::vector<FlexOffer>& offers, const TimeInterval& window) {
   if (begun_) return FailedPreconditionError("coordinator already begun");
   offers_ = offers;
@@ -294,27 +363,13 @@ Status Coordinator::Begin(const std::vector<FlexOffer>& offers, const TimeInterv
   const int n = params_.num_shards;
   std::vector<std::vector<size_t>> partition = router_.Partition(offers_);
   shards_.clear();
+  OnlineParams shard_params = params_.online;
+  shard_params.energy = ShardEnergy(base_energy_, n, params_.scale_energy_per_shard);
   for (int s = 0; s < n; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->registry = std::make_unique<FaultRegistry>();
-    FLEXVIS_RETURN_IF_ERROR(
-        InstallFaultsInto(*shard->registry, ShardSeed(params_.fault_seed, s)));
-    shard->params = params_.online;
-    shard->params.faults = shard->registry.get();
-    if (params_.scale_energy_per_shard) {
-      const double divisor = static_cast<double>(n);
-      shard->params.energy.wind_mean_kwh /= divisor;
-      shard->params.energy.solar_peak_kwh /= divisor;
-      shard->params.energy.demand_base_kwh /= divisor;
-    }
-    shard->enterprise = OnlineEnterprise(shard->params);
     std::vector<FlexOffer> subset;
     subset.reserve(partition[static_cast<size_t>(s)].size());
     for (size_t idx : partition[static_cast<size_t>(s)]) subset.push_back(offers_[idx]);
-    Result<OnlineLoopState> state = shard->enterprise.Begin(subset, window);
-    if (!state.ok()) return state.status();
-    shard->state = *std::move(state);
-    shards_.push_back(std::move(shard));
+    FLEXVIS_RETURN_IF_ERROR(AddShard(s, shard_params, subset, &shards_));
   }
   begun_ = true;
   return OkStatus();
@@ -353,7 +408,8 @@ Status Coordinator::BeginCheckpointed(const std::vector<FlexOffer>& offers,
     for (size_t idx : partition[static_cast<size_t>(s)]) subset.push_back(offers_[idx]);
     Result<DurableStore> store = DurableStore::Create(
         ShardDir(s), CheckpointStoreOptions(),
-        EncodeOnlineSnapshot(shards_[static_cast<size_t>(s)]->params, subset, window),
+        EncodeOnlineSnapshot(shards_[static_cast<size_t>(s)]->enterprise.params(), subset,
+                             window),
         JsonValue());
     if (!store.ok()) return store.status();
     shards_[static_cast<size_t>(s)]->store = *std::move(store);
@@ -430,12 +486,10 @@ Status Coordinator::Tick() {
     if (complete) FLEXVIS_RETURN_IF_ERROR(ObserveAndRebalance(min_tick, &resized));
   }
 
-  // Checkpoint compaction at the global tick boundary: cadence keys off the
-  // absolute tick index so a resumed run compacts at the same boundaries the
-  // uninterrupted run would. A resize already committed fresh snapshots (and
-  // empty WALs) this boundary, so there is nothing left to fold.
-  const int compact_ticks = params_.online.compact_ticks;
-  if (!resized && checkpointed_ && compact_ticks > 0 && (min_tick + 1) % compact_ticks == 0) {
+  // Checkpoint compaction at the global tick boundary. A resize already
+  // committed fresh snapshots (and empty WALs) this boundary, so there is
+  // nothing left to fold.
+  if (!resized && checkpointed_ && CompactsAfter(params_.online.compact_ticks, min_tick)) {
     FLEXVIS_RETURN_IF_ERROR(CompactShards());
   }
   return OkStatus();
@@ -467,7 +521,7 @@ Status Coordinator::CompactShards(const std::vector<bool>* include) {
     for (const FlexOffer& offer : offers_) {
       if (shard.state.index_of.count(offer.id) != 0) subset.push_back(offer);
     }
-    StoreFiles files = EncodeOnlineSnapshot(shard.params, subset, window_);
+    StoreFiles files = EncodeOnlineSnapshot(shard.enterprise.params(), subset, window_);
     files.emplace_back(kCheckpointStateFile, EncodeTickRecord(shard.history));
     FLEXVIS_RETURN_IF_ERROR(shard.store.Compact(files, JsonValue()));
   }
@@ -570,38 +624,6 @@ MigratedState Coordinator::ExtractMovedState(int s, core::ProsumerId prosumer) c
   return moved;
 }
 
-Status Coordinator::BuildSplicedState(const OnlineEnterprise& enterprise,
-                                      const std::vector<FlexOffer>& subset,
-                                      const OnlineTickRecord& fold,
-                                      const std::vector<core::FlexOfferId>& expect_consumed,
-                                      OnlineLoopState* out) const {
-  Result<OnlineLoopState> rebuilt = enterprise.Begin(subset, window_);
-  if (!rebuilt.ok()) return rebuilt.status();
-  FLEXVIS_RETURN_IF_ERROR(enterprise.Apply(*rebuilt, fold));
-  if (rebuilt->next_arrival != expect_consumed.size()) {
-    return FailedPreconditionError(
-        StrFormat("spliced arrival cursor %zu does not cover the %zu consumed arrivals; "
-                  "ingest-backlog skew would rewrite consumed history",
-                  rebuilt->next_arrival, expect_consumed.size()));
-  }
-  // Set equality over the prefix: stable arrival ordering makes membership
-  // the only degree of freedom — an unconsumed offer sorting into the prefix
-  // (or a consumed one sorting out) is exactly the backlog-skew reorder the
-  // migration must refuse.
-  std::set<core::FlexOfferId> expect(expect_consumed.begin(), expect_consumed.end());
-  for (size_t pos = 0; pos < rebuilt->next_arrival; ++pos) {
-    const core::FlexOfferId id = rebuilt->report.offers[rebuilt->arrival[pos]].id;
-    if (expect.erase(id) == 0) {
-      return FailedPreconditionError(StrFormat(
-          "offer %lld lands inside the spliced consumed-arrival prefix but was never "
-          "consumed; ingest-backlog skew would reorder consumed history",
-          static_cast<long long>(id)));
-    }
-  }
-  *out = *std::move(rebuilt);
-  return OkStatus();
-}
-
 Status Coordinator::Splice(core::ProsumerId prosumer, int from, int to, int64_t epoch,
                            const MigratedState& moved, SpliceSides sides,
                            const std::function<Status()>& make_durable) {
@@ -635,13 +657,10 @@ Status Coordinator::Splice(core::ProsumerId prosumer, int from, int to, int64_t 
         subset.push_back(offer);
       }
     }
-    if (live.next_tick == 0) {
-      // Nothing has run yet: the new membership is the whole state.
-      Result<OnlineLoopState> fresh = enterprise.Begin(subset, window_);
-      if (!fresh.ok()) return fresh.status();
-      side.state = *std::move(fresh);
-      continue;
-    }
+    Result<OnlineLoopState> fresh = enterprise.Begin(subset, window_);
+    if (!fresh.ok()) return fresh.status();
+    side.state = *std::move(fresh);
+    if (live.next_tick == 0) continue;  // the new membership is the whole state
     // An idle move changes no decision, so the shard keeps its own history
     // (and with it its residual, bit for bit). Moved decisions re-base the
     // shard onto its collapsed Snapshot instead.
@@ -686,7 +705,7 @@ Status Coordinator::Splice(core::ProsumerId prosumer, int from, int to, int64_t 
                                            static_cast<int>(fold.pending_acceptance.size()));
     }
     fold.next_arrival = static_cast<int64_t>(expect.size());
-    FLEXVIS_RETURN_IF_ERROR(BuildSplicedState(enterprise, subset, fold, expect, &side.state));
+    FLEXVIS_RETURN_IF_ERROR(ApplySplice(enterprise, fold, expect, &side.state));
   }
 
   if (make_durable) FLEXVIS_RETURN_IF_ERROR(make_durable());
@@ -728,7 +747,7 @@ Status Coordinator::Resize(int new_num_shards) {
   std::vector<core::FlexOfferId> global_pend_acc;
   std::vector<core::FlexOfferId> global_pend_asn;
   std::map<core::FlexOfferId, OnlineStateChange> decided;
-  OnlineTickRecord totals;
+  OnlineReport totals;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     const OnlineLoopState& st = shard->state;
     for (size_t pos = 0; pos < st.next_arrival; ++pos) {
@@ -748,18 +767,7 @@ Status Coordinator::Resize(int new_num_shards) {
       if (offer.state == core::FlexOfferState::kAssigned) change.schedule = offer.schedule;
       decided.emplace(offer.id, std::move(change));
     }
-    totals.offers_received += st.report.offers_received;
-    totals.accepted += st.report.accepted;
-    totals.rejected += st.report.rejected;
-    totals.assigned += st.report.assigned;
-    totals.missed_acceptance += st.report.missed_acceptance;
-    totals.missed_assignment += st.report.missed_assignment;
-    totals.dropped_ingest += st.report.dropped_ingest;
-    totals.failed_sends += st.report.failed_sends;
-    totals.shed_offers += st.report.shed_offers;
-    totals.queue_high_watermark =
-        std::max(totals.queue_high_watermark, st.report.queue_high_watermark);
-    for (const std::string& wire : st.report.outbox) totals.sent.push_back(wire);
+    AddCounters(&totals, st.report);
   }
 
   // Build the new fleet speculatively: fresh router (a resize drops all
@@ -772,30 +780,16 @@ Status Coordinator::Resize(int new_num_shards) {
   std::vector<std::vector<size_t>> partition = new_router.Partition(offers_);
   std::vector<std::unique_ptr<Shard>> new_shards;
   std::vector<std::vector<FlexOffer>> subsets(static_cast<size_t>(new_n));
+  OnlineParams shard_params = params_.online;
+  shard_params.energy = ShardEnergy(base_energy_, new_n, params_.scale_energy_per_shard);
   for (int s = 0; s < new_n; ++s) {
     const size_t si = static_cast<size_t>(s);
     subsets[si].reserve(partition[si].size());
     for (size_t idx : partition[si]) subsets[si].push_back(offers_[idx]);
-    auto shard = std::make_unique<Shard>();
-    shard->registry = std::make_unique<FaultRegistry>();
-    FLEXVIS_RETURN_IF_ERROR(
-        InstallFaultsInto(*shard->registry, ShardSeed(params_.fault_seed, s)));
-    shard->params = params_.online;
-    shard->params.energy = base_energy_;
-    if (params_.scale_energy_per_shard) {
-      const double divisor = static_cast<double>(new_n);
-      shard->params.energy.wind_mean_kwh /= divisor;
-      shard->params.energy.solar_peak_kwh /= divisor;
-      shard->params.energy.demand_base_kwh /= divisor;
-    }
-    shard->params.faults = shard->registry.get();
-    shard->enterprise = OnlineEnterprise(shard->params);
-    if (next_tick == 0) {
-      Result<OnlineLoopState> state = shard->enterprise.Begin(subsets[si], window_);
-      if (!state.ok()) return state.status();
-      shard->state = *std::move(state);
-    } else {
-      OnlineTickRecord& fold = shard->history;
+    FLEXVIS_RETURN_IF_ERROR(AddShard(s, shard_params, subsets[si], &new_shards));
+    Shard& shard = *new_shards.back();
+    if (next_tick > 0) {
+      OnlineTickRecord& fold = shard.history;
       fold.tick = next_tick - 1;
       fold.folded = true;
       fold.shed_policy = static_cast<int>(params_.online.shed_policy);
@@ -824,19 +818,15 @@ Status Coordinator::Resize(int new_num_shards) {
         fold.dropped_ingest = totals.dropped_ingest;
         fold.failed_sends = totals.failed_sends;
         fold.shed_offers = totals.shed_offers;
-        fold.sent = totals.sent;
+        fold.sent = totals.outbox;
         fold.queue_high_watermark =
             std::max(totals.queue_high_watermark,
                      static_cast<int>(fold.pending_acceptance.size()));
       } else {
         fold.queue_high_watermark = static_cast<int>(fold.pending_acceptance.size());
       }
-      OnlineLoopState spliced;
-      FLEXVIS_RETURN_IF_ERROR(
-          BuildSplicedState(shard->enterprise, subsets[si], fold, expect, &spliced));
-      shard->state = std::move(spliced);
+      FLEXVIS_RETURN_IF_ERROR(ApplySplice(shard.enterprise, fold, expect, &shard.state));
     }
-    new_shards.push_back(std::move(shard));
   }
 
   // Stage the new topology's stores next to the old ones (distinct directory
@@ -850,7 +840,8 @@ Status Coordinator::Resize(int new_num_shards) {
     for (int s = 0; s < params_.num_shards; ++s) old_dirs.push_back(ShardDir(s));
     for (int s = 0; s < new_n; ++s) {
       const size_t si = static_cast<size_t>(s);
-      StoreFiles files = EncodeOnlineSnapshot(new_shards[si]->params, subsets[si], window_);
+      StoreFiles files =
+          EncodeOnlineSnapshot(new_shards[si]->enterprise.params(), subsets[si], window_);
       if (next_tick > 0) {
         files.emplace_back(kCheckpointStateFile, EncodeTickRecord(new_shards[si]->history));
       }
@@ -891,12 +882,7 @@ std::vector<ShardLoadSample> Coordinator::CollectSamples() const {
   std::vector<ShardLoadSample> samples;
   samples.reserve(shards_.size());
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    ShardLoadSample sample;
-    sample.shed_offers = shard->state.report.shed_offers;
-    sample.queue_depth = static_cast<int>(shard->state.pending_acceptance.size());
-    sample.backlog =
-        static_cast<int64_t>(shard->state.arrival.size() - shard->state.next_arrival);
-    samples.push_back(sample);
+    samples.push_back(LoadSampleOf(shard->state));
   }
   return samples;
 }
@@ -1048,20 +1034,9 @@ Result<MergedOnlineReport> Coordinator::Finish() {
     for (size_t i = 0; i < partition[s].size(); ++i) {
       merged.global.offers[partition[s][i]] = report.offers[i];
     }
-    merged.global.offers_received += report.offers_received;
-    merged.global.accepted += report.accepted;
-    merged.global.rejected += report.rejected;
-    merged.global.assigned += report.assigned;
-    merged.global.missed_acceptance += report.missed_acceptance;
-    merged.global.missed_assignment += report.missed_assignment;
-    merged.global.dropped_ingest += report.dropped_ingest;
-    merged.global.failed_sends += report.failed_sends;
-    merged.global.shed_offers += report.shed_offers;
-    merged.global.queue_high_watermark =
-        std::max(merged.global.queue_high_watermark, report.queue_high_watermark);
+    AddCounters(&merged.global, report);
     merged.global.imbalance_kwh += report.imbalance_kwh;
     merged.global.ticks = std::max(merged.global.ticks, report.ticks);
-    for (const std::string& wire : report.outbox) merged.global.outbox.push_back(wire);
     merged.shard_reports.push_back(std::move(report));
   }
   for (const FlexOffer& offer : merged.global.offers) {
@@ -1110,16 +1085,28 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   Result<int64_t> fault_seed = meta.GetInt("fault_seed");
   Result<int64_t> manifest_epoch = meta.GetInt("epoch");
   if (!num_shards.ok() || !policy_name.ok() || !scale.ok() || !fault_seed.ok() ||
-      !manifest_epoch.ok() || *num_shards < 1) {
+      !manifest_epoch.ok()) {
     return DataLossError("COORDINATOR.json is incomplete");
   }
+  // Bounded before anything is sized or swept from them: a hostile count or
+  // topology must not name directories the run never wrote.
+  if (*num_shards < 1 || *num_shards > kMaxShards) {
+    return DataLossError(StrFormat("COORDINATOR.json num_shards %lld is outside [1, %d]",
+                                   static_cast<long long>(*num_shards), kMaxShards));
+  }
+  const int n = static_cast<int>(*num_shards);
   Result<ShardPolicy> policy = ParseShardPolicy(*policy_name);
   if (!policy.ok()) return DataLossError("COORDINATOR.json names an unknown policy");
   const JsonValue& base_epoch_json = meta.Get("base_epoch");
   const int64_t base_epoch = base_epoch_json.is_int() ? base_epoch_json.AsInt() : 0;
-  const JsonValue& topology_json = meta.Get("topology");
-  const int topology =
-      topology_json.is_int() ? static_cast<int>(topology_json.AsInt()) : 0;
+  int topology = 0;  // absent in manifests written before resizing existed
+  if (meta.Has("topology")) {
+    Result<int64_t> value = meta.GetInt("topology");
+    if (!value.ok() || *value < 0 || *value > std::numeric_limits<int>::max()) {
+      return DataLossError("COORDINATOR.json topology is not a non-negative int");
+    }
+    topology = static_cast<int>(*value);
+  }
   const JsonValue& order_json = meta.Get("offer_order");
   const JsonValue& overrides_json = meta.Get("overrides");
   if (!order_json.is_array() || !overrides_json.is_array()) {
@@ -1128,13 +1115,13 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   std::map<core::ProsumerId, int> manifest_overrides;
   for (size_t i = 0; i < overrides_json.size(); ++i) {
     const JsonValue& pair = overrides_json[i];
-    if (!pair.is_array() || pair.size() != 2 || !pair[0].is_int() || !pair[1].is_int()) {
+    if (!pair.is_array() || pair.size() != 2 || !pair[0].is_int() || !pair[1].is_int() ||
+        pair[1].AsInt() < 0 || pair[1].AsInt() >= n) {
       return DataLossError("COORDINATOR.json override entry is malformed");
     }
     manifest_overrides[pair[0].AsInt()] = static_cast<int>(pair[1].AsInt());
   }
 
-  const int n = static_cast<int>(*num_shards);
   CoordinatorParams params;
   params.num_shards = n;
   params.policy = *policy;
@@ -1155,25 +1142,6 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   coordinator.directory_ = directory;
   coordinator.coord_store_ = *std::move(coord_store);
   coordinator.topology_ = topology;
-  // Sweep shard directories the committed manifest does not name: a crash
-  // mid-resize leaves either staged new-topology directories (the manifest
-  // flip never happened) or the old topology's directories (the flip
-  // happened but the destroy did not finish). Either way, only the
-  // manifest's topology is live.
-  {
-    std::set<std::string> expected;
-    for (int s = 0; s < n; ++s) expected.insert(ShardDirName(topology, s));
-    std::error_code ec;
-    for (const fs::directory_entry& entry : fs::directory_iterator(directory, ec)) {
-      if (!entry.is_directory()) continue;
-      const std::string name = entry.path().filename().string();
-      if (name.rfind(kShardDirPrefix, 0) != 0) continue;
-      if (expected.count(name) != 0) continue;
-      FLEXVIS_RETURN_IF_ERROR(
-          DurableStore::Destroy(entry.path().string(), CheckpointStoreOptions()));
-      if (info != nullptr) ++info->stale_shard_dirs_swept;
-    }
-  }
   std::vector<DurableStore> shard_stores(static_cast<size_t>(n));
   std::vector<StoreRecovery> shard_recovery(static_cast<size_t>(n));
   std::vector<OnlineParams> shard_params(static_cast<size_t>(n));
@@ -1187,6 +1155,25 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
     shard_stores[si] = *std::move(store);
     FLEXVIS_RETURN_IF_ERROR(DecodeOnlineSnapshot(shard_recovery[si], &shard_params[si],
                                                  &shard_offers[si], &window));
+  }
+  // Only now, with every store the manifest names resumed, sweep the shard
+  // directories it does not name: a crash mid-resize leaves either staged
+  // new-topology directories (the manifest flip never happened) or the old
+  // topology's directories (the flip happened but the destroy did not
+  // finish). Either way, only the manifest's topology is live.
+  {
+    std::set<std::string> expected;
+    for (int s = 0; s < n; ++s) expected.insert(ShardDirName(topology, s));
+    std::error_code ec;
+    for (const fs::directory_entry& entry : fs::directory_iterator(directory, ec)) {
+      if (!entry.is_directory()) continue;
+      const std::string name = entry.path().filename().string();
+      if (name.rfind(kShardDirPrefix, 0) != 0) continue;
+      if (expected.count(name) != 0) continue;
+      FLEXVIS_RETURN_IF_ERROR(
+          DurableStore::Destroy(entry.path().string(), CheckpointStoreOptions()));
+      if (info != nullptr) ++info->stale_shard_dirs_swept;
+    }
   }
 
   // Parse every shard's WAL records up front and take a migration inventory:
@@ -1207,10 +1194,10 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
     for (const std::string& payload : shard_recovery[si].records) {
       Result<ReplayedRecord> record = ParseJournalRecord(payload);
       if (!record.ok()) return record.status();
-      if (record->is_migration) {
-        MigrationSides& sides = inventory[record->migration.epoch];
-        (record->migration.is_in ? sides.has_in : sides.has_out) = true;
-        sides.prosumer = record->migration.prosumer;
+      if (const auto* migration = std::get_if<MigrationRecord>(&*record)) {
+        MigrationSides& sides = inventory[migration->epoch];
+        (migration->is_in ? sides.has_in : sides.has_out) = true;
+        sides.prosumer = migration->prosumer;
       }
       queues[si].push_back(*std::move(record));
     }
@@ -1249,8 +1236,9 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   }
   for (const std::deque<ReplayedRecord>& queue : queues) {
     for (const ReplayedRecord& record : queue) {
-      if (!record.is_migration || !record.migration.is_in) continue;
-      for (const FlexOffer& offer : record.migration.offers) {
+      const auto* migration = std::get_if<MigrationRecord>(&record);
+      if (migration == nullptr || !migration->is_in) continue;
+      for (const FlexOffer& offer : migration->offers) {
         auto [it, inserted] = by_id.emplace(offer.id, offer);
         if (!inserted &&
             core::EncodeFlexOffer(it->second) != core::EncodeFlexOffer(offer)) {
@@ -1326,16 +1314,9 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   // re-runs).
   for (int s = 0; s < n; ++s) {
     const size_t si = static_cast<size_t>(s);
-    auto shard = std::make_unique<Shard>();
-    shard->registry = std::make_unique<FaultRegistry>();
     FLEXVIS_RETURN_IF_ERROR(
-        InstallFaultsInto(*shard->registry, ShardSeed(params.fault_seed, s)));
-    shard->params = shard_params[si];
-    shard->params.faults = shard->registry.get();
-    shard->enterprise = OnlineEnterprise(shard->params);
-    Result<OnlineLoopState> state = shard->enterprise.Begin(shard_offers[si], window);
-    if (!state.ok()) return state.status();
-    shard->state = *std::move(state);
+        coordinator.AddShard(s, shard_params[si], shard_offers[si], &coordinator.shards_));
+    Shard& shard = *coordinator.shards_.back();
     auto folded = shard_recovery[si].files.find(kCheckpointStateFile);
     if (folded != shard_recovery[si].files.end()) {
       Result<OnlineTickRecord> fold = DecodeTickRecord(folded->second);
@@ -1344,14 +1325,11 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
         return DataLossError(
             StrFormat("shard %d state.json is not a folded tick record", s));
       }
-      FLEXVIS_RETURN_IF_ERROR(shard->enterprise.Apply(shard->state, *fold));
-      if (info != nullptr) {
-        info->shards[si].ticks_folded = static_cast<int>(fold->tick) + 1;
-      }
-      shard->history = *std::move(fold);
+      FLEXVIS_RETURN_IF_ERROR(shard.enterprise.Apply(shard.state, *fold));
+      if (info != nullptr) info->shards[si].ticks_folded = fold->tick + 1;
+      shard.history = *std::move(fold);
     }
-    shard->store = std::move(shard_stores[si]);
-    coordinator.shards_.push_back(std::move(shard));
+    shard.store = std::move(shard_stores[si]);
   }
   coordinator.begun_ = true;
   coordinator.checkpointed_ = true;
@@ -1396,8 +1374,8 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
 
     for (int s = 0; s < n; ++s) {
       std::deque<ReplayedRecord>& queue = queues[static_cast<size_t>(s)];
-      while (!queue.empty() && queue.front().is_migration) {
-        MigrationRecord record = std::move(queue.front().migration);
+      while (!queue.empty() && std::holds_alternative<MigrationRecord>(queue.front())) {
+        MigrationRecord record = std::get<MigrationRecord>(std::move(queue.front()));
         queue.pop_front();
         progressed = true;
         if (record.from < 0 || record.from >= n || record.to < 0 || record.to >= n ||
@@ -1488,30 +1466,24 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
 
     for (int s = 0; s < n; ++s) {
       std::deque<ReplayedRecord>& queue = queues[static_cast<size_t>(s)];
-      if (queue.empty() || queue.front().is_migration) continue;
+      if (queue.empty() || std::holds_alternative<MigrationRecord>(queue.front())) continue;
       const auto stalled = [s](const PendingMigration& p) { return p.shard == s; };
       if (std::any_of(pending_in.begin(), pending_in.end(), stalled) ||
           std::any_of(pending_out.begin(), pending_out.end(), stalled)) {
         continue;  // this shard's next records postdate its unresolved migration
       }
       Shard& shard = *coordinator.shards_[static_cast<size_t>(s)];
-      OnlineTickRecord record = std::move(queue.front().tick);
+      OnlineTickRecord record = std::get<OnlineTickRecord>(std::move(queue.front()));
       queue.pop_front();
       FLEXVIS_RETURN_IF_ERROR(shard.enterprise.Apply(shard.state, record));
       if (coordinator.controller_ != nullptr) {
         std::vector<std::optional<ShardLoadSample>>& row = samples[record.tick];
         row.resize(static_cast<size_t>(n));
-        ShardLoadSample sample;
-        sample.shed_offers = shard.state.report.shed_offers;
-        sample.queue_depth = static_cast<int>(shard.state.pending_acceptance.size());
-        sample.backlog =
-            static_cast<int64_t>(shard.state.arrival.size() - shard.state.next_arrival);
-        row[static_cast<size_t>(s)] = sample;
+        row[static_cast<size_t>(s)] = LoadSampleOf(shard.state);
       }
       // A boundary tick surviving in the WAL means this shard's fold at that
       // boundary never committed — remembered for the catch-up compaction.
-      if (const int compact_ticks = coordinator.params_.online.compact_ticks;
-          compact_ticks > 0 && (record.tick + 1) % compact_ticks == 0) {
+      if (CompactsAfter(coordinator.params_.online.compact_ticks, record.tick)) {
         missed_compaction[static_cast<size_t>(s)] = true;
       }
       FoldTickRecordInto(&shard.history, std::move(record));
@@ -1622,8 +1594,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   // boundary tick's own journaling instead (some shard never got the
   // record), min_next sits below the boundary and the continuation re-runs
   // the global tick and its compaction itself.
-  if (const int compact_ticks = coordinator.params_.online.compact_ticks;
-      compact_ticks > 0 && coordinator.topology_ == topology_before_reconcile &&
+  if (coordinator.topology_ == topology_before_reconcile &&
       std::find(missed_compaction.begin(), missed_compaction.end(), true) !=
           missed_compaction.end()) {
     int64_t min_next = -1;
@@ -1632,24 +1603,28 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
         min_next = shard->state.next_tick;
       }
     }
-    if (min_next > 0 && min_next % compact_ticks == 0) {
+    if (min_next > 0 && CompactsAfter(coordinator.params_.online.compact_ticks, min_next - 1)) {
       FLEXVIS_RETURN_IF_ERROR(coordinator.CompactShards(&missed_compaction));
     }
   }
 
-  // A reconcile-time resize may have changed the shard count; the tail
-  // accounting runs over whatever fleet the continuation actually ticks.
-  const size_t live_shards = coordinator.shards_.size();
-  std::vector<int> replayed_ticks(live_shards, 0);
-  for (size_t s = 0; s < live_shards; ++s) {
-    replayed_ticks[s] = coordinator.shards_[s]->state.report.ticks;
+  // Live ticks are counted per shard of the fleet the continuation ends with.
+  // A resize on the way (reconcile-time ones happened above) re-homes every
+  // shard, so they are then counted from the fleet's common resume point.
+  const int topology_before_continue = coordinator.topology_;
+  std::vector<int> replayed_ticks;
+  for (const std::unique_ptr<Shard>& shard : coordinator.shards_) {
+    replayed_ticks.push_back(shard->state.report.ticks);
   }
+  const int resumed_at = *std::min_element(replayed_ticks.begin(), replayed_ticks.end());
   while (!coordinator.Done()) FLEXVIS_RETURN_IF_ERROR(coordinator.Tick());
   if (info != nullptr) {
-    if (info->shards.size() < live_shards) info->shards.resize(live_shards);
-    for (size_t s = 0; s < live_shards; ++s) {
-      info->shards[s].ticks_continued =
-          coordinator.shards_[s]->state.report.ticks - replayed_ticks[s];
+    const size_t final_shards = coordinator.shards_.size();
+    if (info->shards.size() < final_shards) info->shards.resize(final_shards);
+    for (size_t s = 0; s < final_shards; ++s) {
+      const int from = coordinator.topology_ == topology_before_continue ? replayed_ticks[s]
+                                                                         : resumed_at;
+      info->shards[s].ticks_continued = coordinator.shards_[s]->state.report.ticks - from;
     }
   }
   return coordinator.Finish();
@@ -1674,12 +1649,7 @@ Result<MergedPlanningReport> PlanHorizonSharded(const EnterpriseParams& params,
     FLEXVIS_RETURN_IF_ERROR(
         InstallFaultsInto(*registries[static_cast<size_t>(s)], ShardSeed(fault_seed, s)));
     EnterpriseParams& sp = shard_params[static_cast<size_t>(s)];
-    if (scale_energy_per_shard) {
-      const double divisor = static_cast<double>(n);
-      sp.energy.wind_mean_kwh /= divisor;
-      sp.energy.solar_peak_kwh /= divisor;
-      sp.energy.demand_base_kwh /= divisor;
-    }
+    sp.energy = ShardEnergy(sp.energy, n, scale_energy_per_shard);
     sp.faults = registries[static_cast<size_t>(s)].get();
     sp.market.faults = registries[static_cast<size_t>(s)].get();
   }

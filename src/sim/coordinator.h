@@ -34,7 +34,9 @@ namespace flexvis::sim {
 /// A 1-shard run is byte-identical to the unsharded OnlineEnterprise::Run:
 /// the hash partition routes everything to shard 0 in input order, energy
 /// scaling divides by 1.0 (exact), and the merge maps shard-local offers
-/// back through the identity permutation.
+/// back through the identity permutation. That makes the coordinator the one
+/// checkpointed online loop: a single enterprise checkpoints, resumes and
+/// compacts as a 1-shard RunShardedCheckpointed / ResumeSharded.
 
 /// Layout of a sharded checkpoint directory:
 ///
@@ -44,8 +46,8 @@ namespace flexvis::sim {
 ///                         global offer order) — written atomically, last at
 ///                         Begin (the run's commit point) and again after
 ///                         every committed migration and at every compaction
-///   shard-0000/           a full single-enterprise checkpoint store
-///   shard-0001/ ...       (meta.json, offers.jsonl, state.json for compacted
+///   shard-0000/           one sim/checkpoint store per shard (meta.json,
+///   shard-0001/ ...       offers.jsonl, state.json for compacted
 ///                         generations, SNAPSHOT.json, journal.wal)
 ///
 /// Compaction (OnlineParams::compact_ticks = C > 0) runs at every global tick
@@ -66,6 +68,7 @@ inline constexpr const char* kShardsEnvVar = "FLEXVIS_SHARDS";
 int ShardsFromEnv(int fallback = 1);
 
 struct CoordinatorParams {
+  /// Clamped to [1, kMaxShards] by the Coordinator.
   int num_shards = 1;
   ShardPolicy policy = ShardPolicy::kHash;
   /// Per-shard loop parameters. `online.faults` is ignored: every shard gets
@@ -253,9 +256,16 @@ class Coordinator {
                                                   ShardResumeInfo* info = nullptr);
 
  private:
-  /// One shard's loop parameters, fault registry, live loop state, the
-  /// folded history that reproduces that state, and durable store.
+  /// One shard's fault registry, enterprise, live loop state, the folded
+  /// history that reproduces that state, and durable store.
   struct Shard;
+
+  /// Appends shard `s` to `fleet`: its own fault registry (seeded from
+  /// fault_seed, armed from FLEXVIS_FAULTS), an enterprise running `params`
+  /// against that registry, and the fresh Begin state over `members`. The
+  /// one way Begin, Resize and ResumeSharded build a shard.
+  Status AddShard(int s, OnlineParams params, const std::vector<core::FlexOffer>& members,
+                  std::vector<std::unique_ptr<Shard>>* fleet) const;
 
   std::string ShardDir(int shard) const;
   /// Shard directory name under a specific topology: plain `shard-NNNN` for
@@ -281,16 +291,6 @@ class Coordinator {
   /// Everything of `prosumer`'s mid-flight state on shard `s`, extracted
   /// from the live loop state.
   MigratedState ExtractMovedState(int s, core::ProsumerId prosumer) const;
-  /// Begin(subset) + Apply(fold), then verifies the consumed-arrival prefix
-  /// is exactly `expect_consumed` as a set (FailedPrecondition otherwise —
-  /// ingest-backlog skew would reorder consumed history). Swaps into `out`.
-  /// Runs under the shard-owning `enterprise` so the energy-scaled residual
-  /// target matches (a resize passes the *new* fleet's enterprises here).
-  Status BuildSplicedState(const OnlineEnterprise& enterprise,
-                           const std::vector<core::FlexOffer>& subset,
-                           const OnlineTickRecord& fold,
-                           const std::vector<core::FlexOfferId>& expect_consumed,
-                           OnlineLoopState* out) const;
   /// Which shards a splice re-bases: both for a live migration or a replayed
   /// record pair; one when compaction already baked the move into the other
   /// shard's snapshot.

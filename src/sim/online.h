@@ -59,22 +59,13 @@ struct OnlineParams {
 
   // ---- Checkpoint compaction (sim/checkpoint) -----------------------------
 
-  /// Fold the write-ahead journal into a new-generation snapshot every this
-  /// many ticks, bounding both journal size and resume replay time. 0 = off
-  /// (the journal grows for the whole run). Purely a durability cadence: it
-  /// never changes a planning decision, so any value produces byte-identical
-  /// reports. Read from $FLEXVIS_COMPACT_TICKS by CompactTicksFromEnv.
+  /// Fold the write-ahead journals into a new-generation snapshot every this
+  /// many global ticks, bounding both journal size and resume replay time.
+  /// 0 = off (the journals grow for the whole run). Purely a durability
+  /// cadence: it never changes a planning decision, so any value produces
+  /// byte-identical reports. Read from $FLEXVIS_COMPACT_TICKS by
+  /// CompactTicksFromEnv.
   int compact_ticks = 0;
-
-  /// Size trigger on the same fold: also compact as soon as the journal's
-  /// record payload since the last fold reaches this many bytes
-  /// (Σ EncodeTickRecord sizes, a deterministic function of the decisions).
-  /// 0 = off. Composes with compact_ticks — whichever trigger fires first
-  /// folds, and both reset. Like the tick cadence it never changes a
-  /// planning decision. Read from $FLEXVIS_COMPACT_BYTES by
-  /// CompactBytesFromEnv. The sharded coordinator compacts only on the
-  /// global tick cadence and ignores this knob.
-  int64_t compact_bytes = 0;
 
   // ---- Strategy identity (sim/forecaster, sim/market) ---------------------
 
@@ -82,12 +73,12 @@ struct OnlineParams {
   /// ForecasterRegistry / BiddingRegistry names a scenario (sim/scenario)
   /// settles its horizon with. The online tick loop itself neither
   /// forecasts nor trades, but the names are serialized into checkpoint
-  /// meta.json (and surfaced in COORDINATOR.json) so ResumeOnline /
-  /// ResumeSharded replay under the exact strategies the run was cut with —
-  /// a resume can never silently settle under a different strategy. Empty =
-  /// the defaults (holt-winters / spot-residual). Validated against the
-  /// registries at decode time: an unknown pinned name is a typed
-  /// kInvalidArgument naming the registered options.
+  /// meta.json (and surfaced in COORDINATOR.json) so ResumeSharded replays
+  /// under the exact strategies the run was cut with — a resume can never
+  /// silently settle under a different strategy. Empty = the defaults
+  /// (holt-winters / spot-residual). Validated against the registries at
+  /// decode time: an unknown pinned name is a typed kInvalidArgument naming
+  /// the registered options.
   std::string forecaster;
   std::string bidding;
 

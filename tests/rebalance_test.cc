@@ -752,6 +752,63 @@ TEST_F(RebalanceTest, ControllerClosedLoopSurvivesCheckpointResume) {
   }
 }
 
+TEST_F(RebalanceTest, ResumeWhoseContinuationResizesTheFleetAccountsEveryShard) {
+  // A resumed run keeps executing plans: here the controller splits the
+  // fleet, the process is cut, and the continuation after the resume merges
+  // it back. The resume's per-shard tick accounting must follow the fleet
+  // the continuation ends with.
+  UseDenseWorkload();
+  sim::CoordinatorParams params = Params(2);
+  params.online.tick_minutes = 60;  // 24 ticks: idle hours after the split
+  params.online.ingest_queue_capacity = 1;
+  sim::RebalanceParams rebalance;
+  rebalance.window_ticks = 2;
+  rebalance.cooldown_ticks = 2;
+  rebalance.allow_resize = true;
+  rebalance.max_shards = 4;
+  rebalance.merge_window_ticks = 2;
+  params.rebalance = rebalance;
+
+  // The uninterrupted run, noting the fleet size after every tick.
+  std::vector<int> fleet;
+  sim::Coordinator live(params);
+  ASSERT_TRUE(live.BeginCheckpointed(workload_.offers, window_, Dir("grow_shrink_base")).ok());
+  while (!live.Done()) {
+    ASSERT_TRUE(live.Tick().ok());
+    fleet.push_back(live.params().num_shards);
+  }
+  Result<sim::MergedOnlineReport> baseline = live.Finish();
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  const int peak = *std::max_element(fleet.begin(), fleet.end());
+  ASSERT_GT(peak, 2) << "the controller never split the fleet";
+  ASSERT_LT(fleet.back(), peak) << "the controller never merged the split fleet";
+  // Cut after the last tick the fleet is at its peak, so the merge happens
+  // in the continuation.
+  int cut = 0;
+  for (int t = 0; t < static_cast<int>(fleet.size()); ++t) {
+    if (fleet[static_cast<size_t>(t)] == peak) cut = t + 1;
+  }
+  ASSERT_LT(cut, static_cast<int>(fleet.size()));
+
+  const std::string dir = Dir("grow_shrink_cut");
+  {
+    sim::Coordinator interrupted(params);
+    ASSERT_TRUE(interrupted.BeginCheckpointed(workload_.offers, window_, dir).ok());
+    for (int t = 0; t < cut; ++t) ASSERT_TRUE(interrupted.Tick().ok());
+  }  // dropped without Finish: the process "crashed" here
+  sim::ShardResumeInfo info;
+  Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir, &info);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ExpectMergedEqual(*baseline, *resumed, "resume whose continuation merges");
+  EXPECT_EQ(resumed->num_shards, fleet.back());
+  ASSERT_GE(info.shards.size(), static_cast<size_t>(resumed->num_shards));
+  for (int s = 0; s < resumed->num_shards; ++s) {
+    EXPECT_EQ(info.shards[static_cast<size_t>(s)].ticks_continued,
+              baseline->global.ticks - cut)
+        << "shard " << s;
+  }
+}
+
 // ---- Kill matrices ----------------------------------------------------------
 
 TEST_F(RebalanceTest, RebalancingKillMatrixConvergesToTheUninterruptedRun) {

@@ -1,16 +1,17 @@
-// Kill-matrix recovery harness. For EVERY journal append, journal flush, and
-// atomic persistence write the checkpointed online run performs, a forked
-// child is crashed (std::_Exit via the fault layer — no flush, no
-// destructors) at exactly that point; the parent then recovers from the
-// checkpoint directory and must converge to a state byte-identical to an
-// uninterrupted run: same outbox stream, same counters, same offers, same
-// warehouse query answers, same rendered-figure CRCs at 1 and 8 threads.
+// Kill-matrix recovery harness for a single enterprise's checkpointed online
+// run, which is a 1-shard coordinator run (RunShardedCheckpointed /
+// ResumeSharded at num_shards = 1). For EVERY journal append, journal flush,
+// and atomic persistence write the run performs, a forked child is crashed
+// (std::_Exit via the fault layer — no flush, no destructors) at exactly
+// that point; the parent then recovers from the checkpoint directory and
+// must converge to a state byte-identical to an uninterrupted run: same
+// outbox stream, same counters, same offers, same warehouse query answers,
+// same rendered-figure CRCs at 1 and 8 threads.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -22,6 +23,7 @@
 #include "render/png.h"
 #include "render/raster_canvas.h"
 #include "sim/checkpoint.h"
+#include "sim/coordinator.h"
 #include "sim/online.h"
 #include "sim/workload.h"
 #include "util/fault.h"
@@ -72,6 +74,12 @@ class RecoveryTest : public ::testing::Test {
   void TearDown() override {
     FaultRegistry::Global().DisarmAll();
     SetParallelThreadCount(1);
+    // Keep the directory on failure so the divergent journals/manifests can
+    // be inspected (and uploaded by CI); pid-suffixed roots never collide.
+    if (!HasFailure()) {
+      std::error_code ec;
+      fs::remove_all(root_, ec);
+    }
   }
 
   std::string Dir(const std::string& name) {
@@ -80,9 +88,34 @@ class RecoveryTest : public ::testing::Test {
     return dir.string();
   }
 
+  /// The checkpointed online loop over the fixture's workload: a 1-shard
+  /// coordinator run into `dir`.
+  Result<sim::OnlineReport> RunCheckpointed(const sim::OnlineParams& online,
+                                            const std::string& dir) {
+    sim::CoordinatorParams params;
+    params.num_shards = 1;
+    params.online = online;
+    Result<sim::MergedOnlineReport> merged =
+        sim::Coordinator::RunShardedCheckpointed(params, workload_.offers, window_, dir);
+    if (!merged.ok()) return merged.status();
+    return std::move(merged->global);
+  }
+
+  /// Resumes the 1-shard run in `dir`; `info` receives shard 0's recovery.
+  static Result<sim::OnlineReport> Resume(const std::string& dir,
+                                          sim::ResumeInfo* info = nullptr) {
+    sim::ShardResumeInfo shards;
+    Result<sim::MergedOnlineReport> merged = sim::Coordinator::ResumeSharded(dir, &shards);
+    if (info != nullptr) {
+      *info = shards.shards.empty() ? sim::ResumeInfo{} : shards.shards[0];
+    }
+    if (!merged.ok()) return merged.status();
+    EXPECT_EQ(merged->num_shards, 1);
+    return std::move(merged->global);
+  }
+
   sim::OnlineReport MustRun(const std::string& dir) {
-    Result<sim::OnlineReport> report =
-        sim::RunOnlineCheckpointed(params_, workload_.offers, window_, dir);
+    Result<sim::OnlineReport> report = RunCheckpointed(params_, dir);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     return report.ok() ? *std::move(report) : sim::OnlineReport{};
   }
@@ -107,8 +140,7 @@ class RecoveryTest : public ::testing::Test {
       FaultConfig config;
       config.crash_at_hit = hit;
       FaultRegistry::Global().Arm(point, config);
-      Result<sim::OnlineReport> report =
-          sim::RunOnlineCheckpointed(params_, workload_.offers, window_, dir);
+      Result<sim::OnlineReport> report = RunCheckpointed(params_, dir);
       std::_Exit(report.ok() ? 0 : 1);
     }
     EXPECT_GT(pid, 0) << "fork failed";
@@ -121,7 +153,7 @@ class RecoveryTest : public ::testing::Test {
   /// Recovers `dir` after a crash. kDataLoss means the snapshot never
   /// committed — nothing was promised, so the caller reruns from inputs.
   sim::OnlineReport MustRecover(const std::string& dir, sim::ResumeInfo* info) {
-    Result<sim::OnlineReport> report = sim::ResumeOnline(dir, info);
+    Result<sim::OnlineReport> report = Resume(dir, info);
     if (!report.ok() && report.status().code() == StatusCode::kDataLoss) {
       return MustRun(dir);
     }
@@ -178,7 +210,7 @@ TEST_F(RecoveryTest, ResumeOfCompletedRunReplaysEverythingAndContinuesNothing) {
   std::string dir = Dir("completed");
   sim::OnlineReport baseline = MustRun(dir);
   sim::ResumeInfo info;
-  Result<sim::OnlineReport> resumed = sim::ResumeOnline(dir, &info);
+  Result<sim::OnlineReport> resumed = Resume(dir, &info);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(info.ticks_replayed, baseline.ticks);
   EXPECT_EQ(info.ticks_continued, 0);
@@ -213,7 +245,7 @@ TEST_F(RecoveryTest, KillMatrixEveryWritePointConvergesToBaseline) {
       // After recovery the journal is complete: a second resume replays all
       // ticks and re-executes none.
       sim::ResumeInfo again;
-      Result<sim::OnlineReport> second = sim::ResumeOnline(dir, &again);
+      Result<sim::OnlineReport> second = Resume(dir, &again);
       ASSERT_TRUE(second.ok()) << label << ": " << second.status().ToString();
       EXPECT_EQ(again.ticks_replayed, baseline.ticks) << label;
       EXPECT_EQ(again.ticks_continued, 0) << label;
@@ -235,8 +267,7 @@ TEST_F(RecoveryTest, KillMatrixWithCompactionEveryPointConvergesToBaseline) {
   {
     sim::OnlineParams flat_params = params_;
     flat_params.compact_ticks = 0;
-    Result<sim::OnlineReport> flat = sim::RunOnlineCheckpointed(
-        flat_params, workload_.offers, window_, Dir("compact_off"));
+    Result<sim::OnlineReport> flat = RunCheckpointed(flat_params, Dir("compact_off"));
     ASSERT_TRUE(flat.ok()) << flat.status().ToString();
     ExpectReportsEqual(*flat, baseline, "compaction transparency");
   }
@@ -273,7 +304,7 @@ TEST_F(RecoveryTest, KillMatrixWithCompactionEveryPointConvergesToBaseline) {
       // everything up to the last boundary and replays at most C records —
       // the bounded-replay guarantee compaction exists for.
       sim::ResumeInfo again;
-      Result<sim::OnlineReport> second = sim::ResumeOnline(dir, &again);
+      Result<sim::OnlineReport> second = Resume(dir, &again);
       ASSERT_TRUE(second.ok()) << label << ": " << second.status().ToString();
       EXPECT_EQ(again.ticks_folded + again.ticks_replayed, baseline.ticks) << label;
       EXPECT_EQ(again.ticks_continued, 0) << label;
@@ -340,7 +371,7 @@ TEST_F(RecoveryTest, RecoveredStateRendersIdenticalFiguresAt1And8Threads) {
 TEST_F(RecoveryTest, ResumeWithoutSnapshotIsDataLoss) {
   std::string dir = Dir("no_snapshot");
   fs::create_directories(dir);
-  Result<sim::OnlineReport> report = sim::ResumeOnline(dir);
+  Result<sim::OnlineReport> report = Resume(dir);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kDataLoss);
 }
@@ -350,7 +381,8 @@ TEST_F(RecoveryTest, ResumeWithCorruptSnapshotIsDataLossNeverWrongAnswer) {
   MustRun(dir);
   // Flip one byte of the offers file; size is unchanged so only the CRC in
   // the manifest can catch it.
-  std::string offers_path = (fs::path(dir) / sim::kCheckpointOffersFile).string();
+  std::string offers_path =
+      (fs::path(dir) / "shard-0000" / sim::kCheckpointOffersFile).string();
   Result<std::string> bytes = ReadFileToString(offers_path);
   ASSERT_TRUE(bytes.ok());
   std::string flipped = *bytes;
@@ -360,7 +392,7 @@ TEST_F(RecoveryTest, ResumeWithCorruptSnapshotIsDataLossNeverWrongAnswer) {
   ASSERT_EQ(std::fwrite(flipped.data(), 1, flipped.size(), f), flipped.size());
   std::fclose(f);
 
-  Result<sim::OnlineReport> report = sim::ResumeOnline(dir);
+  Result<sim::OnlineReport> report = Resume(dir);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kDataLoss);
 }
@@ -370,14 +402,15 @@ TEST_F(RecoveryTest, StaleTempFilesAreIgnoredOnResume) {
   sim::OnlineReport baseline = MustRun(dir);
   // Debris a crash inside WriteFileAtomic leaves behind: a .tmp that was
   // never renamed. It is not covered by the manifest and must not matter.
-  ASSERT_TRUE(WriteFileAtomic((fs::path(dir) / "meta.json.tmp.debris").string(), "junk").ok());
+  const fs::path shard_dir = fs::path(dir) / "shard-0000";
+  ASSERT_TRUE(WriteFileAtomic((shard_dir / "meta.json.tmp.debris").string(), "junk").ok());
   std::FILE* f =
-      std::fopen(((fs::path(dir) / sim::kCheckpointMetaFile).string() + kTmpSuffix).c_str(), "wb");
+      std::fopen(((shard_dir / sim::kCheckpointMetaFile).string() + kTmpSuffix).c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fputs("half-written", f);
   std::fclose(f);
 
-  Result<sim::OnlineReport> resumed = sim::ResumeOnline(dir);
+  Result<sim::OnlineReport> resumed = Resume(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ExpectReportsEqual(baseline, *resumed, "stale tmp debris");
 }
@@ -415,179 +448,32 @@ TEST_F(RecoveryTest, TickRecordRoundtripsAndApplyRejectsOutOfOrder) {
   EXPECT_EQ(enterprise.Apply(*fresh, bogus).code(), StatusCode::kDataLoss);
 }
 
-// ---- Byte-triggered compaction (OnlineParams::compact_bytes) ------------------
+// ---- $FLEXVIS_COMPACT_TICKS parsing ---------------------------------------------
 
-/// Encoded size of every tick record the checkpointed run will journal,
-/// derived by running the loop tick-at-a-time through the public checkpoint
-/// surface. EncodeTickRecord is a deterministic function of the decisions, so
-/// these sizes predict the byte trigger's fold boundaries exactly.
-std::vector<uint64_t> TickRecordSizes(const sim::OnlineParams& params,
-                                      const std::vector<core::FlexOffer>& offers,
-                                      const TimeInterval& window) {
-  sim::OnlineEnterprise enterprise(params);
-  Result<sim::OnlineLoopState> state = enterprise.Begin(offers, window);
-  EXPECT_TRUE(state.ok()) << state.status().ToString();
-  std::vector<uint64_t> sizes;
-  if (!state.ok()) return sizes;
-  while (!enterprise.Done(*state)) {
-    sim::OnlineTickRecord record;
-    enterprise.Tick(*state, &record);
-    sizes.push_back(sim::EncodeTickRecord(record).size());
-  }
-  return sizes;
-}
-
-/// Replays the byte trigger's accumulator: the run folds as soon as the WAL
-/// payload since the last fold reaches `budget`, so after an uninterrupted
-/// run the tail always carries < budget bytes of records.
-struct ByteTriggerPlan {
-  int generations = 0;
-  int tail_ticks = 0;
-  uint64_t tail_bytes = 0;
-  int max_ticks_between_folds = 0;
-};
-
-ByteTriggerPlan SimulateByteTrigger(const std::vector<uint64_t>& sizes, uint64_t budget) {
-  ByteTriggerPlan plan;
-  uint64_t acc = 0;
-  int ticks = 0;
-  for (uint64_t bytes : sizes) {
-    acc += bytes;
-    ++ticks;
-    plan.max_ticks_between_folds = std::max(plan.max_ticks_between_folds, ticks);
-    if (acc >= budget) {
-      ++plan.generations;
-      acc = 0;
-      ticks = 0;
-    }
-  }
-  plan.tail_ticks = ticks;
-  plan.tail_bytes = acc;
-  return plan;
-}
-
-TEST_F(RecoveryTest, ByteTriggeredCompactionIsTransparentAndBoundsReplay) {
-  const std::vector<uint64_t> sizes = TickRecordSizes(params_, workload_.offers, window_);
-  ASSERT_FALSE(sizes.empty());
-  uint64_t total = 0;
-  for (uint64_t b : sizes) total += b;
-  // A budget of roughly a third of the run's payload forces multiple folds
-  // without aligning to tick boundaries the way a tick cadence would.
-  const uint64_t budget = total / 3;
-  const ByteTriggerPlan plan = SimulateByteTrigger(sizes, budget);
-  ASSERT_GE(plan.generations, 2) << "budget too large to exercise repeated folds";
-
-  params_.compact_ticks = 0;  // bytes are the ONLY trigger in this test
-  params_.compact_bytes = static_cast<int64_t>(budget);
-  sim::OnlineReport compacted = MustRun(Dir("bytes_on"));
-  ASSERT_GT(compacted.ticks, 0);
-
-  // Transparency: byte-identical to a run that never compacts.
-  {
-    sim::OnlineParams flat_params = params_;
-    flat_params.compact_bytes = 0;
-    Result<sim::OnlineReport> flat = sim::RunOnlineCheckpointed(
-        flat_params, workload_.offers, window_, Dir("bytes_off"));
-    ASSERT_TRUE(flat.ok()) << flat.status().ToString();
-    ExpectReportsEqual(*flat, compacted, "byte-compaction transparency");
-  }
-
-  // Resume of the completed run: the folds landed exactly where the payload
-  // simulation says, and the replay is bounded by the byte budget — the WAL
-  // tail holds plan.tail_ticks records (< budget bytes), everything earlier
-  // comes back from the folded generation.
-  sim::ResumeInfo info;
-  std::string dir = Dir("bytes_resume");
-  params_.compact_bytes = static_cast<int64_t>(budget);
-  sim::OnlineReport baseline = MustRun(dir);
-  Result<sim::OnlineReport> resumed = sim::ResumeOnline(dir, &info);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ExpectReportsEqual(baseline, *resumed, "resume of byte-compacted run");
-  EXPECT_EQ(info.generation, plan.generations);
-  EXPECT_EQ(info.ticks_replayed, plan.tail_ticks);
-  EXPECT_EQ(info.ticks_folded, baseline.ticks - plan.tail_ticks);
-  EXPECT_EQ(info.ticks_continued, 0);
-  EXPECT_LT(plan.tail_bytes, budget);
-}
-
-TEST_F(RecoveryTest, KillMatrixWithByteCompactionEveryPointConvergesToBaseline) {
-  const std::vector<uint64_t> sizes = TickRecordSizes(params_, workload_.offers, window_);
-  ASSERT_FALSE(sizes.empty());
-  uint64_t total = 0;
-  for (uint64_t b : sizes) total += b;
-  const uint64_t budget = total / 3;
-  const ByteTriggerPlan plan = SimulateByteTrigger(sizes, budget);
-  ASSERT_GE(plan.generations, 2);
-
-  params_.compact_ticks = 0;
-  params_.compact_bytes = static_cast<int64_t>(budget);
-  sim::OnlineReport baseline = MustRun(Dir("bkill_baseline"));
-  ASSERT_GT(baseline.ticks, 0);
-
-  const char* const points[] = {"util.fileio.write", "util.journal.append",
-                                "util.journal.flush", "util.store.compact",
-                                "util.store.delete"};
-  for (const char* point : points) {
-    const int64_t hits = CountHits(point);
-    ASSERT_GT(hits, 0) << point << " is not on the byte-compacting write path";
-    for (int64_t hit = 1; hit <= hits; ++hit) {
-      const std::string label = std::string("bytes ") + point + " hit " +
-                                std::to_string(hit) + "/" + std::to_string(hits);
-      std::string dir = Dir("bkill_" + std::string(point) + "_" + std::to_string(hit));
-      ASSERT_EQ(RunChildCrashingAt(point, hit, dir), kCrashExitCode)
-          << label << ": child did not crash where told to";
-
-      sim::ResumeInfo info;
-      sim::OnlineReport recovered = MustRecover(dir, &info);
-      ExpectReportsEqual(baseline, recovered, label);
-      if (info.ticks_folded + info.ticks_replayed + info.ticks_continued > 0) {
-        EXPECT_EQ(info.ticks_folded + info.ticks_replayed + info.ticks_continued,
-                  baseline.ticks)
-            << label;
-      }
-
-      // The recovered run finished every byte-triggered fold, so a second
-      // resume lands on the final generation with the simulated tail — the
-      // replay is bounded by the byte budget, never the run length.
-      sim::ResumeInfo again;
-      Result<sim::OnlineReport> second = sim::ResumeOnline(dir, &again);
-      ASSERT_TRUE(second.ok()) << label << ": " << second.status().ToString();
-      EXPECT_EQ(again.ticks_folded + again.ticks_replayed, baseline.ticks) << label;
-      EXPECT_EQ(again.ticks_continued, 0) << label;
-      EXPECT_EQ(again.generation, plan.generations) << label;
-      EXPECT_EQ(again.ticks_replayed, plan.tail_ticks) << label;
-      EXPECT_LE(again.ticks_replayed, plan.max_ticks_between_folds) << label;
-      ExpectReportsEqual(baseline, *second, label + " (second resume)");
-    }
-  }
-}
-
-// ---- $FLEXVIS_COMPACT_TICKS / $FLEXVIS_COMPACT_BYTES parsing ------------------
-
-/// Exercises one env-var parser: unset and empty disable the trigger (0);
-/// garbage and non-positive values are typed kInvalidArgument errors whose
-/// message names the variable, so a fleet-wide misconfiguration fails loudly
-/// instead of silently running without compaction.
-template <typename T, typename Fn>
-void CheckCompactEnvContract(const char* var, Fn parse) {
+// Unset and empty disable compaction (0); garbage, non-positive and
+// beyond-int values are typed kInvalidArgument errors whose message names
+// the variable, so a fleet-wide misconfiguration fails loudly instead of
+// silently running without compaction.
+TEST(CompactEnvTest, TicksRejectsZeroNegativeAndGarbageWithTypedError) {
+  const char* var = sim::kCompactTicksEnvVar;
   ASSERT_EQ(::unsetenv(var), 0);
-  Result<T> unset = parse();
+  Result<int> unset = sim::CompactTicksFromEnv();
   ASSERT_TRUE(unset.ok()) << unset.status().ToString();
   EXPECT_EQ(*unset, 0);
 
   ASSERT_EQ(::setenv(var, "", 1), 0);
-  Result<T> empty = parse();
+  Result<int> empty = sim::CompactTicksFromEnv();
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
   EXPECT_EQ(*empty, 0);
 
   ASSERT_EQ(::setenv(var, "12", 1), 0);
-  Result<T> valid = parse();
+  Result<int> valid = sim::CompactTicksFromEnv();
   ASSERT_TRUE(valid.ok()) << valid.status().ToString();
   EXPECT_EQ(*valid, 12);
 
-  for (const char* bad : {"0", "-3", "64MB", "ticks"}) {
+  for (const char* bad : {"0", "-3", "64MB", "ticks", "4294967297"}) {
     ASSERT_EQ(::setenv(var, bad, 1), 0);
-    Result<T> rejected = parse();
+    Result<int> rejected = sim::CompactTicksFromEnv();
     ASSERT_FALSE(rejected.ok()) << var << "='" << bad << "'";
     EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
         << var << "='" << bad << "'";
@@ -597,20 +483,39 @@ void CheckCompactEnvContract(const char* var, Fn parse) {
   ASSERT_EQ(::unsetenv(var), 0);
 }
 
-TEST(CompactEnvTest, TicksRejectsZeroNegativeAndGarbageWithTypedError) {
-  CheckCompactEnvContract<int>(sim::kCompactTicksEnvVar,
-                               [] { return sim::CompactTicksFromEnv(); });
-}
-
-TEST(CompactEnvTest, BytesRejectsZeroNegativeAndGarbageWithTypedError) {
-  CheckCompactEnvContract<int64_t>(sim::kCompactBytesEnvVar,
-                                   [] { return sim::CompactBytesFromEnv(); });
-}
-
 TEST_F(RecoveryTest, DecodeTickRecordRejectsMalformedInput) {
   EXPECT_EQ(sim::DecodeTickRecord("not json").status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(sim::DecodeTickRecord("[]").status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(sim::DecodeTickRecord("{\"tick\":0}").status().code(), StatusCode::kDataLoss);
+
+  // An int field outside int is refused, never narrowed to the value it
+  // wraps to (2^32 + 3 -> 3, 2^32 + 2 -> 2, -2^32 -> 0); the error names it.
+  sim::OnlineTickRecord record;
+  record.tick = 3;
+  record.accepted = 2;
+  const std::string text = sim::EncodeTickRecord(record);
+  ASSERT_TRUE(sim::DecodeTickRecord(text).ok());
+  struct Case {
+    const char* field;
+    const char* hostile;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"\"tick\":3", "\"tick\":4294967299", "4294967299"},
+      {"\"accepted\":2", "\"accepted\":4294967298", "4294967298"},
+      {"\"qhw\":0", "\"qhw\":-4294967296", "-4294967296"},
+  };
+  for (const Case& c : cases) {
+    std::string hostile = text;
+    const size_t at = hostile.find(c.field);
+    ASSERT_NE(at, std::string::npos) << c.field;
+    hostile.replace(at, std::string(c.field).size(), c.hostile);
+    Result<sim::OnlineTickRecord> decoded = sim::DecodeTickRecord(hostile);
+    ASSERT_FALSE(decoded.ok()) << c.hostile;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss) << c.hostile;
+    EXPECT_NE(decoded.status().message().find(c.value), std::string::npos)
+        << decoded.status().ToString();
+  }
 }
 
 }  // namespace

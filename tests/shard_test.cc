@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -27,6 +28,7 @@
 #include "sim/shard.h"
 #include "sim/workload.h"
 #include "util/fault.h"
+#include "util/fileio.h"
 #include "util/parallel.h"
 #include "util/store.h"
 
@@ -777,6 +779,7 @@ TEST_F(ShardTest, ResumeRejectsMigrationRecordsWithBadShardIndices) {
   struct Case {
     std::string label;
     std::vector<std::pair<std::string, std::string>> appends;  // shard dir, record
+    std::string message = "";  // when set, the refusal must contain it
   };
   const std::vector<Case> cases = {
       {"migrate_out to shard 99",
@@ -789,6 +792,11 @@ TEST_F(ShardTest, ResumeRejectsMigrationRecordsWithBadShardIndices) {
       {"migrate_out of a prosumer without offers",
        {{"shard-0000",
          "{\"kind\":\"migrate_out\",\"prosumer\":999999999,\"from\":0,\"to\":1,\"epoch\":5}"}}},
+      // 2^32 + 1 narrowed to int would read as shard 1, a valid target.
+      {"migrate_out to shard 2^32 + 1",
+       {{"shard-0000", "{\"kind\":\"migrate_out\",\"prosumer\":" + std::to_string(prosumer) +
+                           ",\"from\":0,\"to\":4294967297,\"epoch\":5}"}},
+       "4294967297"},
   };
   for (const Case& c : cases) {
     std::string dir = Dir("bad_index");
@@ -805,6 +813,62 @@ TEST_F(ShardTest, ResumeRejectsMigrationRecordsWithBadShardIndices) {
     ASSERT_FALSE(resumed.ok()) << c.label;
     EXPECT_EQ(resumed.status().code(), StatusCode::kDataLoss)
         << c.label << ": " << resumed.status().ToString();
+    EXPECT_NE(resumed.status().message().find(c.message), std::string::npos)
+        << c.label << ": " << resumed.status().ToString();
+  }
+}
+
+/// Every regular file under the `shard-*` directories of `dir`, by path
+/// relative to `dir`, with its bytes.
+std::map<std::string, std::string> ShardFiles(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const fs::directory_entry& entry : fs::recursive_directory_iterator(dir)) {
+    const std::string relative = fs::relative(entry.path(), dir).string();
+    if (!entry.is_regular_file() || relative.rfind(sim::kShardDirPrefix, 0) != 0) continue;
+    Result<std::string> bytes = ReadFileToString(entry.path().string());
+    files[relative] = bytes.ok() ? *bytes : "<unreadable: " + bytes.status().ToString() + ">";
+  }
+  return files;
+}
+
+TEST_F(ShardTest, ResumeRefusesAHostileManifestBeforeTouchingAnyShardDirectory) {
+  // Each case edits one field of a completed 2-shard run's COORDINATOR.json.
+  // Recovery must refuse the manifest as kDataLoss and leave every shard
+  // directory present and byte-identical: a count or topology that names
+  // directories the run never wrote must not get the real ones swept.
+  const std::string base = Dir("hostile_manifest_base");
+  ASSERT_TRUE(
+      sim::Coordinator::RunShardedCheckpointed(Params(2), workload_.offers, window_, base).ok());
+  const std::map<std::string, std::string> shard_files = ShardFiles(base);
+  ASSERT_TRUE(shard_files.count("shard-0000/SNAPSHOT.json") != 0);
+  ASSERT_TRUE(shard_files.count("shard-0001/SNAPSHOT.json") != 0);
+  Result<std::string> manifest =
+      ReadFileToString((fs::path(base) / sim::kCoordinatorManifestFile).string());
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+
+  const std::pair<const char*, const char*> edits[] = {
+      {"\"num_shards\":2", "\"num_shards\":0"},
+      {"\"num_shards\":2", "\"num_shards\":65"},
+      {"\"num_shards\":2", "\"num_shards\":4294967295"},
+      {"\"num_shards\":2", "\"num_shards\":4294967296"},
+      {"\"topology\":0", "\"topology\":-1"},
+      {"\"topology\":0", "\"topology\":7"},
+  };
+  for (const auto& [field, hostile] : edits) {
+    const std::string dir = Dir("hostile_manifest");
+    fs::copy(base, dir, fs::copy_options::recursive);
+    std::string edited = *manifest;
+    const size_t at = edited.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    edited.replace(at, std::string(field).size(), hostile);
+    ASSERT_TRUE(
+        WriteFileAtomic((fs::path(dir) / sim::kCoordinatorManifestFile).string(), edited).ok());
+
+    Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir);
+    ASSERT_FALSE(resumed.ok()) << hostile;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kDataLoss)
+        << hostile << ": " << resumed.status().ToString();
+    EXPECT_EQ(ShardFiles(dir), shard_files) << hostile;
   }
 }
 
