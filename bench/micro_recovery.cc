@@ -188,10 +188,11 @@ bool WriteRecoveryReport() {
 
   // Resume wall time vs run length x compaction cadence (EXPERIMENTS.md Q9):
   // run once checkpointed (one shard) at a 15-minute tick over growing
-  // windows, then time ResumeSharded over the completed directory. Without
-  // compaction the replayed-tick count grows linearly with the run; with
-  // compaction at interval C the resume replays at most C records — the hard
-  // bound the `replay_bounded_by_interval` counter gates.
+  // windows, then time ResumeSharded over the completed directory, best of
+  // 3 like every other sample here. Without compaction the replayed-tick
+  // count grows linearly with the run; with compaction at interval C the
+  // resume replays at most C records — the hard bound the
+  // `replay_bounded_by_interval` counter gates.
   std::vector<core::FlexOffer> offers =
       bench::MakeRandomOffers(31, bench::EnvSize("FLEXVIS_BENCH_RESUME_OFFERS", 200));
   const int64_t tick_minutes = 15;
@@ -242,13 +243,11 @@ bool WriteRecoveryReport() {
                      info.ticks_replayed, compact_ticks, label.c_str());
         bounded = false;
       }
-      double resume_s = bench::MeasureSeconds(
-          [&] {
-            Result<sim::MergedOnlineReport> timed = sim::Coordinator::ResumeSharded(dir);
-            if (!timed.ok()) ok = false;
-            benchmark::DoNotOptimize(timed);
-          },
-          1);
+      double resume_s = bench::MeasureSeconds([&] {
+        Result<sim::MergedOnlineReport> timed = sim::Coordinator::ResumeSharded(dir);
+        if (!timed.ok()) ok = false;
+        benchmark::DoNotOptimize(timed);
+      });
       report.AddSample(label, resume_s, 1, static_cast<double>(baseline->global.ticks));
       report.SetCounter(label + "_ticks_replayed", static_cast<double>(info.ticks_replayed));
       report.SetCounter(label + "_generation", static_cast<double>(info.generation));

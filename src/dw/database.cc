@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "core/aggregation.h"
 #include "dw/lod.h"
+#include "dw/query.h"
 #include "util/parallel.h"
 #include "util/strings.h"
 
@@ -11,6 +11,7 @@ namespace flexvis::dw {
 
 using core::FlexOffer;
 using core::FlexOfferId;
+using core::ProfileSlice;
 using timeutil::TimePoint;
 
 namespace {
@@ -70,13 +71,7 @@ std::vector<ColumnSpec> FactFlexOfferSchema() {
 }
 
 /// fact_profile_slice's columns, in the order the constructor declares them.
-enum SliceColumn : size_t {
-  kSliceOfferId,
-  kSliceUnitIndex,
-  kSliceMinKwh,
-  kSliceMaxKwh,
-  kSliceScheduledKwh
-};
+enum SliceColumn : size_t { kSliceDuration, kSliceMinKwh, kSliceMaxKwh };
 
 /// bridge_aggregation's columns, in the order the constructor declares them.
 enum MemberColumn : size_t { kMemberAggregateId, kMemberId };
@@ -85,6 +80,25 @@ enum MemberColumn : size_t { kMemberAggregateId, kMemberId };
 /// offers, the serving layer's usual request, stays on the calling thread.
 constexpr size_t kValidateGrain = 4096;
 constexpr size_t kReconstructGrain = 1024;
+
+/// Calls `emit(duration, first)` for each slice of the canonical form of
+/// `profile`, the form core::CompressProfile gives: adjacent slices whose
+/// bounds compare == merge and keep the first slice's values, so -0.0 next
+/// to +0.0 merges. Validate bounds a profile's length, so `duration` fits an
+/// int.
+template <typename Emit>
+void ForEachCanonicalSlice(const std::vector<ProfileSlice>& profile, Emit emit) {
+  for (size_t i = 0; i < profile.size();) {
+    const ProfileSlice& first = profile[i];
+    int duration = 0;
+    for (; i < profile.size() && profile[i].min_energy_kwh == first.min_energy_kwh &&
+           profile[i].max_energy_kwh == first.max_energy_kwh;
+         ++i) {
+      duration += profile[i].duration_slices;
+    }
+    emit(duration, first);
+  }
+}
 
 /// Index of the first offer core::Validate refuses, or offers.size().
 size_t FirstInvalidOffer(const std::vector<FlexOffer>& offers) {
@@ -172,11 +186,9 @@ std::string CanonicalFilterKey(const FlexOfferFilter& filter) {
 Database::Database()
     : fact_flexoffer_("fact_flexoffer", FactFlexOfferSchema()),
       fact_profile_slice_("fact_profile_slice",
-                          {{"offer_id", ColumnType::kInt64},
-                           {"unit_index", ColumnType::kInt64},
+                          {{"duration_slices", ColumnType::kInt64},
                            {"min_kwh", ColumnType::kDouble},
-                           {"max_kwh", ColumnType::kDouble},
-                           {"scheduled_kwh", ColumnType::kDouble}}),  // nullable
+                           {"max_kwh", ColumnType::kDouble}}),
       bridge_aggregation_("bridge_aggregation",
                           {{"aggregate_id", ColumnType::kInt64},
                            {"member_id", ColumnType::kInt64}}),
@@ -281,16 +293,24 @@ Status Database::LoadFlexOffers(const std::vector<FlexOffer>& offers) {
   }
   if (invalid < offers.size()) return core::Validate(offers[invalid]);
 
-  // Each offer's unit slices and members land as one contiguous range.
-  // Validate bounded every profile, so the unit counts cannot overflow.
+  // Each offer's canonical slices, members and scheduled energies land as
+  // one contiguous range each. Validate bounded every profile, so the unit
+  // counts cannot overflow.
   std::vector<DetailRows> details(offers.size());
   size_t slice_end = fact_profile_slice_.NumRows();
   size_t member_end = bridge_aggregation_.NumRows();
+  size_t schedule_end = scheduled_kwh_.size();
   for (size_t i = 0; i < offers.size(); ++i) {
-    details[i] = {slice_end, static_cast<size_t>(offers[i].profile_duration_slices()),
-                  member_end, offers[i].aggregated_from.size()};
-    slice_end += details[i].slice_count;
+    const FlexOffer& o = offers[i];
+    size_t slices = 0;
+    ForEachCanonicalSlice(o.profile, [&](int, const ProfileSlice&) { ++slices; });
+    details[i] = {slice_end, slices, member_end, o.aggregated_from.size()};
+    slice_end += slices;
     member_end += details[i].member_count;
+    if (o.schedule.has_value()) {
+      details[i].schedule_begin = schedule_end;
+      schedule_end += o.schedule->energy_kwh.size();
+    }
   }
 
   const size_t first_row = fact_flexoffer_.NumRows();
@@ -328,22 +348,11 @@ Status Database::LoadFlexOffers(const std::vector<FlexOffer>& offers) {
   FLEXVIS_RETURN_IF_ERROR(fact_profile_slice_.AppendRows(
       slice_end - fact_profile_slice_.NumRows(), [&](Column* c) {
         for (const FlexOffer& o : offers) {
-          const std::vector<double>* scheduled =
-              o.schedule.has_value() ? &o.schedule->energy_kwh : nullptr;
-          size_t unit = 0;
-          for (const core::ProfileSlice& s : o.profile) {
-            for (int k = 0; k < s.duration_slices; ++k, ++unit) {
-              c[kSliceOfferId].AppendInt64(o.id);
-              c[kSliceUnitIndex].AppendInt64(static_cast<int64_t>(unit));
-              c[kSliceMinKwh].AppendDouble(s.min_energy_kwh);
-              c[kSliceMaxKwh].AppendDouble(s.max_energy_kwh);
-              if (scheduled != nullptr && unit < scheduled->size()) {
-                c[kSliceScheduledKwh].AppendDouble((*scheduled)[unit]);
-              } else {
-                c[kSliceScheduledKwh].AppendNull();
-              }
-            }
-          }
+          ForEachCanonicalSlice(o.profile, [&](int duration, const ProfileSlice& first) {
+            c[kSliceDuration].AppendInt64(duration);
+            c[kSliceMinKwh].AppendDouble(first.min_energy_kwh);
+            c[kSliceMaxKwh].AppendDouble(first.max_energy_kwh);
+          });
         }
       }));
 
@@ -356,6 +365,15 @@ Status Database::LoadFlexOffers(const std::vector<FlexOffer>& offers) {
           }
         }
       }));
+
+  if (scheduled_kwh_.capacity() < schedule_end) {
+    scheduled_kwh_.reserve(std::max(schedule_end, 2 * scheduled_kwh_.capacity()));
+  }
+  for (const FlexOffer& o : offers) {
+    if (!o.schedule.has_value()) continue;
+    scheduled_kwh_.insert(scheduled_kwh_.end(), o.schedule->energy_kwh.begin(),
+                          o.schedule->energy_kwh.end());
+  }
 
   offer_row_.reserve(offer_row_.size() + offers.size());
   for (size_t i = 0; i < offers.size(); ++i) offer_row_.emplace(offers[i].id, first_row + i);
@@ -373,27 +391,42 @@ Status Database::UpdateFlexOffer(const FlexOffer& offer) {
   }
   const size_t row = it->second;
   // Only the mutable planning outputs are updated; identity and profile are
-  // immutable once loaded.
+  // immutable once loaded. Equal canonical profiles have equal unit counts,
+  // so a schedule that validated fills the offer's run exactly.
+  DetailRows& details = detail_rows_[row];
+  const int64_t* durations = fact_profile_slice_.column(kSliceDuration).Int64Data();
+  const double* min_kwh = fact_profile_slice_.column(kSliceMinKwh).DoubleData();
+  const double* max_kwh = fact_profile_slice_.column(kSliceMaxKwh).DoubleData();
+  const size_t slice_end = details.slice_begin + details.slice_count;
+  size_t slice = details.slice_begin;
+  bool same_profile = true;
+  ForEachCanonicalSlice(offer.profile, [&](int duration, const ProfileSlice& first) {
+    same_profile = same_profile && slice < slice_end && durations[slice] == duration &&
+                   min_kwh[slice] == first.min_energy_kwh &&
+                   max_kwh[slice] == first.max_energy_kwh;
+    ++slice;
+  });
+  if (!same_profile || slice != slice_end) {
+    return InvalidArgumentError(
+        StrFormat("flex-offer %lld: profile differs from the loaded one",
+                  static_cast<long long>(offer.id)));
+  }
   FLEXVIS_RETURN_IF_ERROR(
       fact_flexoffer_.column(kState).Set(row, Value(static_cast<int64_t>(offer.state))));
   Column& sched_start = fact_flexoffer_.column(kScheduledStartMin);
   Column& sched_kwh = fact_flexoffer_.column(kScheduledKwh);
-  if (offer.schedule.has_value()) {
-    FLEXVIS_RETURN_IF_ERROR(sched_start.Set(row, Value(offer.schedule->start.minutes())));
-    FLEXVIS_RETURN_IF_ERROR(sched_kwh.Set(row, Value(offer.total_scheduled_energy_kwh())));
-  } else {
+  if (!offer.schedule.has_value()) {
     FLEXVIS_RETURN_IF_ERROR(sched_start.Set(row, Value::Null()));
-    FLEXVIS_RETURN_IF_ERROR(sched_kwh.Set(row, Value(0.0)));
+    return sched_kwh.Set(row, Value(0.0));
   }
-  // Per-slice scheduled energies.
-  const DetailRows& details = detail_rows_[row];
-  Column& unit_kwh = fact_profile_slice_.column(kSliceScheduledKwh);
-  for (size_t i = 0; i < details.slice_count; ++i) {
-    Value v = Value::Null();
-    if (offer.schedule.has_value() && i < offer.schedule->energy_kwh.size()) {
-      v = Value(offer.schedule->energy_kwh[i]);
-    }
-    FLEXVIS_RETURN_IF_ERROR(unit_kwh.Set(details.slice_begin + i, v));
+  FLEXVIS_RETURN_IF_ERROR(sched_start.Set(row, Value(offer.schedule->start.minutes())));
+  FLEXVIS_RETURN_IF_ERROR(sched_kwh.Set(row, Value(offer.total_scheduled_energy_kwh())));
+  const std::vector<double>& energy = offer.schedule->energy_kwh;
+  if (details.schedule_begin == kNoSchedule) {
+    details.schedule_begin = scheduled_kwh_.size();
+    scheduled_kwh_.insert(scheduled_kwh_.end(), energy.begin(), energy.end());
+  } else {
+    std::copy(energy.begin(), energy.end(), scheduled_kwh_.begin() + details.schedule_begin);
   }
   return OkStatus();
 }
@@ -410,18 +443,18 @@ Status Database::AttachLod(LodPyramid lod) {
 
 struct Database::OfferColumns {
   const Column* fact[kNumFactColumns];
-  const double* unit_min_kwh;
-  const double* unit_max_kwh;
-  const Column* unit_scheduled_kwh;  // nullable
+  const int64_t* slice_duration;
+  const double* slice_min_kwh;
+  const double* slice_max_kwh;
   const int64_t* member_ids;
 };
 
 Database::OfferColumns Database::ResolveOfferColumns() const {
   OfferColumns columns;
   for (size_t c = 0; c < kNumFactColumns; ++c) columns.fact[c] = &fact_flexoffer_.column(c);
-  columns.unit_min_kwh = fact_profile_slice_.column(kSliceMinKwh).DoubleData();
-  columns.unit_max_kwh = fact_profile_slice_.column(kSliceMaxKwh).DoubleData();
-  columns.unit_scheduled_kwh = &fact_profile_slice_.column(kSliceScheduledKwh);
+  columns.slice_duration = fact_profile_slice_.column(kSliceDuration).Int64Data();
+  columns.slice_min_kwh = fact_profile_slice_.column(kSliceMinKwh).DoubleData();
+  columns.slice_max_kwh = fact_profile_slice_.column(kSliceMaxKwh).DoubleData();
   columns.member_ids = bridge_aggregation_.column(kMemberId).Int64Data();
   return columns;
 }
@@ -445,28 +478,20 @@ core::FlexOffer Database::ReconstructOffer(const OfferColumns& columns, size_t f
   offer.earliest_start = TimePoint::FromMinutes(geti(kEarliestStartMin));
   offer.latest_start = TimePoint::FromMinutes(geti(kLatestStartMin));
 
-  // Profile from the offer's range of the slice fact table.
+  // The profile is the offer's range of the slice fact table, already in
+  // canonical form.
   const DetailRows& details = detail_rows_[fact_row];
-  offer.profile = core::CompressColumns(columns.unit_min_kwh + details.slice_begin,
-                                        columns.unit_max_kwh + details.slice_begin,
-                                        details.slice_count);
+  offer.profile.resize(details.slice_count);
+  for (size_t k = 0; k < details.slice_count; ++k) {
+    const size_t r = details.slice_begin + k;
+    offer.profile[k] = ProfileSlice{static_cast<int>(columns.slice_duration[r]),
+                                    columns.slice_min_kwh[r], columns.slice_max_kwh[r]};
+  }
 
-  // A schedule needs a start and at least one scheduled slice; unscheduled
-  // slices read back as 0.
-  const Column& unit_kwh = *columns.unit_scheduled_kwh;
-  const size_t slice_end = details.slice_begin + details.slice_count;
   if (!columns.fact[kScheduledStartMin]->IsNull(fact_row)) {
-    size_t r = details.slice_begin;
-    while (r < slice_end && unit_kwh.IsNull(r)) ++r;
-    if (r < slice_end) {
-      core::Schedule sched;
-      sched.start = TimePoint::FromMinutes(geti(kScheduledStartMin));
-      sched.energy_kwh.reserve(details.slice_count);
-      for (r = details.slice_begin; r < slice_end; ++r) {
-        sched.energy_kwh.push_back(unit_kwh.IsNull(r) ? 0.0 : unit_kwh.GetDouble(r));
-      }
-      offer.schedule = std::move(sched);
-    }
+    const double* energy = scheduled_kwh_.data() + details.schedule_begin;
+    offer.schedule = core::Schedule{TimePoint::FromMinutes(geti(kScheduledStartMin)),
+                                    std::vector<double>(energy, energy + geti(kProfileSlices))};
   }
 
   if (details.member_count > 0) {

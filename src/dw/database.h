@@ -1,6 +1,7 @@
 #ifndef FLEXVIS_DW_DATABASE_H_
 #define FLEXVIS_DW_DATABASE_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -8,7 +9,6 @@
 #include <vector>
 
 #include "core/flex_offer.h"
-#include "dw/query.h"
 #include "dw/table.h"
 #include "time/time_point.h"
 #include "util/status.h"
@@ -85,9 +85,10 @@ Result<FlexOfferFilter> MakeGridFilter(const Database& db, core::GridNodeId node
 
 /// In-memory columnar data warehouse following the MIRABEL DW star schema
 /// (Šikšnys, Thomsen & Pedersen, DaWaK 2012): a flex-offer fact table plus a
-/// per-unit-slice profile fact table, an aggregation bridge table, and
-/// prosumer / geography / grid-topology dimensions. Substitutes the paper's
-/// PostgreSQL instance; see DESIGN.md §2.
+/// profile fact table of run-length-encoded slices, an aggregation bridge
+/// table, and prosumer / geography / grid-topology dimensions. Substitutes
+/// the paper's PostgreSQL instance; see DESIGN.md §2. Group-by and
+/// aggregate queries run on the OLAP cube (src/olap) over these tables.
 ///
 /// A database may carry the LOD pyramid of its offers (AttachLod), so a
 /// warehouse opened from disk serves the pyramid its save built. Every
@@ -101,6 +102,12 @@ Result<FlexOfferFilter> MakeGridFilter(const Database& db, core::GridNodeId node
 ///   latest_end_min, profile_slices, total_min_kwh, total_max_kwh,
 ///   time_flex_min, scheduled_start_min (nullable), scheduled_kwh,
 ///   is_aggregate
+///
+/// fact_profile_slice holds each offer's profile as one contiguous range of
+/// rows (duration_slices, min_kwh, max_kwh) in canonical form: no two
+/// adjacent rows of an offer have bounds that compare ==. A scheduled offer
+/// keeps its profile_slices scheduled energies as one typed run beside the
+/// tables; scheduled_start_min is null exactly when the offer has none.
 class Database {
  public:
   Database();
@@ -135,7 +142,9 @@ class Database {
   Status LoadFlexOffers(const std::vector<core::FlexOffer>& offers);
 
   /// Replaces the stored state/schedule of an already-loaded offer (used
-  /// after a planning run). The offer must exist and validate.
+  /// after a planning run). The offer must exist, validate and carry the
+  /// stored profile (compared in canonical form): InvalidArgument naming the
+  /// id otherwise, with nothing written.
   Status UpdateFlexOffer(const core::FlexOffer& offer);
 
   size_t NumFlexOffers() const { return fact_flexoffer_.NumRows(); }
@@ -170,18 +179,20 @@ class Database {
   const Table& dim_region() const { return dim_region_; }
   const Table& dim_grid_node() const { return dim_grid_node_; }
 
-  /// Convenience: runs `query` on fact_flexoffer.
-  Result<Table> QueryFacts(const Query& query) const { return Execute(fact_flexoffer_, query); }
-
  private:
-  /// Where one fact row's detail rows sit: its unit slices in
-  /// fact_profile_slice and its members in bridge_aggregation, each one
-  /// contiguous range.
+  static constexpr size_t kNoSchedule = SIZE_MAX;
+
+  /// Where one fact row's detail rows sit: its canonical slices in
+  /// fact_profile_slice, its members in bridge_aggregation and its scheduled
+  /// energies in scheduled_kwh_, each one contiguous range. The schedule run
+  /// is kNoSchedule until the offer first gets a schedule; a cleared schedule
+  /// keeps its run for the next one.
   struct DetailRows {
     size_t slice_begin = 0;
     size_t slice_count = 0;
     size_t member_begin = 0;
     size_t member_count = 0;
+    size_t schedule_begin = kNoSchedule;
   };
   /// Raw storage of the columns ReconstructOffer reads, resolved once per
   /// call.
@@ -207,6 +218,8 @@ class Database {
 
   std::unordered_map<core::FlexOfferId, size_t> offer_row_;
   std::vector<DetailRows> detail_rows_;  // indexed by fact row
+  // One run of profile_slices energies per offer that has had a schedule.
+  std::vector<double> scheduled_kwh_;
 
   // Immutable, so copies of the database share it.
   std::shared_ptr<const LodPyramid> lod_;

@@ -1,7 +1,6 @@
 #include "dw/query.h"
 
 #include <algorithm>
-#include <map>
 
 #include "util/strings.h"
 
@@ -31,19 +30,6 @@ Predicate Predicate::In(std::string column, std::vector<Value> vs) {
 
 namespace {
 
-std::string DefaultName(const AggregateSpec& spec) {
-  const char* fn = "count";
-  switch (spec.fn) {
-    case AggregateSpec::Fn::kCount: fn = "count"; break;
-    case AggregateSpec::Fn::kSum: fn = "sum"; break;
-    case AggregateSpec::Fn::kMin: fn = "min"; break;
-    case AggregateSpec::Fn::kMax: fn = "max"; break;
-    case AggregateSpec::Fn::kAvg: fn = "avg"; break;
-  }
-  if (spec.fn == AggregateSpec::Fn::kCount) return fn;
-  return StrFormat("%s(%s)", fn, spec.column.c_str());
-}
-
 bool Matches(const Value& cell, const Predicate& p) {
   switch (p.op) {
     case Predicate::Op::kEq: return cell == p.value;
@@ -58,61 +44,7 @@ bool Matches(const Value& cell, const Predicate& p) {
   return false;
 }
 
-// Running state of one aggregate within one group.
-struct AggState {
-  int64_t count = 0;
-  double sum = 0.0;
-  Value min = Value::Null();
-  Value max = Value::Null();
-
-  void Feed(const Value& v) {
-    ++count;
-    if (v.is_null()) return;
-    sum += v.ToNumber();
-    if (min.is_null() || v < min) min = v;
-    if (max.is_null() || max < v) max = v;
-  }
-
-  Value Finish(AggregateSpec::Fn fn) const {
-    switch (fn) {
-      case AggregateSpec::Fn::kCount: return Value(count);
-      case AggregateSpec::Fn::kSum: return Value(sum);
-      case AggregateSpec::Fn::kMin: return min;
-      case AggregateSpec::Fn::kMax: return max;
-      case AggregateSpec::Fn::kAvg:
-        return count > 0 ? Value(sum / static_cast<double>(count)) : Value::Null();
-    }
-    return Value::Null();
-  }
-};
-
 }  // namespace
-
-AggregateSpec AggregateSpec::Count(std::string as) {
-  AggregateSpec s{Fn::kCount, "", std::move(as)};
-  if (s.as.empty()) s.as = DefaultName(s);
-  return s;
-}
-AggregateSpec AggregateSpec::Sum(std::string column, std::string as) {
-  AggregateSpec s{Fn::kSum, std::move(column), std::move(as)};
-  if (s.as.empty()) s.as = DefaultName(s);
-  return s;
-}
-AggregateSpec AggregateSpec::Min(std::string column, std::string as) {
-  AggregateSpec s{Fn::kMin, std::move(column), std::move(as)};
-  if (s.as.empty()) s.as = DefaultName(s);
-  return s;
-}
-AggregateSpec AggregateSpec::Max(std::string column, std::string as) {
-  AggregateSpec s{Fn::kMax, std::move(column), std::move(as)};
-  if (s.as.empty()) s.as = DefaultName(s);
-  return s;
-}
-AggregateSpec AggregateSpec::Avg(std::string column, std::string as) {
-  AggregateSpec s{Fn::kAvg, std::move(column), std::move(as)};
-  if (s.as.empty()) s.as = DefaultName(s);
-  return s;
-}
 
 Result<std::vector<size_t>> FilterRows(const Table& table,
                                        const std::vector<Predicate>& where) {
@@ -137,130 +69,6 @@ Result<std::vector<size_t>> FilterRows(const Table& table,
     if (keep) rows.push_back(r);
   }
   return rows;
-}
-
-Result<Table> Execute(const Table& table, const Query& query) {
-  Result<std::vector<size_t>> filtered = FilterRows(table, query.where);
-  if (!filtered.ok()) return filtered.status();
-  const std::vector<size_t>& rows = *filtered;
-
-  Table out;
-  if (query.group_by.empty() && query.aggregates.empty()) {
-    // Plain selection / projection.
-    std::vector<std::string> names = query.select;
-    if (names.empty()) {
-      for (const ColumnSpec& c : table.schema()) names.push_back(c.name);
-    }
-    std::vector<ColumnSpec> schema;
-    std::vector<const Column*> sources;
-    for (const std::string& n : names) {
-      const Column* c = table.FindColumn(n);
-      if (c == nullptr) {
-        return NotFoundError(StrFormat("select column '%s' not in table '%s'", n.c_str(),
-                                       table.name().c_str()));
-      }
-      schema.push_back(c->spec());
-      sources.push_back(c);
-    }
-    out = Table(table.name() + "_select", std::move(schema));
-    for (size_t r : rows) {
-      std::vector<Value> cells;
-      cells.reserve(sources.size());
-      for (const Column* c : sources) cells.push_back(c->Get(r));
-      FLEXVIS_RETURN_IF_ERROR(out.AppendRow(cells));
-    }
-  } else {
-    // Group-by + aggregates (an empty group_by yields one global group).
-    std::vector<const Column*> key_cols;
-    std::vector<ColumnSpec> schema;
-    for (const std::string& n : query.group_by) {
-      const Column* c = table.FindColumn(n);
-      if (c == nullptr) {
-        return NotFoundError(StrFormat("group-by column '%s' not in table '%s'", n.c_str(),
-                                       table.name().c_str()));
-      }
-      key_cols.push_back(c);
-      schema.push_back(c->spec());
-    }
-    std::vector<const Column*> agg_cols;
-    for (const AggregateSpec& a : query.aggregates) {
-      const Column* c = nullptr;
-      if (a.fn != AggregateSpec::Fn::kCount) {
-        c = table.FindColumn(a.column);
-        if (c == nullptr) {
-          return NotFoundError(StrFormat("aggregate column '%s' not in table '%s'",
-                                         a.column.c_str(), table.name().c_str()));
-        }
-      }
-      agg_cols.push_back(c);
-      ColumnType t = ColumnType::kDouble;
-      if (a.fn == AggregateSpec::Fn::kCount) {
-        t = ColumnType::kInt64;
-      } else if ((a.fn == AggregateSpec::Fn::kMin || a.fn == AggregateSpec::Fn::kMax) &&
-                 c != nullptr) {
-        t = c->type();
-      }
-      schema.push_back(ColumnSpec{a.as.empty() ? DefaultName(a) : a.as, t});
-    }
-
-    // std::map keeps groups in ascending key order.
-    std::map<std::vector<Value>, std::vector<AggState>> groups;
-    for (size_t r : rows) {
-      std::vector<Value> key;
-      key.reserve(key_cols.size());
-      for (const Column* c : key_cols) key.push_back(c->Get(r));
-      auto [it, inserted] = groups.try_emplace(std::move(key));
-      if (inserted) it->second.resize(query.aggregates.size());
-      for (size_t i = 0; i < query.aggregates.size(); ++i) {
-        it->second[i].Feed(agg_cols[i] != nullptr ? agg_cols[i]->Get(r) : Value(int64_t{1}));
-      }
-    }
-
-    out = Table(table.name() + "_groupby", std::move(schema));
-    for (const auto& [key, states] : groups) {
-      std::vector<Value> cells = key;
-      for (size_t i = 0; i < states.size(); ++i) {
-        Value v = states[i].Finish(query.aggregates[i].fn);
-        // Widen int min/max into the declared column type if needed.
-        cells.push_back(std::move(v));
-      }
-      FLEXVIS_RETURN_IF_ERROR(out.AppendRow(cells));
-    }
-  }
-
-  // ORDER BY over the produced table.
-  if (!query.order_by.empty()) {
-    std::vector<size_t> order_idx;
-    for (const std::string& n : query.order_by) {
-      Result<size_t> idx = out.ColumnIndex(n);
-      if (!idx.ok()) return idx.status();
-      order_idx.push_back(*idx);
-    }
-    std::vector<size_t> perm(out.NumRows());
-    for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
-    std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-      for (size_t i : order_idx) {
-        int c = Value::Compare(out.column(i).Get(a), out.column(i).Get(b));
-        if (c != 0) return c < 0;
-      }
-      return false;
-    });
-    Table sorted(out.name(), out.schema());
-    for (size_t r : perm) {
-      FLEXVIS_RETURN_IF_ERROR(sorted.AppendRow(out.GetRow(r)));
-    }
-    out = std::move(sorted);
-  }
-
-  // LIMIT.
-  if (query.limit > 0 && out.NumRows() > query.limit) {
-    Table limited(out.name(), out.schema());
-    for (size_t r = 0; r < query.limit; ++r) {
-      FLEXVIS_RETURN_IF_ERROR(limited.AppendRow(out.GetRow(r)));
-    }
-    out = std::move(limited);
-  }
-  return out;
 }
 
 }  // namespace flexvis::dw

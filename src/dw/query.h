@@ -9,8 +9,8 @@
 
 namespace flexvis::dw {
 
-/// A simple column-vs-constant predicate. Predicates in one query are ANDed;
-/// kIn provides the OR-over-members case the views need ("states in
+/// A simple column-vs-constant predicate. Predicates in one filter are
+/// ANDed; kIn provides the OR-over-members case the views need ("states in
 /// {Accepted, Assigned}").
 struct Predicate {
   enum class Op { kEq, kNe, kLt, kLe, kGt, kGe, kIn };
@@ -29,44 +29,8 @@ struct Predicate {
   static Predicate In(std::string column, std::vector<Value> vs);
 };
 
-/// One aggregate output of a group-by query.
-struct AggregateSpec {
-  enum class Fn { kCount, kSum, kMin, kMax, kAvg };
-
-  Fn fn = Fn::kCount;
-  std::string column;  // ignored for kCount
-  std::string as;      // output column name; defaults to "fn(column)"
-
-  static AggregateSpec Count(std::string as = "count");
-  static AggregateSpec Sum(std::string column, std::string as = "");
-  static AggregateSpec Min(std::string column, std::string as = "");
-  static AggregateSpec Max(std::string column, std::string as = "");
-  static AggregateSpec Avg(std::string column, std::string as = "");
-};
-
-/// A filter + group-by + aggregate query over one table. This is the query
-/// surface Section 3 demands: "retrieve counts of accepted flex-offers in
-/// the west Denmark in the period from Jan-2013 to Feb-2013 grouped by
-/// cities and energy type" is one Query with three predicates, two group-by
-/// columns, and a Count aggregate.
-struct Query {
-  std::vector<Predicate> where;
-  std::vector<std::string> group_by;
-  std::vector<AggregateSpec> aggregates;
-  /// When group_by and aggregates are both empty the query is a plain
-  /// filter returning the selected source rows (optionally projected).
-  std::vector<std::string> select;  // empty = all columns
-  /// Sort the result ascending by these output columns.
-  std::vector<std::string> order_by;
-  /// Truncate the result to this many rows; 0 = no limit.
-  size_t limit = 0;
-};
-
-/// Executes `query` against `table`, producing a new result table. Group
-/// rows are emitted in ascending group-key order unless order_by overrides.
-Result<Table> Execute(const Table& table, const Query& query);
-
-/// Returns the indices of rows in `table` satisfying all predicates.
+/// Returns the indices of rows in `table` satisfying all predicates, in row
+/// order; NotFound when a predicate names a column the table lacks.
 Result<std::vector<size_t>> FilterRows(const Table& table, const std::vector<Predicate>& where);
 
 }  // namespace flexvis::dw

@@ -209,47 +209,10 @@ Status Table::AppendRows(size_t rows, const std::function<void(Column* columns)>
   return OkStatus();
 }
 
-std::vector<Value> Table::GetRow(size_t row) const {
-  std::vector<Value> out;
-  out.reserve(columns_.size());
-  for (const Column& c : columns_) out.push_back(c.Get(row));
-  return out;
-}
-
 std::vector<ColumnSpec> Table::schema() const {
   std::vector<ColumnSpec> out;
   out.reserve(columns_.size());
   for (const Column& c : columns_) out.push_back(c.spec());
-  return out;
-}
-
-std::string Table::ToText(size_t max_rows) const {
-  const size_t rows = std::min(max_rows, num_rows_);
-  // Compute column widths.
-  std::vector<size_t> widths(columns_.size());
-  std::vector<std::vector<std::string>> cells(rows);
-  for (size_t i = 0; i < columns_.size(); ++i) widths[i] = columns_[i].name().size();
-  for (size_t r = 0; r < rows; ++r) {
-    cells[r].reserve(columns_.size());
-    for (size_t i = 0; i < columns_.size(); ++i) {
-      cells[r].push_back(columns_[i].Get(r).ToDisplayString());
-      widths[i] = std::max(widths[i], cells[r].back().size());
-    }
-  }
-  std::string out;
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    out += StrFormat("%-*s", static_cast<int>(widths[i]) + 2, columns_[i].name().c_str());
-  }
-  out += "\n";
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t i = 0; i < columns_.size(); ++i) {
-      out += StrFormat("%-*s", static_cast<int>(widths[i]) + 2, cells[r][i].c_str());
-    }
-    out += "\n";
-  }
-  if (rows < num_rows_) {
-    out += StrFormat("... (%zu more rows)\n", num_rows_ - rows);
-  }
   return out;
 }
 

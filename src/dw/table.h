@@ -106,15 +106,8 @@ class Table {
   /// when a column did not grow by exactly `rows`.
   Status AppendRows(size_t rows, const std::function<void(Column* columns)>& fill);
 
-  /// One row as Values in schema order.
-  std::vector<Value> GetRow(size_t row) const;
-
   /// Schema of all columns, in order.
   std::vector<ColumnSpec> schema() const;
-
-  /// Renders the table (or its first `max_rows` rows) as fixed-width text,
-  /// for diagnostics and the pivot-view fallback rendering.
-  std::string ToText(size_t max_rows = 50) const;
 
  private:
   std::string name_;

@@ -1,7 +1,5 @@
 #include "dw/value.h"
 
-#include "util/strings.h"
-
 namespace flexvis::dw {
 
 std::string_view ColumnTypeName(ColumnType type) {
@@ -17,13 +15,6 @@ double Value::ToNumber() const {
   if (is_int()) return static_cast<double>(AsInt());
   if (is_double()) return AsDouble();
   return 0.0;
-}
-
-std::string Value::ToDisplayString() const {
-  if (is_null()) return "";
-  if (is_int()) return StrFormat("%lld", static_cast<long long>(AsInt()));
-  if (is_double()) return FormatDouble(AsDouble(), 4);
-  return AsString();
 }
 
 int Value::Compare(const Value& a, const Value& b) {

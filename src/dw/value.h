@@ -46,10 +46,7 @@ class Value {
   /// Numeric view: ints widen to double; 0 for null/strings.
   double ToNumber() const;
 
-  /// Display form ("" for null).
-  std::string ToDisplayString() const;
-
-  /// Total ordering used by group-by and ORDER BY: null < numbers < strings;
+  /// Total ordering used by filter predicates: null < numbers < strings;
   /// ints and doubles compare numerically.
   friend bool operator<(const Value& a, const Value& b) { return Compare(a, b) < 0; }
   friend bool operator==(const Value& a, const Value& b) { return Compare(a, b) == 0; }

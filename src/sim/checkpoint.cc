@@ -16,20 +16,45 @@ namespace flexvis::sim {
 
 namespace {
 
-/// Optional-with-default integer: pre-overload / pre-compaction checkpoints
-/// lack the newer keys and must keep resuming with the historical behaviour.
-int64_t GetIntOr(const JsonValue& json, std::string_view key, int64_t fallback) {
-  if (!json.Has(key)) return fallback;
+constexpr const char* kMetaRecord = "checkpoint meta.json";
+
+/// Optional-with-default int field of `record`: pre-overload /
+/// pre-compaction checkpoints lack the newer keys and must keep resuming with
+/// the historical behaviour, so an absent key reads as 0. A present key that
+/// is not an integer within int is kDataLoss naming the field.
+Status DecodeOptionalInt(const JsonValue& json, const char* record, const char* key, int* out) {
+  if (!json.Has(key)) {
+    *out = 0;
+    return OkStatus();
+  }
   Result<int64_t> value = json.GetInt(key);
-  return value.ok() ? *value : fallback;
+  if (!value.ok()) {
+    return DataLossError(StrFormat("%s field '%s' is not an integer", record, key));
+  }
+  return NarrowToInt(*value, record, key, out);
 }
 
-/// Optional-with-default string, same contract as GetIntOr: pre-strategy
-/// checkpoints lack the pinned-strategy keys and resume under the defaults.
-std::string GetStringOr(const JsonValue& json, std::string_view key, std::string fallback) {
-  if (!json.Has(key)) return fallback;
+/// kDataLoss naming meta.json's enum field `field` unless `value` is one of
+/// its enum's values 0..`last`: no run writes another.
+Status CheckEnumValue(const char* field, int value, int last) {
+  if (value >= 0 && value <= last) return OkStatus();
+  return DataLossError(StrFormat("%s field '%s' holds %d, not a value of its enum", kMetaRecord,
+                                 field, value));
+}
+
+/// Optional-with-default string field of meta.json: pre-strategy
+/// checkpoints lack the pinned-strategy keys and resume under the defaults,
+/// so an absent key reads as "". A present key that is not a string is
+/// kDataLoss naming the field.
+Status DecodeOptionalString(const JsonValue& json, const char* key, std::string* out) {
+  out->clear();
+  if (!json.Has(key)) return OkStatus();
   Result<std::string> value = json.GetString(key);
-  return value.ok() ? *std::move(value) : std::move(fallback);
+  if (!value.ok()) {
+    return DataLossError(StrFormat("%s field '%s' is not a string", kMetaRecord, key));
+  }
+  *out = *std::move(value);
+  return OkStatus();
 }
 
 /// meta.json <-> (window, params). Every field the loop's decisions depend
@@ -82,26 +107,37 @@ Status DecodeMeta(std::string_view text, OnlineParams* params,
                                      status->message().c_str()));
     }
   }
+  int scheduler_order = 0;
+  int shed_policy = 0;
+  FLEXVIS_RETURN_IF_ERROR(NarrowToInt(*order, kMetaRecord, "scheduler_order", &scheduler_order));
+  FLEXVIS_RETURN_IF_ERROR(DecodeOptionalInt(meta, kMetaRecord, "shed_policy", &shed_policy));
+  FLEXVIS_RETURN_IF_ERROR(CheckEnumValue(
+      "scheduler_order", scheduler_order,
+      static_cast<int>(core::SchedulerParams::Order::kArrival)));
+  FLEXVIS_RETURN_IF_ERROR(CheckEnumValue("shed_policy", shed_policy,
+                                         static_cast<int>(ShedPolicy::kRejectLeastValuable)));
   *window = timeutil::TimeInterval(timeutil::TimePoint::FromMinutes(*start),
                                    timeutil::TimePoint::FromMinutes(*end));
   params->tick_minutes = *tick;
   params->scheduler.rejection_threshold = *threshold;
-  params->scheduler.order = static_cast<core::SchedulerParams::Order>(*order);
+  params->scheduler.order = static_cast<core::SchedulerParams::Order>(scheduler_order);
   params->energy.seed = static_cast<uint64_t>(*seed);
   params->energy.wind_mean_kwh = *wind;
   params->energy.solar_peak_kwh = *solar;
   params->energy.demand_base_kwh = *demand;
   params->energy.noise = *noise;
-  params->max_ingest_per_tick = static_cast<int>(GetIntOr(meta, "max_ingest_per_tick", 0));
-  params->ingest_queue_capacity =
-      static_cast<int>(GetIntOr(meta, "ingest_queue_capacity", 0));
-  params->shed_policy = static_cast<ShedPolicy>(GetIntOr(meta, "shed_policy", 0));
-  params->compact_ticks = static_cast<int>(GetIntOr(meta, "compact_ticks", 0));
+  params->shed_policy = static_cast<ShedPolicy>(shed_policy);
+  FLEXVIS_RETURN_IF_ERROR(DecodeOptionalInt(meta, kMetaRecord, "max_ingest_per_tick",
+                                            &params->max_ingest_per_tick));
+  FLEXVIS_RETURN_IF_ERROR(DecodeOptionalInt(meta, kMetaRecord, "ingest_queue_capacity",
+                                            &params->ingest_queue_capacity));
+  FLEXVIS_RETURN_IF_ERROR(
+      DecodeOptionalInt(meta, kMetaRecord, "compact_ticks", &params->compact_ticks));
   // Pinned strategy identity. Absent keys (pre-strategy checkpoints) resume
   // under the defaults; a *present* unknown name is a configuration error
   // surfaced before any replay, naming the registered options.
-  params->forecaster = GetStringOr(meta, "forecaster", "");
-  params->bidding = GetStringOr(meta, "bidding", "");
+  FLEXVIS_RETURN_IF_ERROR(DecodeOptionalString(meta, "forecaster", &params->forecaster));
+  FLEXVIS_RETURN_IF_ERROR(DecodeOptionalString(meta, "bidding", &params->bidding));
   if (!params->forecaster.empty()) {
     Result<std::unique_ptr<Forecaster>> forecaster =
         ForecasterRegistry::Global().Make(params->forecaster);
@@ -347,8 +383,7 @@ Result<OnlineTickRecord> DecodeTickRecord(const JsonValue& json) {
       {"qhw", &record.queue_high_watermark},
   };
   for (const IntField& field : optional) {
-    FLEXVIS_RETURN_IF_ERROR(
-        NarrowToInt(GetIntOr(json, field.key, 0), "journal record", field.key, field.out));
+    FLEXVIS_RETURN_IF_ERROR(DecodeOptionalInt(json, "journal record", field.key, field.out));
   }
   record.folded = json.Get("folded").is_bool() && json.Get("folded").AsBool();
 

@@ -1,7 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <filesystem>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "core/aggregation.h"
+#include "core/messages.h"
 #include "dw/database.h"
+#include "dw/persistence.h"
 #include "dw/query.h"
+#include "geo/atlas.h"
+#include "grid/topology.h"
+#include "sim/enterprise.h"
+#include "sim/workload.h"
+#include "util/parallel.h"
+#include "util/rng.h"
 
 namespace flexvis::dw {
 namespace {
@@ -42,13 +59,6 @@ TEST(ValueTest, OrderingNullNumberString) {
   EXPECT_EQ(Value(), Value());
 }
 
-TEST(ValueTest, DisplayStrings) {
-  EXPECT_EQ(Value().ToDisplayString(), "");
-  EXPECT_EQ(Value(int64_t{12}).ToDisplayString(), "12");
-  EXPECT_EQ(Value(2.5).ToDisplayString(), "2.5");
-  EXPECT_EQ(Value(std::string("abc")).ToDisplayString(), "abc");
-}
-
 // ---- Table ---------------------------------------------------------------------
 
 Table MakeTestTable() {
@@ -69,7 +79,10 @@ TEST(TableTest, AppendAndRead) {
   EXPECT_TRUE(t.FindColumn("score")->IsNull(2));
   EXPECT_FALSE(t.FindColumn("score")->IsNull(0));
   EXPECT_EQ(t.FindColumn("name")->GetString(2), "a");
-  EXPECT_EQ(t.GetRow(0).size(), 3u);
+  EXPECT_EQ(t.column(0).Get(0), Value(int64_t{1}));
+  EXPECT_EQ(t.column(1).Get(0), Value(1.5));
+  EXPECT_EQ(t.column(2).Get(0), Value(std::string("a")));
+  EXPECT_TRUE(t.column(1).Get(2).is_null());
 }
 
 TEST(TableTest, TypeMismatchRejectedAtomically) {
@@ -111,111 +124,33 @@ TEST(TableTest, ColumnIndexLookup) {
   EXPECT_EQ(t.FindColumn("nope"), nullptr);
 }
 
-TEST(TableTest, ToTextRendersHeaderAndRows) {
-  Table t = MakeTestTable();
-  std::string text = t.ToText();
-  EXPECT_NE(text.find("id"), std::string::npos);
-  EXPECT_NE(text.find("2.5"), std::string::npos);
-  std::string truncated = t.ToText(1);
-  EXPECT_NE(truncated.find("2 more rows"), std::string::npos);
-}
-
-// ---- Query ----------------------------------------------------------------------
+// ---- Query (FilterRows) -----------------------------------------------------------
 
 TEST(QueryTest, FilterEqAndIn) {
   Table t = MakeTestTable();
-  Query q;
-  q.where = {Predicate::Eq("name", Value(std::string("a")))};
-  Result<Table> r = Execute(t, q);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->NumRows(), 2u);
+  Result<std::vector<size_t>> rows =
+      FilterRows(t, {Predicate::Eq("name", Value(std::string("a")))});
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, (std::vector<size_t>{0, 2}));
 
-  q.where = {Predicate::In("id", {Value(int64_t{1}), Value(int64_t{3})})};
-  EXPECT_EQ(Execute(t, q)->NumRows(), 2u);
+  rows = FilterRows(t, {Predicate::In("id", {Value(int64_t{1}), Value(int64_t{3})})});
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, (std::vector<size_t>{0, 2}));
 }
 
 TEST(QueryTest, RangePredicates) {
   Table t = MakeTestTable();
-  Query q;
-  q.where = {Predicate::Ge("id", Value(int64_t{2})), Predicate::Lt("id", Value(int64_t{3}))};
-  Result<Table> r = Execute(t, q);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->NumRows(), 1u);
-  EXPECT_EQ(r->FindColumn("id")->GetInt64(0), 2);
+  Result<std::vector<size_t>> rows = FilterRows(
+      t, {Predicate::Ge("id", Value(int64_t{2})), Predicate::Lt("id", Value(int64_t{3}))});
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ(t.FindColumn("id")->GetInt64((*rows)[0]), 2);
 }
 
 TEST(QueryTest, UnknownColumnErrors) {
   Table t = MakeTestTable();
-  Query q;
-  q.where = {Predicate::Eq("ghost", Value(int64_t{1}))};
-  EXPECT_EQ(Execute(t, q).status().code(), StatusCode::kNotFound);
-  q.where.clear();
-  q.select = {"ghost"};
-  EXPECT_FALSE(Execute(t, q).ok());
-  q.select.clear();
-  q.group_by = {"ghost"};
-  q.aggregates = {AggregateSpec::Count()};
-  EXPECT_FALSE(Execute(t, q).ok());
-}
-
-TEST(QueryTest, Projection) {
-  Table t = MakeTestTable();
-  Query q;
-  q.select = {"name", "id"};
-  Result<Table> r = Execute(t, q);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->NumColumns(), 2u);
-  EXPECT_EQ(r->column(0).name(), "name");
-}
-
-TEST(QueryTest, GroupByWithAggregates) {
-  Table t = MakeTestTable();
-  Query q;
-  q.group_by = {"name"};
-  q.aggregates = {AggregateSpec::Count(), AggregateSpec::Sum("id"), AggregateSpec::Avg("id"),
-                  AggregateSpec::Min("id"), AggregateSpec::Max("id")};
-  Result<Table> r = Execute(t, q);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->NumRows(), 2u);  // groups "a" and "b", in key order
-  EXPECT_EQ(r->FindColumn("name")->GetString(0), "a");
-  EXPECT_EQ(r->FindColumn("count")->GetInt64(0), 2);
-  EXPECT_DOUBLE_EQ(r->FindColumn("sum(id)")->GetDouble(0), 4.0);
-  EXPECT_DOUBLE_EQ(r->FindColumn("avg(id)")->GetDouble(0), 2.0);
-  EXPECT_EQ(r->FindColumn("min(id)")->GetInt64(0), 1);
-  EXPECT_EQ(r->FindColumn("max(id)")->GetInt64(0), 3);
-}
-
-TEST(QueryTest, GlobalAggregateWithoutGroupBy) {
-  Table t = MakeTestTable();
-  Query q;
-  q.aggregates = {AggregateSpec::Count("n")};
-  Result<Table> r = Execute(t, q);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->NumRows(), 1u);
-  EXPECT_EQ(r->FindColumn("n")->GetInt64(0), 3);
-}
-
-TEST(QueryTest, AggregateSkipsNullInputs) {
-  Table t = MakeTestTable();  // score is null in row 3
-  Query q;
-  q.aggregates = {AggregateSpec::Sum("score"), AggregateSpec::Count()};
-  Result<Table> r = Execute(t, q);
-  ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(r->FindColumn("sum(score)")->GetDouble(0), 4.0);
-  EXPECT_EQ(r->FindColumn("count")->GetInt64(0), 3);  // count counts rows
-}
-
-TEST(QueryTest, OrderByAndLimit) {
-  Table t = MakeTestTable();
-  Query q;
-  q.select = {"id"};
-  q.order_by = {"id"};
-  q.limit = 2;
-  Result<Table> r = Execute(t, q);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->NumRows(), 2u);
-  EXPECT_EQ(r->FindColumn("id")->GetInt64(0), 1);
-  EXPECT_EQ(r->FindColumn("id")->GetInt64(1), 2);
+  EXPECT_EQ(FilterRows(t, {Predicate::Eq("ghost", Value(int64_t{1}))}).status().code(),
+            StatusCode::kNotFound);
 }
 
 // ---- Database ---------------------------------------------------------------------
@@ -301,7 +236,7 @@ TEST(DatabaseTest, LoadAndRoundTrip) {
   original.state = core::FlexOfferState::kAssigned;
   ASSERT_TRUE(db.LoadFlexOffers({original}).ok());
   EXPECT_EQ(db.NumFlexOffers(), 1u);
-  EXPECT_EQ(db.fact_profile_slice().NumRows(), 3u);
+  EXPECT_EQ(db.fact_profile_slice().NumRows(), 2u);  // one row per RLE slice
 
   Result<FlexOffer> restored = db.GetFlexOffer(1);
   ASSERT_TRUE(restored.ok());
@@ -337,7 +272,7 @@ TEST(DatabaseTest, DuplicateIdsInsideOneBatchAreRejectedBeforeAnyAppend) {
   EXPECT_EQ(status.message(), "flex-offer 1 appears twice in one load");
   // Nothing of the batch landed.
   EXPECT_EQ(db.NumFlexOffers(), 1u);
-  EXPECT_EQ(db.fact_profile_slice().NumRows(), 3u);
+  EXPECT_EQ(db.fact_profile_slice().NumRows(), 2u);
   EXPECT_FALSE(db.GetFlexOffer(1).ok());
   EXPECT_EQ(db.SelectFlexOffers({})->size(), 1u);
 
@@ -461,6 +396,222 @@ TEST(DatabaseTest, AggregateFilterModes) {
   only_agg.aggregates = FlexOfferFilter::AggregateFilter::kOnlyAggregates;
   EXPECT_EQ(db.SelectFlexOffers(only_agg)->size(), 1u);
   EXPECT_EQ(db.SelectFlexOffers(FlexOfferFilter{})->size(), 2u);
+}
+
+TEST(DatabaseTest, UpdateFlexOfferRefusesAProfileOtherThanTheLoadedOne) {
+  Database db;
+  const FlexOffer original = MakeOffer(1, 5, 0, 4);  // {2, 1.0, 2.0}, {1, 0.5, 0.5}
+  ASSERT_TRUE(db.LoadFlexOffers({original}).ok());
+
+  FlexOffer shorter = original;
+  shorter.profile = {ProfileSlice{2, 1.0, 2.0}};
+  shorter.state = core::FlexOfferState::kAssigned;
+  shorter.schedule = core::Schedule{original.earliest_start, {1.5, 1.5}};
+  ASSERT_TRUE(core::Validate(shorter).ok());
+  Status status = db.UpdateFlexOffer(shorter);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("flex-offer 1"), std::string::npos) << status.message();
+
+  // Nothing was written, so the warehouse still saves and loads.
+  Result<FlexOffer> stored = db.GetFlexOffer(1);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(core::EncodeFlexOffer(*stored), core::EncodeFlexOffer(original));
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "flexvis_dw_update_profile").string();
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(SaveDatabase(db, dir).ok());
+  Result<Database> loaded = LoadDatabase(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Result<FlexOffer> reloaded = loaded->GetFlexOffer(1);
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ(core::EncodeFlexOffer(*reloaded), core::EncodeFlexOffer(original));
+  std::filesystem::remove_all(dir);
+}
+
+// ---- Canonical profiles ------------------------------------------------------------
+
+/// Valid offers whose profiles often repeat the previous slice's bounds, so
+/// many are not in canonical form; about half carry a schedule.
+std::vector<FlexOffer> RandomOffers(Rng& rng, core::FlexOfferId first_id, size_t count) {
+  std::vector<FlexOffer> out;
+  for (size_t i = 0; i < count; ++i) {
+    FlexOffer o = MakeOffer(first_id + static_cast<core::FlexOfferId>(i), rng.UniformInt(1, 9),
+                            rng.UniformInt(0, 95), rng.UniformInt(0, 8));
+    o.direction = rng.Bernoulli(0.3) ? core::Direction::kProduction
+                                     : core::Direction::kConsumption;
+    o.profile.clear();
+    const int64_t slices = rng.UniformInt(1, 6);
+    for (int64_t k = 0; k < slices; ++k) {
+      const int duration = static_cast<int>(rng.UniformInt(1, 4));
+      if (k > 0 && rng.Bernoulli(0.3)) {
+        o.profile.push_back(ProfileSlice{duration, o.profile.back().min_energy_kwh,
+                                         o.profile.back().max_energy_kwh});
+      } else {
+        const double min = rng.Bernoulli(0.2) ? 0.0 : rng.Uniform(0.0, 1.5);
+        o.profile.push_back(ProfileSlice{duration, min, min + rng.Uniform(0.0, 1.5)});
+      }
+    }
+    if (rng.Bernoulli(0.5)) {
+      core::Schedule schedule{o.latest_start, {}};
+      for (const ProfileSlice& unit : o.UnitProfile()) {
+        schedule.energy_kwh.push_back(rng.Uniform(unit.min_energy_kwh, unit.max_energy_kwh));
+      }
+      o.schedule = std::move(schedule);
+      o.state = core::FlexOfferState::kAssigned;
+    }
+    out.push_back(std::move(o));
+  }
+  return out;
+}
+
+/// What the warehouse must hand back for `offers`: each profile in the form
+/// core::CompressProfile gives, in id order.
+std::vector<FlexOffer> Canonical(std::vector<FlexOffer> offers) {
+  for (FlexOffer& o : offers) o.profile = core::CompressProfile(o.profile);
+  std::sort(offers.begin(), offers.end(),
+            [](const FlexOffer& a, const FlexOffer& b) { return a.id < b.id; });
+  return offers;
+}
+
+/// SelectFlexOffers and GetFlexOffer both return `expected`, compared as
+/// encoded records so that every field and the sign of every zero counts.
+void ExpectHolds(const Database& db, const std::vector<FlexOffer>& expected,
+                 const std::string& label) {
+  Result<std::vector<FlexOffer>> selected = db.SelectFlexOffers(FlexOfferFilter{});
+  ASSERT_TRUE(selected.ok()) << label;
+  ASSERT_EQ(selected->size(), expected.size()) << label;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const std::string want = core::EncodeFlexOffer(expected[i]);
+    EXPECT_EQ(core::EncodeFlexOffer((*selected)[i]), want) << label;
+    Result<FlexOffer> got = db.GetFlexOffer(expected[i].id);
+    ASSERT_TRUE(got.ok()) << label;
+    EXPECT_EQ(core::EncodeFlexOffer(*got), want) << label;
+  }
+}
+
+TEST(DatabaseTest, SelectAndGetReturnEveryLoadedOfferInCanonicalForm) {
+  const geo::Atlas atlas = geo::Atlas::MakeDenmark();
+  const grid::GridTopology topology = grid::GridTopology::MakeRadial(2, 2, 2, 3);
+  for (int threads : {1, 8}) {
+    SetParallelThreadCount(threads);
+    const std::string at = " at " + std::to_string(threads) + " threads";
+
+    // Random batches, loaded in three calls; more offers than one
+    // reconstruct chunk.
+    {
+      Database db;
+      Rng rng(19);
+      std::vector<FlexOffer> all;
+      for (int batch = 0; batch < 3; ++batch) {
+        std::vector<FlexOffer> offers = RandomOffers(rng, 1 + batch * 800, 800);
+        ASSERT_TRUE(db.LoadFlexOffers(offers).ok());
+        all.insert(all.end(), offers.begin(), offers.end());
+      }
+      ExpectHolds(db, Canonical(all), "random batches" + at);
+    }
+
+    // Hand-made non-canonical profiles: adjacent equal slices, and -0.0 next
+    // to +0.0 (== merges them; the first slice's sign is kept).
+    {
+      Database db;
+      FlexOffer equal = MakeOffer(1, 5, 0, 4);
+      equal.profile = {ProfileSlice{1, 0.5, 1.0}, ProfileSlice{2, 0.5, 1.0},
+                       ProfileSlice{1, 0.2, 0.2}, ProfileSlice{1, 0.2, 0.2}};
+      FlexOffer negative_first = MakeOffer(2, 5, 0, 4);
+      negative_first.profile = {ProfileSlice{1, -0.0, 1.0}, ProfileSlice{1, 0.0, 1.0}};
+      negative_first.schedule = core::Schedule{negative_first.earliest_start, {-0.0, 0.0}};
+      FlexOffer positive_first = MakeOffer(3, 5, 0, 4);
+      positive_first.profile = {ProfileSlice{2, 0.0, 0.0}, ProfileSlice{1, -0.0, -0.0}};
+      const std::vector<FlexOffer> offers = {equal, negative_first, positive_first};
+      ASSERT_TRUE(db.LoadFlexOffers(offers).ok());
+      EXPECT_EQ(db.fact_profile_slice().NumRows(), 4u) << at;
+      ExpectHolds(db, Canonical(offers), "hand-made profiles" + at);
+      Result<FlexOffer> got = db.GetFlexOffer(2);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->profile.size(), 1u);
+      EXPECT_TRUE(std::signbit(got->profile[0].min_energy_kwh)) << at;
+      got = db.GetFlexOffer(3);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->profile, (std::vector<ProfileSlice>{ProfileSlice{3, 0.0, 0.0}}));
+      EXPECT_FALSE(std::signbit(got->profile[0].max_energy_kwh)) << at;
+    }
+
+    // Aggregates with members, as the aggregator builds them.
+    {
+      Database db;
+      Rng rng(23);
+      std::vector<FlexOffer> members = RandomOffers(rng, 1, 300);
+      for (FlexOffer& m : members) {
+        m.schedule.reset();
+        m.state = core::FlexOfferState::kOffered;
+      }
+      core::FlexOfferId next_id = 10'000;
+      const std::vector<FlexOffer> aggregates =
+          core::Aggregator(core::AggregationParams{}).Aggregate(members, &next_id).aggregates;
+      ASSERT_FALSE(aggregates.empty());
+      ASSERT_TRUE(db.LoadFlexOffers(members).ok());
+      ASSERT_TRUE(db.LoadFlexOffers(aggregates).ok());
+      std::vector<FlexOffer> all = members;
+      all.insert(all.end(), aggregates.begin(), aggregates.end());
+      ExpectHolds(db, Canonical(all), "aggregates" + at);
+    }
+
+    // A generated world, planned: the day-ahead run updates member schedules
+    // and loads scheduled aggregates.
+    {
+      Database db;
+      ASSERT_TRUE(atlas.RegisterWithDatabase(db).ok());
+      ASSERT_TRUE(topology.RegisterWithDatabase(db).ok());
+      sim::WorkloadGenerator generator(&atlas, &topology);
+      sim::WorkloadParams params;
+      params.seed = 4;
+      params.num_prosumers = 40;
+      params.horizon = timeutil::TimeInterval(T0(), T0() + timeutil::kMinutesPerDay);
+      Result<sim::Workload> workload = generator.Generate(params);
+      ASSERT_TRUE(workload.ok());
+      ASSERT_TRUE(sim::WorkloadGenerator::LoadIntoDatabase(*workload, db).ok());
+      ExpectHolds(db, Canonical(workload->offers), "generated world" + at);
+
+      Result<sim::PlanningReport> report = sim::Enterprise().RunDayAhead(db, params.horizon);
+      ASSERT_TRUE(report.ok());
+      ASSERT_FALSE(report->aggregate_offers.empty());
+      std::map<core::FlexOfferId, FlexOffer> by_id;
+      for (const FlexOffer& o : workload->offers) by_id[o.id] = o;
+      for (const FlexOffer& o : report->member_offers) by_id[o.id] = o;
+      for (const FlexOffer& o : report->aggregate_offers) by_id[o.id] = o;
+      std::vector<FlexOffer> planned;
+      for (const auto& [id, o] : by_id) planned.push_back(o);
+      ExpectHolds(db, Canonical(planned), "planned world" + at);
+    }
+
+    // A schedule that UpdateFlexOffer sets, changes, clears and sets again,
+    // beside an offer that keeps the schedule it was loaded with.
+    {
+      Database db;
+      FlexOffer o = MakeOffer(1, 5, 0, 4);
+      o.profile = {ProfileSlice{1, 1.0, 2.0}, ProfileSlice{1, 1.0, 2.0},
+                   ProfileSlice{1, 0.5, 0.5}};
+      FlexOffer kept = MakeOffer(2, 5, 0, 4);
+      kept.schedule = core::Schedule{kept.latest_start, {1.25, 1.75, 0.5}};
+      ASSERT_TRUE(db.LoadFlexOffers({o, kept}).ok());
+      ExpectHolds(db, Canonical({o, kept}), "loaded" + at);
+
+      const std::vector<std::optional<core::Schedule>> steps = {
+          core::Schedule{o.earliest_start, {1.5, 1.5, 0.5}},
+          core::Schedule{o.latest_start, {2.0, 1.0, 0.5}},
+          std::nullopt,
+          core::Schedule{o.earliest_start + kMinutesPerSlice, {1.0, 2.0, 0.5}},
+      };
+      for (size_t step = 0; step < steps.size(); ++step) {
+        o.schedule = steps[step];
+        o.state = o.schedule.has_value() ? core::FlexOfferState::kAssigned
+                                         : core::FlexOfferState::kRejected;
+        ASSERT_TRUE(db.UpdateFlexOffer(o).ok()) << step;
+        ExpectHolds(db, Canonical({o, kept}), "schedule step " + std::to_string(step) + at);
+      }
+    }
+  }
+  SetParallelThreadCount(0);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dw/query.h"
 #include "render/svg_canvas.h"
 #include "sim/market.h"
 #include "time/granularity.h"
@@ -45,44 +44,6 @@ TEST(GranularityCoverageTest, NextBoundaryAllSentinel) {
   EXPECT_GT(NextBoundary(t, Granularity::kAll).minutes(), t.minutes());
   EXPECT_EQ(TruncateTo(t, Granularity::kAll), TimePoint());
   EXPECT_EQ(PeriodLabel(TimePoint(), Granularity::kAll), "All time");
-}
-
-TEST(QueryCoverageTest, MultiColumnOrderBy) {
-  dw::Table t("t", {{"a", dw::ColumnType::kInt64}, {"b", dw::ColumnType::kInt64}});
-  ASSERT_TRUE(t.AppendRow({dw::Value(int64_t{2}), dw::Value(int64_t{1})}).ok());
-  ASSERT_TRUE(t.AppendRow({dw::Value(int64_t{1}), dw::Value(int64_t{2})}).ok());
-  ASSERT_TRUE(t.AppendRow({dw::Value(int64_t{1}), dw::Value(int64_t{1})}).ok());
-  dw::Query q;
-  q.order_by = {"a", "b"};
-  Result<dw::Table> r = dw::Execute(t, q);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->FindColumn("a")->GetInt64(0), 1);
-  EXPECT_EQ(r->FindColumn("b")->GetInt64(0), 1);
-  EXPECT_EQ(r->FindColumn("b")->GetInt64(1), 2);
-  EXPECT_EQ(r->FindColumn("a")->GetInt64(2), 2);
-  // ORDER BY an unknown column errors.
-  q.order_by = {"ghost"};
-  EXPECT_FALSE(dw::Execute(t, q).ok());
-}
-
-TEST(QueryCoverageTest, GroupByMultipleKeys) {
-  dw::Table t("t", {{"k1", dw::ColumnType::kInt64},
-                    {"k2", dw::ColumnType::kString},
-                    {"v", dw::ColumnType::kDouble}});
-  ASSERT_TRUE(t.AppendRow({dw::Value(int64_t{1}), dw::Value(std::string("x")),
-                           dw::Value(1.0)}).ok());
-  ASSERT_TRUE(t.AppendRow({dw::Value(int64_t{1}), dw::Value(std::string("x")),
-                           dw::Value(2.0)}).ok());
-  ASSERT_TRUE(t.AppendRow({dw::Value(int64_t{1}), dw::Value(std::string("y")),
-                           dw::Value(4.0)}).ok());
-  dw::Query q;
-  q.group_by = {"k1", "k2"};
-  q.aggregates = {dw::AggregateSpec::Sum("v")};
-  Result<dw::Table> r = dw::Execute(t, q);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->NumRows(), 2u);
-  EXPECT_DOUBLE_EQ(r->FindColumn("sum(v)")->GetDouble(0), 3.0);
-  EXPECT_DOUBLE_EQ(r->FindColumn("sum(v)")->GetDouble(1), 4.0);
 }
 
 TEST(SvgCoverageTest, DegenerateInputsProduceNoElements) {

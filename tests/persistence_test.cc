@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 
 #include "dw/persistence.h"
+#include "util/crc32.h"
 #include "util/fileio.h"
 #include "olap/cube.h"
 #include "sim/enterprise.h"
 #include "sim/workload.h"
+#include "util/parallel.h"
 #include "viz/viewport.h"
 
 namespace flexvis {
@@ -272,6 +275,59 @@ TEST_F(PersistenceTest, ShortWriteSurfacesAsTypedError) {
   Status status = dw::SaveDatabase(db_, "/dev/full");
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInternal);
+}
+
+// ---- Pinned bytes ------------------------------------------------------------------
+
+/// CRC-32 of every file in `dir`, by file name.
+std::map<std::string, uint32_t> FileCrcs(const std::string& dir) {
+  std::map<std::string, uint32_t> crcs;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    Result<std::string> bytes = ReadFileToString(entry.path().string());
+    EXPECT_TRUE(bytes.ok()) << entry.path();
+    if (bytes.ok()) crcs[entry.path().filename().string()] = Crc32(*bytes);
+  }
+  return crcs;
+}
+
+TEST_F(PersistenceTest, SavedWarehouseBytesArePinned) {
+  // The save of a generated world, and of the same world after a day-ahead
+  // plan. A change to these literals changes the on-disk format: it belongs
+  // in the diff that makes that change.
+  const std::map<std::string, uint32_t> kGenerated = {
+      {"MANIFEST.json", 0x200b67aa},    {"dim_grid_node.csv", 0x358273ab},
+      {"dim_prosumer.csv", 0x9a360e5f}, {"dim_region.csv", 0xd5f1235a},
+      {"flexoffers.jsonl", 0xe28c9402}, {"lod.bin", 0x4d0e90b3}};
+  const std::map<std::string, uint32_t> kPlanned = {
+      {"MANIFEST.json", 0x1e0dc312},    {"dim_grid_node.csv", 0x358273ab},
+      {"dim_prosumer.csv", 0x9a360e5f}, {"dim_region.csv", 0xd5f1235a},
+      {"flexoffers.jsonl", 0xab49b3a4}, {"lod.bin", 0xd65a8e24}};
+  for (int threads : {1, 8}) {
+    SetParallelThreadCount(threads);
+    dw::Database db;
+    ASSERT_TRUE(atlas_.RegisterWithDatabase(db).ok());
+    ASSERT_TRUE(topology_.RegisterWithDatabase(db).ok());
+    sim::WorkloadGenerator generator(&atlas_, &topology_);
+    sim::WorkloadParams params;
+    params.seed = 909;
+    params.num_prosumers = 60;
+    params.horizon = TimeInterval(T0(), T0() + timeutil::kMinutesPerDay);
+    Result<sim::Workload> workload = generator.Generate(params);
+    ASSERT_TRUE(workload.ok());
+    ASSERT_TRUE(sim::WorkloadGenerator::LoadIntoDatabase(*workload, db).ok());
+
+    const std::string generated = TempDir("pinned_generated");
+    ASSERT_TRUE(dw::SaveDatabase(db, generated).ok());
+    EXPECT_EQ(FileCrcs(generated), kGenerated) << threads << " threads";
+
+    Result<dw::Database> loaded = dw::LoadDatabase(generated);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_TRUE(sim::Enterprise().RunDayAhead(*loaded, params.horizon).ok());
+    const std::string planned = TempDir("pinned_planned");
+    ASSERT_TRUE(dw::SaveDatabase(*loaded, planned).ok());
+    EXPECT_EQ(FileCrcs(planned), kPlanned) << threads << " threads";
+  }
+  SetParallelThreadCount(0);
 }
 
 // ---- Viewport -----------------------------------------------------------------------

@@ -518,5 +518,79 @@ TEST_F(RecoveryTest, DecodeTickRecordRejectsMalformedInput) {
   }
 }
 
+TEST_F(RecoveryTest, DecodeRefusesFieldValuesNoRunWrites) {
+  // meta.json: the largest value of each enum decodes; a value a cast would
+  // narrow or an enum does not have, or a present key of the wrong type, is
+  // refused naming the field, never resumed under parameters the run never
+  // had.
+  sim::OnlineParams params;
+  params.scheduler.order = core::SchedulerParams::Order::kArrival;
+  params.shed_policy = sim::ShedPolicy::kRejectLeastValuable;
+  params.max_ingest_per_tick = 5;
+  params.ingest_queue_capacity = 40;
+  params.compact_ticks = 64;
+  const TimeInterval window(T0(), T0() + timeutil::kMinutesPerDay);
+  StoreRecovery recovery;
+  for (auto& [name, content] : sim::EncodeOnlineSnapshot(params, {}, window)) {
+    recovery.files[name] = content;
+  }
+  std::string& meta = recovery.files[sim::kCheckpointMetaFile];
+  const std::string text = meta;
+  auto decode = [&](sim::OnlineParams* decoded) {
+    std::vector<core::FlexOffer> offers;
+    TimeInterval decoded_window;
+    return sim::DecodeOnlineSnapshot(recovery, decoded, &offers, &decoded_window);
+  };
+  sim::OnlineParams decoded;
+  ASSERT_TRUE(decode(&decoded).ok());
+  EXPECT_EQ(decoded.scheduler.order, params.scheduler.order);
+  EXPECT_EQ(decoded.shed_policy, params.shed_policy);
+  EXPECT_EQ(decoded.max_ingest_per_tick, 5);
+  EXPECT_EQ(decoded.ingest_queue_capacity, 40);
+  EXPECT_EQ(decoded.compact_ticks, 64);
+
+  struct Case {
+    const char* field;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"max_ingest_per_tick", "4294967297"}, {"ingest_queue_capacity", "-4294967295"},
+      {"compact_ticks", "4294967360"},       {"shed_policy", "7"},
+      {"scheduler_order", "9"},              {"scheduler_order", "-1"},
+      {"compact_ticks", "\"x\""},            {"shed_policy", "null"},
+      {"forecaster", "5"},                   {"bidding", "[]"},
+  };
+  for (const Case& c : cases) {
+    meta = text;
+    const std::string key = "\"" + std::string(c.field) + "\":";
+    const size_t at = meta.find(key);
+    ASSERT_NE(at, std::string::npos) << c.field << " in " << text;
+    const size_t value_at = at + key.size();
+    meta.replace(value_at, meta.find_first_of(",}", value_at) - value_at, c.value);
+    Status status = decode(&decoded);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << meta;
+    EXPECT_NE(status.message().find(c.field), std::string::npos) << status.ToString();
+  }
+  meta = text;
+  EXPECT_TRUE(decode(&decoded).ok());
+
+  // A journal record's optional int fields follow the same rule.
+  sim::OnlineTickRecord record;
+  record.tick = 3;
+  const std::string tick_text = sim::EncodeTickRecord(record);
+  for (const char* field : {"shed_policy", "shed", "qhw"}) {
+    std::string hostile = tick_text;
+    const std::string key = "\"" + std::string(field) + "\":";
+    const size_t at = hostile.find(key);
+    ASSERT_NE(at, std::string::npos) << field << " in " << tick_text;
+    const size_t value_at = at + key.size();
+    hostile.replace(value_at, hostile.find_first_of(",}", value_at) - value_at, "\"x\"");
+    Result<sim::OnlineTickRecord> bad = sim::DecodeTickRecord(hostile);
+    ASSERT_FALSE(bad.ok()) << hostile;
+    EXPECT_EQ(bad.status().code(), StatusCode::kDataLoss) << hostile;
+    EXPECT_NE(bad.status().message().find(field), std::string::npos) << bad.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace flexvis
