@@ -108,11 +108,6 @@ Status MissingString(std::string_view key) {
                                         static_cast<int>(key.size()), key.data()));
 }
 
-Status OutsideInt64(std::string_view key) {
-  return InvalidArgumentError(StrFormat("JSON: field '%.*s' is outside the int64 range",
-                                        static_cast<int>(key.size()), key.data()));
-}
-
 /// A scalar number field: absent, a number, or some other kind.
 struct NumberField {
   enum class State { kMissing, kNumber, kOther };
@@ -133,8 +128,7 @@ bool ReadNumberField(JsonReader& reader, NumberField* field) {
 
 Status TakeInt(const NumberField& field, std::string_view key, int64_t* out) {
   if (field.state != NumberField::State::kNumber) return MissingNumber(key);
-  if (!field.number.ToInt(out)) return OutsideInt64(key);
-  return OkStatus();
+  return field.number.ToIntField(key, out);
 }
 
 Status TakeDouble(const NumberField& field, std::string_view key, double* out) {
@@ -244,7 +238,8 @@ bool ReadNumberList(JsonReader& reader, const char* not_array, const char* not_n
       if (number.ToInt(&id)) {
         values->push_back(id);
       } else {
-        *status = InvalidArgumentError("flex-offer JSON: member id outside the int64 range");
+        *status = InvalidArgumentError(
+            "flex-offer JSON: member id is not an integer within the int64 range");
       }
     }
   });

@@ -107,6 +107,16 @@ Status DecodeMeta(std::string_view text, OnlineParams* params,
                                      status->message().c_str()));
     }
   }
+  // No run writes an empty window or a non-positive tick; refused here, before
+  // any shard store is resumed on them.
+  if (*tick <= 0) {
+    return DataLossError(StrFormat("%s field 'tick_minutes' holds %lld, not a positive tick",
+                                   kMetaRecord, static_cast<long long>(*tick)));
+  }
+  if (*end <= *start) {
+    return DataLossError(StrFormat("%s field 'window_end_min' %lld is not after window_start_min",
+                                   kMetaRecord, static_cast<long long>(*end)));
+  }
   int scheduler_order = 0;
   int shed_policy = 0;
   FLEXVIS_RETURN_IF_ERROR(NarrowToInt(*order, kMetaRecord, "scheduler_order", &scheduler_order));

@@ -308,6 +308,12 @@ struct Coordinator::Shard {
   /// later decisions.
   OnlineTickRecord history;
   DurableStore store;
+  /// The committed offers.jsonl (and meta.json) holds exactly the shard's
+  /// members in global order: set when the store is created, after every
+  /// compaction, and at resume (Recover has just verified the file); cleared
+  /// by every Splice that re-bases the shard. While set, compaction hands in
+  /// only state.json and the store carries the rest forward by hard link.
+  bool offers_committed = false;
 };
 
 // Clamped to [1, kMaxShards] up front, so every manifest a run writes names
@@ -413,6 +419,7 @@ Status Coordinator::BeginCheckpointed(const std::vector<FlexOffer>& offers,
         JsonValue());
     if (!store.ok()) return store.status();
     shards_[static_cast<size_t>(s)]->store = *std::move(store);
+    shards_[static_cast<size_t>(s)]->offers_committed = true;
   }
   Result<DurableStore> coord =
       DurableStore::Create(directory_, CoordinatorStoreOptions(), {}, CoordinatorMeta());
@@ -517,13 +524,17 @@ Status Coordinator::CompactShards(const std::vector<bool>* include) {
     Shard& shard = *shards_[static_cast<size_t>(s)];
     if (shard.state.next_tick == 0) continue;  // nothing to fold yet
     if (include != nullptr && !(*include)[static_cast<size_t>(s)]) continue;
-    std::vector<FlexOffer> subset;
-    for (const FlexOffer& offer : offers_) {
-      if (shard.state.index_of.count(offer.id) != 0) subset.push_back(offer);
+    StoreFiles files;
+    if (!shard.offers_committed) {
+      std::vector<FlexOffer> subset;
+      for (const FlexOffer& offer : offers_) {
+        if (shard.state.index_of.count(offer.id) != 0) subset.push_back(offer);
+      }
+      files = EncodeOnlineSnapshot(shard.enterprise.params(), subset, window_);
     }
-    StoreFiles files = EncodeOnlineSnapshot(shard.enterprise.params(), subset, window_);
     files.emplace_back(kCheckpointStateFile, EncodeTickRecord(shard.history));
     FLEXVIS_RETURN_IF_ERROR(shard.store.Compact(files, JsonValue()));
+    shard.offers_committed = true;
   }
   return OkStatus();
 }
@@ -712,6 +723,7 @@ Status Coordinator::Splice(core::ProsumerId prosumer, int from, int to, int64_t 
   for (Rebased& side : rebased) {
     side.shard->state = std::move(side.state);
     side.shard->history = std::move(side.fold);
+    side.shard->offers_committed = false;
   }
   FLEXVIS_RETURN_IF_ERROR(router_.Assign(prosumer, to));
   // max, not assignment: a resume starts the epoch at the manifest's
@@ -850,6 +862,7 @@ Status Coordinator::Resize(int new_num_shards) {
           CheckpointStoreOptions(), std::move(files), JsonValue());
       if (!store.ok()) return store.status();
       new_shards[si]->store = *std::move(store);
+      new_shards[si]->offers_committed = true;
     }
     for (std::unique_ptr<Shard>& shard : shards_) {
       if (shard->store.is_open()) FLEXVIS_RETURN_IF_ERROR(shard->store.Close());
@@ -1330,6 +1343,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       shard.history = *std::move(fold);
     }
     shard.store = std::move(shard_stores[si]);
+    shard.offers_committed = true;
   }
   coordinator.begun_ = true;
   coordinator.checkpointed_ = true;

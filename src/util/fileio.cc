@@ -4,7 +4,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "util/crc32.h"
@@ -31,11 +33,13 @@ void SyncDirectory(const std::filesystem::path& dir) {
   }
 }
 
-}  // namespace
-
-Status WriteFileAtomic(const std::string& path, std::string_view data) {
-  FLEXVIS_FAULT_CHECK("util.fileio.write");
+/// WriteFileAtomic without its injection point: stage, check, fsync, rename,
+/// fsync the directory. The staging name is unlinked before it is opened: a
+/// stale `.tmp` left by a crashed LinkFileAtomic is a hard link to a committed
+/// snapshot, and opening it "wb" would truncate that snapshot in place.
+Status WriteStaged(const std::string& path, std::string_view data) {
   const std::string tmp = path + kTmpSuffix;
+  ::unlink(tmp.c_str());
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     return InternalError(StrFormat("cannot open '%s' for writing", tmp.c_str()));
@@ -62,6 +66,42 @@ Status WriteFileAtomic(const std::string& path, std::string_view data) {
     return InternalError(StrFormat("cannot rename '%s' into place", tmp.c_str()));
   }
   SyncDirectory(std::filesystem::path(path).parent_path());
+  return OkStatus();
+}
+
+/// link(2) failures that mean "this filesystem or this pair of paths cannot
+/// share an inode", not "the source is wrong": the caller copies instead.
+bool LinkUnsupported(int error) {
+  return error == EXDEV || error == EPERM || error == ENOTSUP || error == EOPNOTSUPP ||
+         error == EMLINK;
+}
+
+}  // namespace
+
+Status WriteFileAtomic(const std::string& path, std::string_view data) {
+  FLEXVIS_FAULT_CHECK("util.fileio.write");
+  return WriteStaged(path, data);
+}
+
+Status LinkFileAtomic(const std::string& from, const std::string& to) {
+  FLEXVIS_FAULT_CHECK("util.fileio.write");
+  const std::string tmp = to + kTmpSuffix;
+  ::unlink(tmp.c_str());
+  if (::link(from.c_str(), tmp.c_str()) != 0) {
+    const int error = errno;
+    if (!LinkUnsupported(error)) {
+      return InternalError(StrFormat("cannot link '%s' to '%s': %s", from.c_str(), tmp.c_str(),
+                                     std::strerror(error)));
+    }
+    Result<std::string> data = ReadFileToString(from);
+    if (!data.ok()) return data.status();
+    return WriteStaged(to, *data);
+  }
+  if (std::rename(tmp.c_str(), to.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    return InternalError(StrFormat("cannot rename '%s' into place", tmp.c_str()));
+  }
+  SyncDirectory(std::filesystem::path(to).parent_path());
   return OkStatus();
 }
 

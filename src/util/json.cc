@@ -90,10 +90,7 @@ Result<int64_t> JsonValue::GetInt(std::string_view key) const {
   }
   JsonNumber number{v.is_int(), v.int_, v.double_};
   int64_t value = 0;
-  if (!number.ToInt(&value)) {
-    return InvalidArgumentError(StrFormat("JSON: field '%.*s' is outside the int64 range",
-                                          static_cast<int>(key.size()), key.data()));
-  }
+  FLEXVIS_RETURN_IF_ERROR(number.ToIntField(key, &value));
   return value;
 }
 
@@ -130,8 +127,18 @@ bool JsonNumber::ToInt(int64_t* out) const {
     return true;
   }
   if (!(double_value >= kInt64Min && double_value < kInt64End)) return false;
-  *out = static_cast<int64_t>(double_value);
+  const int64_t value = static_cast<int64_t>(double_value);
+  if (static_cast<double>(value) != double_value) return false;  // fractional part
+  *out = value;
   return true;
+}
+
+Status JsonNumber::ToIntField(std::string_view key, int64_t* out) const {
+  if (ToInt(out)) return OkStatus();
+  const bool in_range = double_value >= kInt64Min && double_value < kInt64End;
+  const char* problem = in_range ? "not an integer" : "outside the int64 range";
+  return InvalidArgumentError(StrFormat("JSON: field '%.*s' is %s", static_cast<int>(key.size()),
+                                        key.data(), problem));
 }
 
 void AppendJsonInt(std::string* out, int64_t value) {

@@ -68,8 +68,9 @@ class JsonValue {
   const std::map<std::string, JsonValue>& items() const { return object_; }
 
   /// Checked object field readers used by message decoding: error on a
-  /// missing key or a kind mismatch. GetInt also rejects a double outside
-  /// the int64 range.
+  /// missing key or a kind mismatch. GetInt also rejects a double with a
+  /// fractional part or outside the int64 range (an integral double such as
+  /// 1e3 reads).
   Result<int64_t> GetInt(std::string_view key) const;
   Result<double> GetDouble(std::string_view key) const;
   Result<std::string> GetString(std::string_view key) const;
@@ -112,9 +113,12 @@ struct JsonNumber {
   double double_value = 0.0;
 
   double AsDouble() const { return is_int ? static_cast<double>(int_value) : double_value; }
-  /// The integer value, a double truncated toward zero; false when a double
-  /// lies outside the int64 range.
+  /// The integer value; false when a double has a fractional part or lies
+  /// outside the int64 range (an integral double such as 1e3 converts).
   bool ToInt(int64_t* out) const;
+  /// ToInt as the reading of object field `key`: kInvalidArgument naming the
+  /// field when the number is not an integer or lies outside the int64 range.
+  Status ToIntField(std::string_view key, int64_t* out) const;
 };
 
 /// Pull tokenizer over one JSON document: the caller asks for the value it

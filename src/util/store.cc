@@ -1,5 +1,6 @@
 #include "util/store.h"
 
+#include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <optional>
@@ -462,12 +463,35 @@ Status DurableStore::Compact(const StoreFiles& files, const JsonValue& meta) {
   const int64_t next = generation_ + 1;
   const fs::path dir(directory_);
 
-  // 1. Write the next-generation snapshot files (each atomic + fsynced).
-  std::vector<StoreFileEntry> next_entries;
+  // 1. Build the next generation's snapshot files: the current files in
+  //    manifest order, then names new to the store. A file `files` names is
+  //    written (atomic + fsynced); every other current file is carried
+  //    forward by hard link with its verified entry. The old generation's
+  //    bytes are never written.
+  std::vector<std::pair<std::string, const std::string*>> plan;  // null: carry
+  plan.reserve(entries_.size() + files.size());
+  for (const StoreFileEntry& current : entries_) plan.emplace_back(current.name, nullptr);
   for (const auto& [name, content] : files) {
-    FLEXVIS_RETURN_IF_ERROR(
-        WriteContent(options_, (dir / GenerationFileName(name, next)).string(), content));
-    next_entries.push_back({name, content.size(), Crc32(content)});
+    auto slot = std::find_if(plan.begin(), plan.end(),
+                             [&](const auto& entry) { return entry.first == name; });
+    if (slot == plan.end()) {
+      plan.emplace_back(name, &content);
+    } else {
+      slot->second = &content;
+    }
+  }
+  std::vector<StoreFileEntry> next_entries;
+  for (size_t i = 0; i < plan.size(); ++i) {
+    const auto& [name, content] = plan[i];
+    const std::string path = (dir / GenerationFileName(name, next)).string();
+    if (content == nullptr) {
+      FLEXVIS_RETURN_IF_ERROR(
+          LinkFileAtomic((dir / GenerationFileName(name, generation_)).string(), path));
+      next_entries.push_back(entries_[i]);
+    } else {
+      FLEXVIS_RETURN_IF_ERROR(WriteContent(options_, path, *content));
+      next_entries.push_back({name, content->size(), Crc32(*content)});
+    }
   }
 
   // 2. Commit: the manifest rename atomically supersedes the old generation.

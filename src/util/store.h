@@ -35,13 +35,15 @@ namespace flexvis {
 /// pre-store layouts); generation G > 0 suffixes every snapshot file and the
 /// WAL with ".g<G>" while the manifest keeps its fixed name. Compact() folds
 /// the WAL into a next-generation snapshot in the crash-safe order
-/// (write snapshot', fsync, commit manifest', then delete the old
-/// generation), and Recover() garbage-collects stale `.tmp` staging files
+/// (write or hard-link snapshot', fsync, commit manifest', then delete the
+/// old generation), and Recover() garbage-collects stale `.tmp` staging files
 /// and orphaned non-current-generation files left by a crash on either side
-/// of the commit.
+/// of the commit. A snapshot file is never written in place, so one inode
+/// may back the same file in consecutive generations.
 ///
 /// Injection points: snapshot + manifest writes go through WriteFileAtomic
-/// ("util.fileio.write"), WAL appends/flushes through JournalWriter
+/// and carried snapshot files through LinkFileAtomic (both
+/// "util.fileio.write"), WAL appends/flushes through JournalWriter
 /// ("util.journal.append"/"util.journal.flush"), and compaction adds
 /// "util.store.compact" (before the fold starts) and "util.store.delete"
 /// (before the old generation is deleted) so the kill matrix can crash at
@@ -238,14 +240,18 @@ class DurableStore {
   /// fsyncs the WAL — the durability point for appended records.
   Status Flush();
 
-  /// Folds state into a new generation: writes `files` as generation-G+1
-  /// snapshot files (each atomic + fsynced), commits the new manifest
-  /// atomically, and only then deletes the old generation's snapshot files
-  /// and WAL. The WAL writer switches to the (empty) new-generation WAL.
-  /// A crash anywhere inside recovers to exactly the old or the new
-  /// generation — never a mix. When the old generation is pinned in the
-  /// StorePinRegistry, its files are not deleted but parked for deferred
-  /// deletion by the last Unpin.
+  /// Folds state into a new generation. Generation G+1 holds the current
+  /// snapshot files in manifest order: each one `files` names is rewritten
+  /// (atomic + fsynced), each one it does not name is carried forward by
+  /// LinkFileAtomic with its verified manifest entry (no read, no CRC), and
+  /// names new to the store are appended. Handing in every file is a full
+  /// rewrite. Then the new manifest commits atomically, and only then are
+  /// the old generation's snapshot names and WAL deleted (a carried file's
+  /// bytes live on under its new name). The WAL writer switches to the
+  /// (empty) new-generation WAL. A crash anywhere inside recovers to exactly
+  /// the old or the new generation — never a mix. When the old generation is
+  /// pinned in the StorePinRegistry, its files are not deleted but parked for
+  /// deferred deletion by the last Unpin.
   Status Compact(const StoreFiles& files, const JsonValue& meta);
 
   /// Rewrites the manifest in place — same generation, same snapshot file

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -64,9 +65,11 @@ size_t FuzzCases() {
 
 // ---- DOM oracle ------------------------------------------------------------------------
 
-bool FitsInt64(const JsonValue& v) {
+/// An integer id: an int token, or an integral double within int64.
+bool IsInt64(const JsonValue& v) {
   return v.is_int() || (v.AsDouble() >= -9223372036854775808.0 &&
-                        v.AsDouble() < 9223372036854775808.0);
+                        v.AsDouble() < 9223372036854775808.0 &&
+                        std::trunc(v.AsDouble()) == v.AsDouble());
 }
 
 Result<FlexOffer> OracleFlexOfferFromJson(const JsonValue& json) {
@@ -189,8 +192,9 @@ Result<FlexOffer> OracleFlexOfferFromJson(const JsonValue& json) {
       if (!members[i].is_number()) {
         return InvalidArgumentError("flex-offer JSON: non-numeric member id");
       }
-      if (!FitsInt64(members[i])) {
-        return InvalidArgumentError("flex-offer JSON: member id outside the int64 range");
+      if (!IsInt64(members[i])) {
+        return InvalidArgumentError(
+            "flex-offer JSON: member id is not an integer within the int64 range");
       }
       offer.aggregated_from.push_back(members[i].AsInt());
     }

@@ -1,6 +1,8 @@
 #include "util/journal.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -8,6 +10,7 @@
 #include <vector>
 
 #include "util/crc32.h"
+#include "util/fault.h"
 #include "util/fileio.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -335,6 +338,92 @@ TEST(FileIoTest, WriteFileAtomicToUnwritableLocationFailsTyped) {
   Status status = WriteFileAtomic("/proc/flexvis_no_such/data.txt", "x");
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInternal);
+}
+
+TEST(FileIoTest, WriteFileAtomicOverAStaleLinkedTempLeavesTheLinkedFileIntact) {
+  // A crash inside LinkFileAtomic can leave `path.tmp` as a hard link to a
+  // committed snapshot. Writing `path` must replace that staging name, not
+  // write through it into the snapshot's bytes.
+  const std::string dir = TempDir("stale_link");
+  const std::string committed = dir + "/offers.jsonl.g3";
+  const std::string path = dir + "/offers.jsonl.g4";
+  ASSERT_TRUE(WriteFileAtomic(committed, "COMMITTED BYTES").ok());
+  fs::create_hard_link(committed, path + kTmpSuffix);
+  ASSERT_TRUE(WriteFileAtomic(path, "new").ok());
+  EXPECT_EQ(ReadAll(committed), "COMMITTED BYTES");
+  EXPECT_EQ(ReadAll(path), "new");
+  EXPECT_FALSE(fs::exists(path + kTmpSuffix));
+  EXPECT_EQ(fs::hard_link_count(committed), 1u);
+}
+
+TEST(FileIoTest, LinkFileAtomicSharesTheInodeAndLeavesNoTemp) {
+  const std::string dir = TempDir("link");
+  const std::string from = dir + "/state.json.g1";
+  const std::string to = dir + "/state.json.g2";
+  const std::string other = dir + "/other";
+  ASSERT_TRUE(WriteFileAtomic(from, "carried").ok());
+  ASSERT_TRUE(WriteFileAtomic(other, "untouched").ok());
+  // A stale staging name linked to some other file is replaced, never
+  // written through; a stale destination is replaced.
+  fs::create_hard_link(other, to + kTmpSuffix);
+  ASSERT_TRUE(WriteFileAtomic(to, "stale destination").ok());
+  fs::create_hard_link(other, to + kTmpSuffix);
+
+  FaultRegistry::Global().Arm("util.fileio.write", FaultConfig{});
+  ASSERT_TRUE(LinkFileAtomic(from, to).ok());
+  EXPECT_EQ(FaultRegistry::Global().Stats("util.fileio.write").hits, 1);
+  FaultRegistry::Global().DisarmAll();
+
+  struct stat from_info, to_info;
+  ASSERT_EQ(::stat(from.c_str(), &from_info), 0);
+  ASSERT_EQ(::stat(to.c_str(), &to_info), 0);
+  EXPECT_EQ(from_info.st_ino, to_info.st_ino);
+  EXPECT_EQ(ReadAll(to), "carried");
+  EXPECT_EQ(ReadAll(other), "untouched");
+  EXPECT_FALSE(fs::exists(to + kTmpSuffix));
+
+  // The carried name outlives the source's.
+  fs::remove(from);
+  EXPECT_EQ(ReadAll(to), "carried");
+
+  // A missing source is an error, not a copy of nothing, and leaves no debris.
+  const std::string orphan = dir + "/orphan";
+  Status missing = LinkFileAtomic(dir + "/absent", orphan);
+  EXPECT_EQ(missing.code(), StatusCode::kInternal);
+  EXPECT_FALSE(fs::exists(orphan));
+  EXPECT_FALSE(fs::exists(orphan + kTmpSuffix));
+
+  // An armed write point fails the link before anything is touched.
+  FaultConfig fail;
+  fail.always_fail = true;
+  FaultRegistry::Global().Arm("util.fileio.write", fail);
+  EXPECT_FALSE(LinkFileAtomic(to, orphan).ok());
+  FaultRegistry::Global().DisarmAll();
+  EXPECT_FALSE(fs::exists(orphan));
+}
+
+TEST(FileIoTest, LinkFileAtomicCopiesAcrossFilesystems) {
+  // link(2) across devices fails with EXDEV; the bytes are then copied the
+  // way WriteFileAtomic writes them.
+  const fs::path shm = "/dev/shm";
+  const std::string dir = TempDir("link_xdev");
+  struct stat shm_info, dir_info;
+  if (::stat(shm.c_str(), &shm_info) != 0 || ::stat(dir.c_str(), &dir_info) != 0 ||
+      shm_info.st_dev == dir_info.st_dev || ::access(shm.c_str(), W_OK) != 0) {
+    GTEST_SKIP() << "needs a writable /dev/shm on another device than " << dir;
+  }
+  const std::string from = (shm / ("flexvis_link_xdev." + std::to_string(::getpid()))).string();
+  const std::string to = dir + "/offers.jsonl.g1";
+  ASSERT_TRUE(WriteFileAtomic(from, "bytes from another filesystem").ok());
+  Status linked = LinkFileAtomic(from, to);
+  struct stat from_info, to_info;
+  const bool stated = ::stat(from.c_str(), &from_info) == 0 && ::stat(to.c_str(), &to_info) == 0;
+  fs::remove(from);
+  ASSERT_TRUE(linked.ok()) << linked.ToString();
+  ASSERT_TRUE(stated);
+  EXPECT_NE(from_info.st_dev, to_info.st_dev);
+  EXPECT_EQ(ReadAll(to), "bytes from another filesystem");
+  EXPECT_FALSE(fs::exists(to + kTmpSuffix));
 }
 
 TEST(FileIoTest, ReadFileToStringReturnsEveryByte) {

@@ -183,10 +183,33 @@ TEST(JsonParseTest, IntegerFieldRejectsDoubleOutsideInt64) {
       JsonValue::Parse(R"({"id":1e300,"ok":-2.5,"edge":-9.2233720368547758e18})");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->GetInt("id").status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(*parsed->GetInt("ok"), -2);
+  EXPECT_EQ(parsed->GetInt("ok").status().code(), StatusCode::kInvalidArgument);  // -2.5
   EXPECT_EQ(*parsed->GetInt("edge"), INT64_MIN);
   EXPECT_EQ(JsonValue::Double(1e300).AsInt(), INT64_MAX);  // saturates, defined
   EXPECT_EQ(JsonValue::Double(-1e300).AsInt(), INT64_MIN);
+}
+
+TEST(JsonParseTest, IntegerFieldRefusesAFractionalPart) {
+  // GetInt used to truncate toward zero, so a persisted int field accepted
+  // 1.5 as 1. A fraction is now refused naming the field; an integral double
+  // still reads, and AsInt keeps its documented truncation.
+  Result<JsonValue> parsed = JsonValue::Parse(
+      R"({"shed_policy":1.5,"compact_ticks":16.9,"neg":-0.5,"thousand":1e3,"zero":-0.0,)"
+      R"("big":1e300,"top":9.2233720368547748e18})");
+  ASSERT_TRUE(parsed.ok());
+  for (const char* key : {"shed_policy", "compact_ticks", "neg"}) {
+    Result<int64_t> value = parsed->GetInt(key);
+    ASSERT_FALSE(value.ok()) << key;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_EQ(value.status().message(), std::string("JSON: field '") + key + "' is not an integer");
+  }
+  EXPECT_EQ(*parsed->GetInt("thousand"), 1000);
+  EXPECT_EQ(*parsed->GetInt("zero"), 0);
+  EXPECT_EQ(*parsed->GetInt("top"), 9223372036854774784);
+  EXPECT_EQ(parsed->GetInt("big").status().message(),
+            "JSON: field 'big' is outside the int64 range");
+  EXPECT_EQ(parsed->Get("shed_policy").AsInt(), 1);
+  EXPECT_EQ(parsed->Get("neg").AsInt(), 0);
 }
 
 TEST(JsonParseTest, MalformedNumbers) {

@@ -520,9 +520,10 @@ TEST_F(RecoveryTest, DecodeTickRecordRejectsMalformedInput) {
 
 TEST_F(RecoveryTest, DecodeRefusesFieldValuesNoRunWrites) {
   // meta.json: the largest value of each enum decodes; a value a cast would
-  // narrow or an enum does not have, or a present key of the wrong type, is
-  // refused naming the field, never resumed under parameters the run never
-  // had.
+  // narrow or an enum does not have, a fraction in an int field, a present
+  // key of the wrong type, a non-positive tick or a window that ends before
+  // it starts is refused naming the field, never resumed under parameters
+  // the run never had.
   sim::OnlineParams params;
   params.scheduler.order = core::SchedulerParams::Order::kArrival;
   params.shed_policy = sim::ShedPolicy::kRejectLeastValuable;
@@ -559,6 +560,9 @@ TEST_F(RecoveryTest, DecodeRefusesFieldValuesNoRunWrites) {
       {"scheduler_order", "9"},              {"scheduler_order", "-1"},
       {"compact_ticks", "\"x\""},            {"shed_policy", "null"},
       {"forecaster", "5"},                   {"bidding", "[]"},
+      {"shed_policy", "1.5"},                {"compact_ticks", "16.9"},
+      {"tick_minutes", "-60"},               {"tick_minutes", "0"},
+      {"window_end_min", "0"},
   };
   for (const Case& c : cases) {
     meta = text;

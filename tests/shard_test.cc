@@ -5,10 +5,12 @@
 // write), overload shedding, and sharded warehouse persistence.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
@@ -27,6 +29,7 @@
 #include "sim/online.h"
 #include "sim/shard.h"
 #include "sim/workload.h"
+#include "util/crc32.h"
 #include "util/fault.h"
 #include "util/fileio.h"
 #include "util/parallel.h"
@@ -755,6 +758,300 @@ TEST_F(ShardTest, CompactionKillMatrixConvergesAt4Shards) {
       }
       ExpectMergedEqual(*baseline, *second, label + " (second resume)");
     }
+  }
+}
+
+// ---- Compaction carries unchanged shard snapshots ---------------------------
+
+/// The inode behind `path` (0 when it cannot be stat'ed).
+ino_t InodeOf(const std::string& path) {
+  struct stat info;
+  return ::stat(path.c_str(), &info) == 0 ? info.st_ino : 0;
+}
+
+/// Shard `s`'s store file `logical` at `generation` under run directory
+/// `dir` (topology 0).
+std::string ShardFile(const std::string& dir, int s, const char* logical, int64_t generation) {
+  char shard[32];
+  std::snprintf(shard, sizeof(shard), "%s%04d", sim::kShardDirPrefix, s);
+  return (fs::path(dir) / shard / DurableStore::GenerationFileName(logical, generation)).string();
+}
+
+/// CRC-32 of every file under `dir`, by path relative to it.
+std::map<std::string, uint32_t> CrcListing(const std::string& dir) {
+  std::map<std::string, uint32_t> listing;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    Result<std::string> bytes = ReadFileToString(entry.path().string());
+    EXPECT_TRUE(bytes.ok()) << entry.path();
+    listing[fs::relative(entry.path(), dir).string()] = bytes.ok() ? Crc32(*bytes) : 0;
+  }
+  return listing;
+}
+
+std::string ListingText(const std::map<std::string, uint32_t>& listing) {
+  std::string text;
+  for (const auto& [name, crc] : listing) {
+    char line[160];
+    std::snprintf(line, sizeof(line), "      {\"%s\", 0x%08xu},\n", name.c_str(), crc);
+    text += line;
+  }
+  return text;
+}
+
+/// The prosumer owning the earliest-created offer: active (mid-flight
+/// state to move) from the first tick on.
+core::ProsumerId EarliestProsumer(const std::vector<core::FlexOffer>& offers) {
+  const core::FlexOffer* earliest = &offers.front();
+  for (const core::FlexOffer& offer : offers) {
+    if (offer.creation_time < earliest->creation_time) earliest = &offer;
+  }
+  return earliest->prosumer;
+}
+
+/// Shard `s`'s members in global input order once `prosumer` moved to `to`.
+std::vector<core::FlexOffer> MembersAfterMove(const std::vector<core::FlexOffer>& offers,
+                                              int shards, core::ProsumerId prosumer, int to,
+                                              int s) {
+  sim::ShardRouter router(shards, sim::ShardPolicy::kHash);
+  EXPECT_TRUE(router.Assign(prosumer, to).ok());
+  std::vector<core::FlexOffer> members;
+  for (const core::FlexOffer& offer : offers) {
+    if (router.ShardOf(offer) == s) members.push_back(offer);
+  }
+  return members;
+}
+
+TEST_F(ShardTest, CompactionRewritesOffersOnlyOnTheShardsAMigrationTouched) {
+  const int kShards = 4;
+  sim::CoordinatorParams params = Params(kShards);
+  params.online.compact_ticks = 4;  // boundaries after ticks 3, 7 and 11
+  const core::ProsumerId prosumer = EarliestProsumer(workload_.offers);
+  sim::ShardRouter router(kShards, sim::ShardPolicy::kHash);
+  const int from =
+      router.ShardOfProsumer(prosumer, core::kInvalidRegionId, core::kInvalidGridNodeId);
+  const int to = (from + 1) % kShards;
+  const std::string dir = Dir("carry");
+
+  sim::Coordinator coordinator(params);
+  ASSERT_TRUE(coordinator.BeginCheckpointed(workload_.offers, window_, dir).ok());
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(coordinator.Tick().ok());
+  // A side link per shard keeps each generation-1 inode allocated, so no
+  // later file can reuse its number.
+  for (int s = 0; s < kShards; ++s) {
+    fs::create_hard_link(ShardFile(dir, s, sim::kCheckpointOffersFile, 1),
+                         root_ / ("carry_g1." + std::to_string(s)));
+  }
+  auto g1_inode = [&](int s) {
+    return InodeOf((root_ / ("carry_g1." + std::to_string(s))).string());
+  };
+
+  // An active migration between the boundaries after ticks 3 and 7.
+  ASSERT_TRUE(coordinator.Tick().ok());
+  ASSERT_TRUE(coordinator.MigrateProsumer(prosumer, to, sim::MigrationMode::kAllowActive).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(coordinator.Tick().ok());
+  for (int s = 0; s < kShards; ++s) {
+    const std::string offers = ShardFile(dir, s, sim::kCheckpointOffersFile, 2);
+    if (s == from || s == to) {
+      EXPECT_NE(InodeOf(offers), g1_inode(s)) << "shard " << s;
+      Result<std::string> bytes = ReadFileToString(offers);
+      ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+      const std::string members =
+          core::EncodeFlexOfferLines(MembersAfterMove(workload_.offers, kShards, prosumer, to, s));
+      EXPECT_EQ(*bytes, members) << "shard " << s;
+      fs::create_hard_link(offers, root_ / ("carry_g2." + std::to_string(s)));
+    } else {
+      EXPECT_EQ(InodeOf(offers), g1_inode(s)) << "shard " << s;
+    }
+  }
+
+  // The next boundary finds every shard clean again: all four carry.
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(coordinator.Tick().ok());
+  for (int s = 0; s < kShards; ++s) {
+    const char* side = s == from || s == to ? "carry_g2." : "carry_g1.";
+    const ino_t kept = InodeOf((root_ / (side + std::to_string(s))).string());
+    EXPECT_EQ(InodeOf(ShardFile(dir, s, sim::kCheckpointOffersFile, 3)), kept) << "shard " << s;
+  }
+  ASSERT_TRUE(coordinator.Done());
+  Result<sim::MergedOnlineReport> carried = coordinator.Finish();
+  ASSERT_TRUE(carried.ok()) << carried.status().ToString();
+  EXPECT_EQ(carried->epoch, 1);
+
+  // Carrying is invisible to the run: it ends where a never-compacting run
+  // with the same migration ends.
+  params.online.compact_ticks = 0;
+  sim::Coordinator flat(params);
+  ASSERT_TRUE(flat.BeginCheckpointed(workload_.offers, window_, Dir("carry_flat")).ok());
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(flat.Tick().ok());
+  ASSERT_TRUE(flat.MigrateProsumer(prosumer, to, sim::MigrationMode::kAllowActive).ok());
+  while (!flat.Done()) ASSERT_TRUE(flat.Tick().ok());
+  Result<sim::MergedOnlineReport> plain = flat.Finish();
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ExpectMergedEqual(*plain, *carried, "carrying compaction vs no compaction");
+}
+
+TEST_F(ShardTest, FirstCompactionAfterResumeCarriesTheUntouchedShards) {
+  const int kShards = 4;
+  sim::CoordinatorParams params = Params(kShards);
+  params.online.compact_ticks = 4;
+  const core::ProsumerId prosumer = EarliestProsumer(workload_.offers);
+  sim::ShardRouter router(kShards, sim::ShardPolicy::kHash);
+  const int from =
+      router.ShardOfProsumer(prosumer, core::kInvalidRegionId, core::kInvalidGridNodeId);
+  const int to = (from + 1) % kShards;
+  const std::string dir = Dir("resume_carry");
+  {
+    // Cut after tick 5, off a boundary: generation 1 holds ticks 0-3, the
+    // WALs ticks 4-5 and the migration records.
+    sim::Coordinator cut(params);
+    ASSERT_TRUE(cut.BeginCheckpointed(workload_.offers, window_, dir).ok());
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(cut.Tick().ok());
+    ASSERT_TRUE(cut.MigrateProsumer(prosumer, to, sim::MigrationMode::kAllowActive).ok());
+    ASSERT_TRUE(cut.Tick().ok());
+  }
+  for (int s = 0; s < kShards; ++s) {
+    fs::create_hard_link(ShardFile(dir, s, sim::kCheckpointOffersFile, 1),
+                         root_ / ("resume_g1." + std::to_string(s)));
+  }
+
+  sim::ShardResumeInfo info;
+  Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir, &info);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(info.migrations_replayed, 1);
+  // Two boundaries ran after the resume (after ticks 7 and 11). The replayed
+  // migration made its two shards rewrite offers.jsonl at the first; every
+  // other shard carried its generation-1 file through both.
+  for (int s = 0; s < kShards; ++s) {
+    EXPECT_EQ(info.shards[static_cast<size_t>(s)].generation, 1) << "shard " << s;
+    const std::string offers = ShardFile(dir, s, sim::kCheckpointOffersFile, 3);
+    const ino_t g1 = InodeOf((root_ / ("resume_g1." + std::to_string(s))).string());
+    if (s == from || s == to) {
+      EXPECT_NE(InodeOf(offers), g1) << "shard " << s;
+      Result<std::string> bytes = ReadFileToString(offers);
+      ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+      const std::string members =
+          core::EncodeFlexOfferLines(MembersAfterMove(workload_.offers, kShards, prosumer, to, s));
+      EXPECT_EQ(*bytes, members) << "shard " << s;
+    } else {
+      EXPECT_EQ(InodeOf(offers), g1) << "shard " << s;
+    }
+  }
+
+  // And the resumed run is the uninterrupted one, down to the bytes it
+  // leaves on disk.
+  const std::string whole_dir = Dir("resume_whole");
+  sim::Coordinator whole(params);
+  ASSERT_TRUE(whole.BeginCheckpointed(workload_.offers, window_, whole_dir).ok());
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(whole.Tick().ok());
+  ASSERT_TRUE(whole.MigrateProsumer(prosumer, to, sim::MigrationMode::kAllowActive).ok());
+  while (!whole.Done()) ASSERT_TRUE(whole.Tick().ok());
+  Result<sim::MergedOnlineReport> uninterrupted = whole.Finish();
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
+  ExpectMergedEqual(*uninterrupted, *resumed, "resumed vs uninterrupted");
+  EXPECT_EQ(CrcListing(dir), CrcListing(whole_dir));
+}
+
+TEST_F(ShardTest, CheckpointDirectoryBytesArePinned) {
+  // Every file a 4-shard run leaves, as CRC-32s captured from the code that
+  // rewrote every snapshot file at every compaction: compaction every 4
+  // ticks, an active migration between two boundaries, and a rebalance
+  // controller. Once uninterrupted, and once cut off a boundary (the cut
+  // directory too) and resumed, each at 1 and 8 threads.
+  sim::CoordinatorParams params = Params(4);
+  params.online.compact_ticks = 4;
+  sim::RebalanceParams rebalance;
+  rebalance.window_ticks = 2;
+  rebalance.queue_depth_threshold = 1;
+  rebalance.cooldown_ticks = 3;
+  rebalance.max_moves = 2;
+  params.rebalance = rebalance;
+  const core::ProsumerId prosumer = EarliestProsumer(workload_.offers);
+  sim::ShardRouter router(4, sim::ShardPolicy::kHash);
+  const int from =
+      router.ShardOfProsumer(prosumer, core::kInvalidRegionId, core::kInvalidGridNodeId);
+  const int to = (from + 1) % 4;
+
+  // Runs ticks up to `cut` (the whole window when negative), with the
+  // migration after tick 4; returns the plans the controller executed.
+  auto run = [&](const std::string& dir, int cut) -> int64_t {
+    sim::Coordinator coordinator(params);
+    EXPECT_TRUE(coordinator.BeginCheckpointed(workload_.offers, window_, dir).ok());
+    for (int tick = 0; !coordinator.Done() && (cut < 0 || tick < cut); ++tick) {
+      if (tick == 5) {
+        Status moved = coordinator.MigrateProsumer(prosumer, to, sim::MigrationMode::kAllowActive);
+        EXPECT_TRUE(moved.ok()) << moved.ToString();
+      }
+      EXPECT_TRUE(coordinator.Tick().ok());
+    }
+    const int64_t plans = coordinator.plans_executed();
+    if (cut < 0) {
+      EXPECT_TRUE(coordinator.Finish().ok());
+    }
+    return plans;
+  };
+
+  const std::map<std::string, uint32_t> kUninterrupted = {
+      {"COORDINATOR.json", 0x56fcdc76u},
+      {"coordinator.wal.g3", 0x00000000u},
+      {"shard-0000/SNAPSHOT.json", 0xf8bb3ad2u},
+      {"shard-0000/journal.wal.g3", 0x00000000u},
+      {"shard-0000/meta.json.g3", 0x14160a8bu},
+      {"shard-0000/offers.jsonl.g3", 0xe00886deu},
+      {"shard-0000/state.json.g3", 0x5221d526u},
+      {"shard-0001/SNAPSHOT.json", 0x6bc27cafu},
+      {"shard-0001/journal.wal.g3", 0x00000000u},
+      {"shard-0001/meta.json.g3", 0x14160a8bu},
+      {"shard-0001/offers.jsonl.g3", 0x72ed6032u},
+      {"shard-0001/state.json.g3", 0x1026fd77u},
+      {"shard-0002/SNAPSHOT.json", 0x1d41f5b5u},
+      {"shard-0002/journal.wal.g3", 0x00000000u},
+      {"shard-0002/meta.json.g3", 0x14160a8bu},
+      {"shard-0002/offers.jsonl.g3", 0x244efe9bu},
+      {"shard-0002/state.json.g3", 0xfd4e5d88u},
+      {"shard-0003/SNAPSHOT.json", 0x47fe20c5u},
+      {"shard-0003/journal.wal.g3", 0x00000000u},
+      {"shard-0003/meta.json.g3", 0x14160a8bu},
+      {"shard-0003/offers.jsonl.g3", 0xd3dcae76u},
+      {"shard-0003/state.json.g3", 0x9944f1fdu},
+  };
+  const std::map<std::string, uint32_t> kCut = {
+      {"COORDINATOR.json", 0x21027301u},
+      {"coordinator.wal.g1", 0xdff8380au},
+      {"shard-0000/SNAPSHOT.json", 0x6b109de6u},
+      {"shard-0000/journal.wal.g1", 0xfe5ae530u},
+      {"shard-0000/meta.json.g1", 0x14160a8bu},
+      {"shard-0000/offers.jsonl.g1", 0xf7b6268bu},
+      {"shard-0000/state.json.g1", 0x0790f081u},
+      {"shard-0001/SNAPSHOT.json", 0x15c024c2u},
+      {"shard-0001/journal.wal.g1", 0xa78595e7u},
+      {"shard-0001/meta.json.g1", 0x14160a8bu},
+      {"shard-0001/offers.jsonl.g1", 0x27aba491u},
+      {"shard-0001/state.json.g1", 0x3e592769u},
+      {"shard-0002/SNAPSHOT.json", 0xf3978879u},
+      {"shard-0002/journal.wal.g1", 0xff681954u},
+      {"shard-0002/meta.json.g1", 0x14160a8bu},
+      {"shard-0002/offers.jsonl.g1", 0xa9732c64u},
+      {"shard-0002/state.json.g1", 0x47a269c3u},
+      {"shard-0003/SNAPSHOT.json", 0x57065ab5u},
+      {"shard-0003/journal.wal.g1", 0x0ad768e7u},
+      {"shard-0003/meta.json.g1", 0x14160a8bu},
+      {"shard-0003/offers.jsonl.g1", 0xd3dcae76u},
+      {"shard-0003/state.json.g1", 0x634fe50au},
+  };
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SetParallelThreadCount(threads);
+    const std::string full = Dir("pinned_full");
+    EXPECT_GE(run(full, -1), 1);
+    EXPECT_EQ(CrcListing(full), kUninterrupted) << ListingText(CrcListing(full));
+
+    const std::string cut = Dir("pinned_cut");
+    run(cut, 7);
+    EXPECT_EQ(CrcListing(cut), kCut) << ListingText(CrcListing(cut));
+    Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(cut);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    // The resume leaves exactly the bytes the uninterrupted run left.
+    EXPECT_EQ(CrcListing(cut), kUninterrupted) << ListingText(CrcListing(cut));
   }
 }
 

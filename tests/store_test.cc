@@ -12,6 +12,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include "util/crc32.h"
 #include "util/fileio.h"
@@ -189,6 +190,72 @@ TEST(StoreTest, CompactAdvancesGenerationAndDeletesTheOldOne) {
   EXPECT_EQ(recovery->meta.Get("tag").AsInt(), 1);
 }
 
+/// The inode behind `path` (0 when it cannot be stat'ed).
+ino_t InodeOf(const std::string& path) {
+  struct stat info;
+  return ::stat(path.c_str(), &info) == 0 ? info.st_ino : 0;
+}
+
+TEST(StoreTest, CompactCarriesFilesItIsNotHandedByHardLink) {
+  const std::string dir = TempDir("carry");
+  std::string offers(3 * kCrc32Chunk + 5, '\0');
+  for (size_t i = 0; i < offers.size(); ++i) offers[i] = static_cast<char>((i * 37) >> 2);
+  Result<DurableStore> store = DurableStore::Create(
+      dir, TestOptions(), {{"meta.json", "{\"m\":1}"}, {"offers.jsonl", offers}}, MetaTagged(0));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE(store->Append("tick-0").ok());
+  ASSERT_TRUE(store->Flush().ok());
+  const ino_t offers_inode = InodeOf(dir + "/offers.jsonl");
+  const ino_t meta_inode = InodeOf(dir + "/meta.json");
+  ASSERT_NE(offers_inode, 0u);
+  const std::string manifest = dir + "/" + TestOptions().manifest_name;
+  Result<JsonValue> before = JsonValue::Parse(ReadRaw(manifest));
+  ASSERT_TRUE(before.ok());
+
+  // Only the new file is handed in: meta.json and offers.jsonl carry forward
+  // in manifest order, the new name is appended, and the old generation's
+  // names are deleted while the carried bytes live on.
+  ASSERT_TRUE(store->Compact({{"state.json", "S1"}}, MetaTagged(1)).ok());
+  EXPECT_FALSE(fs::exists(dir + "/offers.jsonl"));
+  EXPECT_FALSE(fs::exists(dir + "/meta.json"));
+  EXPECT_EQ(InodeOf(dir + "/offers.jsonl.g1"), offers_inode);
+  EXPECT_EQ(InodeOf(dir + "/meta.json.g1"), meta_inode);
+  EXPECT_EQ(fs::hard_link_count(dir + "/offers.jsonl.g1"), 1u);
+  Result<JsonValue> after = JsonValue::Parse(ReadRaw(manifest));
+  ASSERT_TRUE(after.ok());
+  const JsonValue& files = after->Get("files");
+  ASSERT_EQ(files.size(), 3u);
+  EXPECT_EQ(files[0].Dump(), before->Get("files")[0].Dump());
+  EXPECT_EQ(files[1].Dump(), before->Get("files")[1].Dump());
+  EXPECT_EQ(files[2].Get("name").AsString(), "state.json");
+
+  // A second carry keeps the inode; handing in a file rewrites it in place
+  // in the manifest order with a new inode.
+  ASSERT_TRUE(store->Compact({{"state.json", "S2"}}, MetaTagged(2)).ok());
+  EXPECT_EQ(InodeOf(dir + "/offers.jsonl.g2"), offers_inode);
+  const std::string rewritten = offers + "more\n";
+  const StoreFiles full = {
+      {"meta.json", "{\"m\":1}"}, {"offers.jsonl", rewritten}, {"state.json", "S3"}};
+  ASSERT_TRUE(store->Compact(full, MetaTagged(3)).ok());
+  EXPECT_NE(InodeOf(dir + "/offers.jsonl.g3"), offers_inode);
+  ASSERT_TRUE(store->Compact({{"state.json", "S4"}}, MetaTagged(4)).ok());
+  ASSERT_TRUE(store->Close().ok());
+
+  Result<StoreRecovery> recovery = DurableStore::Recover(dir, TestOptions());
+  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
+  EXPECT_EQ(recovery->generation, 4);
+  ASSERT_EQ(recovery->entries.size(), 3u);
+  EXPECT_EQ(recovery->entries[0].name, "meta.json");
+  EXPECT_EQ(recovery->entries[1].name, "offers.jsonl");
+  EXPECT_EQ(recovery->entries[1].crc32, Crc32(rewritten));
+  EXPECT_EQ(recovery->entries[2].name, "state.json");
+  EXPECT_EQ(recovery->files.at("meta.json"), "{\"m\":1}");
+  EXPECT_EQ(recovery->files.at("offers.jsonl"), rewritten);
+  EXPECT_EQ(recovery->files.at("state.json"), "S4");
+  EXPECT_TRUE(recovery->removed_debris.empty());
+  EXPECT_EQ(SnapshotDir(dir).size(), 5u);  // 3 snapshot files, manifest, WAL
+}
+
 TEST(StoreTest, RecommitRewritesMetaWithoutTouchingFilesOrRecords) {
   const std::string dir = TempDir("recommit");
   Result<DurableStore> store =
@@ -277,6 +344,10 @@ TEST(StoreTest, InvalidateMakesRecoverDataLoss) {
 // exactly the old or exactly the new generation. Never a mix, never an error
 // (other than the manifest-corruption case, where kDataLoss is the contract).
 
+/// The carried file of the boundary fixture: handed to Create, never to
+/// Compact, so generation 1 links it.
+constexpr const char* kCarriedBytes = "CARRIED-OFFERS\n";
+
 struct BoundaryFixture {
   std::map<std::string, std::string> old_state;  // committed gen 0
   std::map<std::string, std::string> new_state;  // committed gen 1
@@ -288,8 +359,8 @@ BoundaryFixture BuildBoundary(const std::string& dir) {
   BoundaryFixture fixture;
   fixture.old_records = {"old-1", "old-22", "old-333"};
   fixture.new_records = {"new-1", "new-22"};
-  Result<DurableStore> store =
-      DurableStore::Create(dir, TestOptions(), {{"state.json", "OLD-STATE"}}, MetaTagged(0));
+  const StoreFiles old_files = {{"state.json", "OLD-STATE"}, {"offers.jsonl", kCarriedBytes}};
+  Result<DurableStore> store = DurableStore::Create(dir, TestOptions(), old_files, MetaTagged(0));
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   for (const std::string& record : fixture.old_records) {
     EXPECT_TRUE(store->Append(record).ok());
@@ -312,6 +383,7 @@ BoundaryFixture BuildBoundary(const std::string& dir) {
 /// generations is the corruption the store exists to prevent).
 void ExpectOldOrNew(const StoreRecovery& recovery, const BoundaryFixture& fixture,
                     const std::string& context) {
+  EXPECT_EQ(recovery.files.at("offers.jsonl"), kCarriedBytes) << context;
   if (recovery.generation == 0) {
     EXPECT_EQ(recovery.files.at("state.json"), "OLD-STATE") << context;
     EXPECT_EQ(recovery.meta.Get("tag").AsInt(), 0) << context;
@@ -337,22 +409,34 @@ TEST(StoreTest, EveryByteCrashBeforeCompactionCommitRecoversOldGeneration) {
 
   // Crash before the manifest commit: old generation fully committed, the
   // new generation's snapshot file present at every possible length (and as
-  // a .tmp staging file). Recovery must return the complete old generation
-  // and sweep the partial .g1 debris.
+  // a .tmp staging file), and the carried file not yet linked, linked under
+  // its .g1 name, or linked under its staging name. Recovery must return the
+  // complete old generation, sweep the .g1 debris, and leave the old
+  // generation's bytes as they were.
   const std::string dir = TempDir("boundary_pre");
   for (size_t len = 0; len <= new_file.size(); ++len) {
     for (const char* name : {"state.json.g1", "state.json.g1.tmp"}) {
-      std::map<std::string, std::string> state = fixture.old_state;
-      state[name] = new_file.substr(0, len);
-      RestoreDir(dir, state);
-      const std::string context =
-          std::string(name) + " len=" + std::to_string(len);
-      Result<StoreRecovery> recovery = DurableStore::Recover(dir, TestOptions());
-      ASSERT_TRUE(recovery.ok()) << context << ": " << recovery.status().ToString();
-      EXPECT_EQ(recovery->generation, 0) << context;
-      ExpectOldOrNew(*recovery, fixture, context);
-      EXPECT_EQ(recovery->records.size(), fixture.old_records.size()) << context;
-      EXPECT_FALSE(fs::exists(dir + "/" + name)) << context;
+      for (const char* link : {"", "offers.jsonl.g1", "offers.jsonl.g1.tmp"}) {
+        std::map<std::string, std::string> state = fixture.old_state;
+        state[name] = new_file.substr(0, len);
+        RestoreDir(dir, state);
+        if (*link != '\0') fs::create_hard_link(dir + "/offers.jsonl", dir + "/" + link);
+        const std::string context = std::string(name) + " len=" + std::to_string(len) +
+                                    " link=" + (*link != '\0' ? link : "none");
+        Result<StoreRecovery> recovery = DurableStore::Recover(dir, TestOptions());
+        ASSERT_TRUE(recovery.ok()) << context << ": " << recovery.status().ToString();
+        EXPECT_EQ(recovery->generation, 0) << context;
+        ExpectOldOrNew(*recovery, fixture, context);
+        EXPECT_EQ(recovery->records.size(), fixture.old_records.size()) << context;
+        EXPECT_FALSE(fs::exists(dir + "/" + name)) << context;
+        if (*link != '\0') {
+          EXPECT_FALSE(fs::exists(dir + "/" + link)) << context;
+        }
+        for (const auto& [old_name, bytes] : fixture.old_state) {
+          EXPECT_EQ(ReadRaw(dir + "/" + old_name), bytes) << context << " " << old_name;
+        }
+        EXPECT_EQ(fs::hard_link_count(dir + "/offers.jsonl"), 1u) << context;
+      }
     }
   }
 }
@@ -363,18 +447,21 @@ TEST(StoreTest, EveryByteCrashAfterCompactionCommitRecoversNewGeneration) {
   const std::string new_wal = fixture.new_state.at("journal.wal.g1");
 
   // Crash after the manifest commit but before the old generation was
-  // deleted: the new generation is committed, the old files linger, and the
-  // new WAL is torn at every possible length. Recovery must return the new
-  // generation (a record prefix), never an old record, and delete the stale
-  // old-generation files.
+  // deleted: the new generation is committed, the old files linger (the
+  // carried offers.jsonl.g1 still a hard link of the old offers.jsonl), and
+  // the new WAL is torn at every possible length. Recovery must return the
+  // new generation (a record prefix), never an old record, and delete the
+  // stale old-generation names without losing the carried bytes.
   const std::string dir = TempDir("boundary_post");
   for (size_t len = 0; len <= new_wal.size(); ++len) {
     std::map<std::string, std::string> state = fixture.new_state;
     for (const auto& [name, bytes] : fixture.old_state) {
       if (name != TestOptions().manifest_name) state[name] = bytes;
     }
+    state.erase("offers.jsonl.g1");
     state["journal.wal.g1"] = new_wal.substr(0, len);
     RestoreDir(dir, state);
+    fs::create_hard_link(dir + "/offers.jsonl", dir + "/offers.jsonl.g1");
     const std::string context = "len=" + std::to_string(len);
     Result<StoreRecovery> recovery = DurableStore::Recover(dir, TestOptions());
     ASSERT_TRUE(recovery.ok()) << context << ": " << recovery.status().ToString();
@@ -382,6 +469,8 @@ TEST(StoreTest, EveryByteCrashAfterCompactionCommitRecoversNewGeneration) {
     ExpectOldOrNew(*recovery, fixture, context);
     EXPECT_FALSE(fs::exists(dir + "/state.json")) << context;
     EXPECT_FALSE(fs::exists(dir + "/journal.wal")) << context;
+    EXPECT_FALSE(fs::exists(dir + "/offers.jsonl")) << context;
+    EXPECT_EQ(ReadRaw(dir + "/offers.jsonl.g1"), kCarriedBytes) << context;
     // A committed store must also resume and keep appending.
     Result<DurableStore> resumed = DurableStore::Resume(dir, TestOptions(), nullptr);
     ASSERT_TRUE(resumed.ok()) << context << ": " << resumed.status().ToString();
