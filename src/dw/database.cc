@@ -76,9 +76,10 @@ enum SliceColumn : size_t { kSliceDuration, kSliceMinKwh, kSliceMaxKwh };
 /// bridge_aggregation's columns, in the order the constructor declares them.
 enum MemberColumn : size_t { kMemberAggregateId, kMemberId };
 
-/// Offers per Validate chunk and per reconstruct chunk: a select of a few
-/// offers, the serving layer's usual request, stays on the calling thread.
-constexpr size_t kValidateGrain = 4096;
+/// Offers per load chunk (the check pass and the fill) and per reconstruct
+/// chunk: a load or select of a few offers, the serving layer's usual
+/// request, stays on the calling thread.
+constexpr size_t kLoadGrain = 4096;
 constexpr size_t kReconstructGrain = 1024;
 
 /// Calls `emit(duration, first)` for each slice of the canonical form of
@@ -100,17 +101,79 @@ void ForEachCanonicalSlice(const std::vector<ProfileSlice>& profile, Emit emit) 
   }
 }
 
-/// Index of the first offer core::Validate refuses, or offers.size().
-size_t FirstInvalidOffer(const std::vector<FlexOffer>& offers) {
+/// The rows one offer adds to each detail range: its canonical slices, its
+/// members and its scheduled energies (0 without a schedule: Validate gives
+/// a schedule one energy per unit slice).
+struct DetailCounts {
+  size_t slices = 0;
+  size_t members = 0;
+  size_t energies = 0;
+};
+
+/// Index of the first offer core::Validate refuses, or offers.size(). Up to
+/// that offer, `counts[i]` receives offer i's detail counts.
+size_t CheckOffers(const std::vector<FlexOffer>& offers, std::vector<DetailCounts>* counts) {
   return ParallelReduce(
-      0, offers.size(), kValidateGrain, offers.size(),
+      0, offers.size(), kLoadGrain, offers.size(),
       [&](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
-          if (!core::Validate(offers[i]).ok()) return i;
+          const FlexOffer& o = offers[i];
+          if (!core::Validate(o).ok()) return i;
+          DetailCounts& c = (*counts)[i];
+          ForEachCanonicalSlice(o.profile, [&](int, const ProfileSlice&) { ++c.slices; });
+          c.members = o.aggregated_from.size();
+          c.energies = o.schedule.has_value() ? o.schedule->energy_kwh.size() : 0;
         }
         return offers.size();
       },
       [](size_t a, size_t b) { return std::min(a, b); });
+}
+
+/// The predicates of `filter` over fact_flexoffer's columns.
+std::vector<Predicate> FilterPredicates(const FlexOfferFilter& filter) {
+  std::vector<Predicate> where;
+  if (filter.prosumer.has_value()) {
+    where.push_back(Predicate::Eq("prosumer_id", Value(*filter.prosumer)));
+  }
+  if (!filter.window.empty()) {
+    // Overlap test: extent.start < window.end AND extent.end > window.start.
+    where.push_back(Predicate::Lt("earliest_start_min", Value(filter.window.end.minutes())));
+    where.push_back(Predicate::Gt("latest_end_min", Value(filter.window.start.minutes())));
+  }
+  auto in_list = [](auto items) {
+    std::vector<Value> vs;
+    vs.reserve(items.size());
+    for (auto item : items) vs.push_back(Value(static_cast<int64_t>(item)));
+    return vs;
+  };
+  if (!filter.states.empty()) {
+    where.push_back(Predicate::In("state", in_list(filter.states)));
+  }
+  if (!filter.regions.empty()) {
+    where.push_back(Predicate::In("region_id", in_list(filter.regions)));
+  }
+  if (!filter.grid_nodes.empty()) {
+    where.push_back(Predicate::In("grid_node_id", in_list(filter.grid_nodes)));
+  }
+  if (!filter.energy_types.empty()) {
+    where.push_back(Predicate::In("energy_type", in_list(filter.energy_types)));
+  }
+  if (!filter.prosumer_types.empty()) {
+    where.push_back(Predicate::In("prosumer_type", in_list(filter.prosumer_types)));
+  }
+  if (!filter.appliance_types.empty()) {
+    where.push_back(Predicate::In("appliance_type", in_list(filter.appliance_types)));
+  }
+  if (filter.direction.has_value()) {
+    where.push_back(
+        Predicate::Eq("direction", Value(static_cast<int64_t>(*filter.direction))));
+  }
+  if (filter.aggregates == FlexOfferFilter::AggregateFilter::kOnlyAggregates) {
+    where.push_back(Predicate::Eq("is_aggregate", Value(int64_t{1})));
+  } else if (filter.aggregates == FlexOfferFilter::AggregateFilter::kOnlyRaw) {
+    where.push_back(Predicate::Eq("is_aggregate", Value(int64_t{0})));
+  }
+  return where;
 }
 
 /// Appends a sorted integer list (or "*" when unconstrained) to `out`.
@@ -272,7 +335,8 @@ Status Database::LoadFlexOffers(const std::vector<FlexOffer>& offers) {
   // Every check runs before the first append. The first failing offer in
   // batch order decides the error, and an offer is validated before its id
   // is checked, as one serial pass over the batch would.
-  const size_t invalid = FirstInvalidOffer(offers);
+  std::vector<DetailCounts> counts(offers.size());
+  const size_t invalid = CheckOffers(offers, &counts);
   const size_t repeated = core::FirstRepeatedId(offers);
   size_t loaded = offers.size();
   if (!offer_row_.empty()) {
@@ -294,89 +358,112 @@ Status Database::LoadFlexOffers(const std::vector<FlexOffer>& offers) {
   if (invalid < offers.size()) return core::Validate(offers[invalid]);
 
   // Each offer's canonical slices, members and scheduled energies land as
-  // one contiguous range each. Validate bounded every profile, so the unit
-  // counts cannot overflow.
-  std::vector<DetailRows> details(offers.size());
-  size_t slice_end = fact_profile_slice_.NumRows();
-  size_t member_end = bridge_aggregation_.NumRows();
+  // one contiguous range each, at prefix-summed offsets. Validate bounded
+  // every profile, so the unit counts cannot overflow.
+  const size_t n = offers.size();
+  const size_t first_row = fact_flexoffer_.NumRows();
+  const size_t first_slice = fact_profile_slice_.NumRows();
+  const size_t first_member = bridge_aggregation_.NumRows();
+  std::vector<DetailRows> details(n);
+  size_t slice_end = first_slice;
+  size_t member_end = first_member;
   size_t schedule_end = scheduled_kwh_.size();
-  for (size_t i = 0; i < offers.size(); ++i) {
-    const FlexOffer& o = offers[i];
-    size_t slices = 0;
-    ForEachCanonicalSlice(o.profile, [&](int, const ProfileSlice&) { ++slices; });
-    details[i] = {slice_end, slices, member_end, o.aggregated_from.size()};
-    slice_end += slices;
-    member_end += details[i].member_count;
-    if (o.schedule.has_value()) {
+  for (size_t i = 0; i < n; ++i) {
+    details[i] = {slice_end, counts[i].slices, member_end, counts[i].members};
+    slice_end += counts[i].slices;
+    member_end += counts[i].members;
+    if (counts[i].energies > 0) {
       details[i].schedule_begin = schedule_end;
-      schedule_end += o.schedule->energy_kwh.size();
+      schedule_end += counts[i].energies;
     }
   }
 
-  const size_t first_row = fact_flexoffer_.NumRows();
-  FLEXVIS_RETURN_IF_ERROR(fact_flexoffer_.AppendRows(offers.size(), [&](Column* c) {
-    for (const FlexOffer& o : offers) {
-      c[kOfferId].AppendInt64(o.id);
-      c[kProsumerId].AppendInt64(o.prosumer);
-      c[kRegionId].AppendInt64(o.region);
-      c[kGridNodeId].AppendInt64(o.grid_node);
-      c[kEnergyType].AppendInt64(static_cast<int64_t>(o.energy_type));
-      c[kProsumerType].AppendInt64(static_cast<int64_t>(o.prosumer_type));
-      c[kApplianceType].AppendInt64(static_cast<int64_t>(o.appliance_type));
-      c[kDirection].AppendInt64(static_cast<int64_t>(o.direction));
-      c[kState].AppendInt64(static_cast<int64_t>(o.state));
-      c[kCreationMin].AppendInt64(o.creation_time.minutes());
-      c[kAcceptanceMin].AppendInt64(o.acceptance_deadline.minutes());
-      c[kAssignmentMin].AppendInt64(o.assignment_deadline.minutes());
-      c[kEarliestStartMin].AppendInt64(o.earliest_start.minutes());
-      c[kLatestStartMin].AppendInt64(o.latest_start.minutes());
-      c[kLatestEndMin].AppendInt64(o.latest_end().minutes());
-      c[kProfileSlices].AppendInt64(o.profile_duration_slices());
-      c[kTotalMinKwh].AppendDouble(o.total_min_energy_kwh());
-      c[kTotalMaxKwh].AppendDouble(o.total_max_energy_kwh());
-      c[kTimeFlexMin].AppendInt64(o.time_flexibility_minutes());
-      if (o.schedule.has_value()) {
-        c[kScheduledStartMin].AppendInt64(o.schedule->start.minutes());
+  // The tables grow to their final sizes first; one pooled pass then writes
+  // every offer's cells in place.
+  int64_t* fact_ints[kNumFactColumns] = {};
+  double* fact_doubles[kNumFactColumns] = {};
+  uint8_t* scheduled_valid = nullptr;
+  FLEXVIS_RETURN_IF_ERROR(fact_flexoffer_.AppendRows(n, [&](Column* c) {
+    for (size_t k = 0; k < kNumFactColumns; ++k) {
+      if (c[k].type() == ColumnType::kDouble) {
+        fact_doubles[k] = c[k].GrowDouble(n);
       } else {
-        c[kScheduledStartMin].AppendNull();
+        fact_ints[k] = c[k].GrowInt64(n, k == kScheduledStartMin ? &scheduled_valid : nullptr);
       }
-      c[kScheduledKwh].AppendDouble(o.total_scheduled_energy_kwh());  // 0 when unassigned
-      c[kIsAggregate].AppendInt64(o.is_aggregate() ? 1 : 0);
     }
   }));
-
-  FLEXVIS_RETURN_IF_ERROR(fact_profile_slice_.AppendRows(
-      slice_end - fact_profile_slice_.NumRows(), [&](Column* c) {
-        for (const FlexOffer& o : offers) {
-          ForEachCanonicalSlice(o.profile, [&](int duration, const ProfileSlice& first) {
-            c[kSliceDuration].AppendInt64(duration);
-            c[kSliceMinKwh].AppendDouble(first.min_energy_kwh);
-            c[kSliceMaxKwh].AppendDouble(first.max_energy_kwh);
-          });
-        }
-      }));
-
-  FLEXVIS_RETURN_IF_ERROR(bridge_aggregation_.AppendRows(
-      member_end - bridge_aggregation_.NumRows(), [&](Column* c) {
-        for (const FlexOffer& o : offers) {
-          for (FlexOfferId member : o.aggregated_from) {
-            c[kMemberAggregateId].AppendInt64(o.id);
-            c[kMemberId].AppendInt64(member);
-          }
-        }
-      }));
-
+  int64_t* slice_duration = nullptr;
+  double* slice_min_kwh = nullptr;
+  double* slice_max_kwh = nullptr;
+  FLEXVIS_RETURN_IF_ERROR(fact_profile_slice_.AppendRows(slice_end - first_slice, [&](Column* c) {
+    slice_duration = c[kSliceDuration].GrowInt64(slice_end - first_slice);
+    slice_min_kwh = c[kSliceMinKwh].GrowDouble(slice_end - first_slice);
+    slice_max_kwh = c[kSliceMaxKwh].GrowDouble(slice_end - first_slice);
+  }));
+  int64_t* member_aggregate = nullptr;
+  int64_t* member_id = nullptr;
+  FLEXVIS_RETURN_IF_ERROR(bridge_aggregation_.AppendRows(member_end - first_member, [&](Column* c) {
+    member_aggregate = c[kMemberAggregateId].GrowInt64(member_end - first_member);
+    member_id = c[kMemberId].GrowInt64(member_end - first_member);
+  }));
   if (scheduled_kwh_.capacity() < schedule_end) {
     scheduled_kwh_.reserve(std::max(schedule_end, 2 * scheduled_kwh_.capacity()));
   }
-  for (const FlexOffer& o : offers) {
-    if (!o.schedule.has_value()) continue;
-    scheduled_kwh_.insert(scheduled_kwh_.end(), o.schedule->energy_kwh.begin(),
-                          o.schedule->energy_kwh.end());
-  }
+  scheduled_kwh_.resize(schedule_end);
 
-  offer_row_.reserve(offer_row_.size() + offers.size());
-  for (size_t i = 0; i < offers.size(); ++i) offer_row_.emplace(offers[i].id, first_row + i);
+  ParallelFor(0, n, kLoadGrain, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const FlexOffer& o = offers[i];
+      const int profile_slices = o.profile_duration_slices();
+      fact_ints[kOfferId][i] = o.id;
+      fact_ints[kProsumerId][i] = o.prosumer;
+      fact_ints[kRegionId][i] = o.region;
+      fact_ints[kGridNodeId][i] = o.grid_node;
+      fact_ints[kEnergyType][i] = static_cast<int64_t>(o.energy_type);
+      fact_ints[kProsumerType][i] = static_cast<int64_t>(o.prosumer_type);
+      fact_ints[kApplianceType][i] = static_cast<int64_t>(o.appliance_type);
+      fact_ints[kDirection][i] = static_cast<int64_t>(o.direction);
+      fact_ints[kState][i] = static_cast<int64_t>(o.state);
+      fact_ints[kCreationMin][i] = o.creation_time.minutes();
+      fact_ints[kAcceptanceMin][i] = o.acceptance_deadline.minutes();
+      fact_ints[kAssignmentMin][i] = o.assignment_deadline.minutes();
+      fact_ints[kEarliestStartMin][i] = o.earliest_start.minutes();
+      fact_ints[kLatestStartMin][i] = o.latest_start.minutes();
+      // FlexOffer::latest_end(), from the duration already summed.
+      fact_ints[kLatestEndMin][i] =
+          o.latest_start.minutes() + int64_t{profile_slices} * timeutil::kMinutesPerSlice;
+      fact_ints[kProfileSlices][i] = profile_slices;
+      fact_doubles[kTotalMinKwh][i] = o.total_min_energy_kwh();
+      fact_doubles[kTotalMaxKwh][i] = o.total_max_energy_kwh();
+      fact_ints[kTimeFlexMin][i] = o.time_flexibility_minutes();
+      if (o.schedule.has_value()) {
+        fact_ints[kScheduledStartMin][i] = o.schedule->start.minutes();
+        std::copy(o.schedule->energy_kwh.begin(), o.schedule->energy_kwh.end(),
+                  scheduled_kwh_.begin() + static_cast<ptrdiff_t>(details[i].schedule_begin));
+      } else {
+        scheduled_valid[i] = 0;
+      }
+      fact_doubles[kScheduledKwh][i] = o.total_scheduled_energy_kwh();  // 0 when unassigned
+      fact_ints[kIsAggregate][i] = o.is_aggregate() ? 1 : 0;
+
+      size_t slice = details[i].slice_begin - first_slice;
+      ForEachCanonicalSlice(o.profile, [&](int duration, const ProfileSlice& first) {
+        slice_duration[slice] = duration;
+        slice_min_kwh[slice] = first.min_energy_kwh;
+        slice_max_kwh[slice] = first.max_energy_kwh;
+        ++slice;
+      });
+      size_t member = details[i].member_begin - first_member;
+      for (FlexOfferId aggregated : o.aggregated_from) {
+        member_aggregate[member] = o.id;
+        member_id[member] = aggregated;
+        ++member;
+      }
+    }
+  });
+
+  offer_row_.reserve(offer_row_.size() + n);
+  for (size_t i = 0; i < n; ++i) offer_row_.emplace(offers[i].id, first_row + i);
   detail_rows_.insert(detail_rows_.end(), details.begin(), details.end());
   return OkStatus();
 }
@@ -501,62 +588,27 @@ core::FlexOffer Database::ReconstructOffer(const OfferColumns& columns, size_t f
   return offer;
 }
 
-Result<std::vector<FlexOffer>> Database::SelectFlexOffers(const FlexOfferFilter& filter) const {
-  std::vector<Predicate> where;
-  if (filter.prosumer.has_value()) {
-    where.push_back(Predicate::Eq("prosumer_id", Value(*filter.prosumer)));
-  }
-  if (!filter.window.empty()) {
-    // Overlap test: extent.start < window.end AND extent.end > window.start.
-    where.push_back(Predicate::Lt("earliest_start_min", Value(filter.window.end.minutes())));
-    where.push_back(Predicate::Gt("latest_end_min", Value(filter.window.start.minutes())));
-  }
-  auto in_list = [](auto items) {
-    std::vector<Value> vs;
-    vs.reserve(items.size());
-    for (auto item : items) vs.push_back(Value(static_cast<int64_t>(item)));
-    return vs;
-  };
-  if (!filter.states.empty()) {
-    where.push_back(Predicate::In("state", in_list(filter.states)));
-  }
-  if (!filter.regions.empty()) {
-    where.push_back(Predicate::In("region_id", in_list(filter.regions)));
-  }
-  if (!filter.grid_nodes.empty()) {
-    where.push_back(Predicate::In("grid_node_id", in_list(filter.grid_nodes)));
-  }
-  if (!filter.energy_types.empty()) {
-    where.push_back(Predicate::In("energy_type", in_list(filter.energy_types)));
-  }
-  if (!filter.prosumer_types.empty()) {
-    where.push_back(Predicate::In("prosumer_type", in_list(filter.prosumer_types)));
-  }
-  if (!filter.appliance_types.empty()) {
-    where.push_back(Predicate::In("appliance_type", in_list(filter.appliance_types)));
-  }
-  if (filter.direction.has_value()) {
-    where.push_back(
-        Predicate::Eq("direction", Value(static_cast<int64_t>(*filter.direction))));
-  }
-  if (filter.aggregates == FlexOfferFilter::AggregateFilter::kOnlyAggregates) {
-    where.push_back(Predicate::Eq("is_aggregate", Value(int64_t{1})));
-  } else if (filter.aggregates == FlexOfferFilter::AggregateFilter::kOnlyRaw) {
-    where.push_back(Predicate::Eq("is_aggregate", Value(int64_t{0})));
-  }
-
-  Result<std::vector<size_t>> rows = FilterRows(fact_flexoffer_, where);
+Result<std::vector<size_t>> Database::SelectRows(const FlexOfferFilter& filter) const {
+  Result<std::vector<size_t>> rows = FilterRows(fact_flexoffer_, FilterPredicates(filter));
   if (!rows.ok()) return rows.status();
+  // Rows come in load order, which is id order for every warehouse loaded
+  // from a saved file.
+  const int64_t* ids = fact_flexoffer_.column(kOfferId).Int64Data();
+  auto by_id = [ids](size_t a, size_t b) { return ids[a] < ids[b]; };
+  if (!std::is_sorted(rows->begin(), rows->end(), by_id)) {
+    std::sort(rows->begin(), rows->end(), by_id);
+  }
+  return rows;
+}
 
+Result<std::vector<FlexOffer>> Database::SelectFlexOffers(const FlexOfferFilter& filter) const {
+  Result<std::vector<size_t>> rows = SelectRows(filter);
+  if (!rows.ok()) return rows.status();
   const OfferColumns columns = ResolveOfferColumns();
   std::vector<FlexOffer> out(rows->size());
   ParallelFor(0, rows->size(), kReconstructGrain, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) out[i] = ReconstructOffer(columns, (*rows)[i]);
   });
-  // Rows come in load order, which is id order for every warehouse loaded
-  // from a saved file.
-  auto by_id = [](const FlexOffer& a, const FlexOffer& b) { return a.id < b.id; };
-  if (!std::is_sorted(out.begin(), out.end(), by_id)) std::sort(out.begin(), out.end(), by_id);
   return out;
 }
 

@@ -139,6 +139,8 @@ class Database {
   /// must be unique within the batch and across all loads. Every check runs
   /// before the first append, so a refused batch (the first failing offer's
   /// InvalidArgument, or AlreadyExists) leaves the warehouse as it was.
+  /// Validation and the fills run on the ParallelFor pool in fixed-size
+  /// chunks, so the tables are the same at any thread count.
   Status LoadFlexOffers(const std::vector<core::FlexOffer>& offers);
 
   /// Replaces the stored state/schedule of an already-loaded offer (used
@@ -169,6 +171,20 @@ class Database {
 
   /// Reconstructs a single offer by id.
   Result<core::FlexOffer> GetFlexOffer(core::FlexOfferId id) const;
+
+  /// The fact_flexoffer rows SelectFlexOffers rebuilds for `filter`, in
+  /// offer id order.
+  Result<std::vector<size_t>> SelectRows(const FlexOfferFilter& filter) const;
+
+  /// Where fact row `fact_row`'s canonical profile sits in
+  /// fact_profile_slice: rows [begin, begin + count).
+  struct RowRange {
+    size_t begin = 0;
+    size_t count = 0;
+  };
+  RowRange ProfileSliceRows(size_t fact_row) const {
+    return {detail_rows_[fact_row].slice_begin, detail_rows_[fact_row].slice_count};
+  }
 
   // ---- Raw access for the OLAP layer ---------------------------------------
 

@@ -14,10 +14,13 @@ namespace {
 
 constexpr int64_t kSlice = timeutil::kMinutesPerSlice;
 constexpr const char kLodMagic[8] = {'F', 'L', 'X', 'L', 'O', 'D', '1', '\n'};
-/// Offers per build chunk; fixed (never thread-count derived) so the
-/// counting-sort gather produces identical scatter positions everywhere.
+/// Items per chunk of the build's span pass, and buckets per chunk of a
+/// level. A level-0 fold range covers at least kBucketGrain slices, and a
+/// build has at most kMaxFoldRanges of them (each range scans every item's
+/// span). The results never depend on these, only the speed.
 constexpr size_t kOfferGrain = 1024;
 constexpr size_t kBucketGrain = 256;
+constexpr size_t kMaxFoldRanges = 16;
 
 int64_t FloorDiv(int64_t a, int64_t b) {
   int64_t q = a / b;
@@ -30,19 +33,177 @@ int64_t CeilDiv(int64_t a, int64_t b) { return -FloorDiv(-a, b); }
 constexpr size_t kBucketBytes = 48;
 constexpr size_t kCountBytes = 8;
 
-/// The slice-aligned span a build over `extent` covers: the origin rounded
-/// down to a slice boundary and the unit slices up to the rounded-up end.
+/// The slice-aligned span a build covers: the origin rounded down to a
+/// slice boundary and the unit slices up to the rounded-up end.
 struct SliceSpan {
   int64_t origin_minutes = 0;
   int64_t num_slices = 0;
 };
 
-SliceSpan SlicesCovering(const timeutil::TimeInterval& extent) {
-  if (extent.empty()) return {};
-  const int64_t origin_minutes = FloorDiv(extent.start.minutes(), kSlice) * kSlice;
-  return {origin_minutes,
-          std::max<int64_t>(0, CeilDiv(extent.end.minutes() - origin_minutes, kSlice))};
+/// The span covering minutes [start, end); nothing when the interval is
+/// empty. kOutOfRange, with nothing sized, when it covers more than
+/// kMaxLodSlices slices or its aligned ends are not representable.
+Result<SliceSpan> SlicesCovering(int64_t start, int64_t end) {
+  if (end <= start) return SliceSpan{};
+  SliceSpan span;
+  int64_t width = 0;
+  bool fits = !__builtin_mul_overflow(FloorDiv(start, kSlice), kSlice, &span.origin_minutes) &&
+              !__builtin_sub_overflow(end, span.origin_minutes, &width);
+  if (fits) {
+    span.num_slices = CeilDiv(width, kSlice);
+    int64_t covered_end = 0;
+    fits = span.num_slices <= kMaxLodSlices &&
+           !__builtin_add_overflow(span.origin_minutes, span.num_slices * kSlice, &covered_end);
+  }
+  if (!fits) {
+    return OutOfRangeError(StrFormat("LOD extent [%lld, %lld) covers more than %lld slices",
+                                     static_cast<long long>(start), static_cast<long long>(end),
+                                     static_cast<long long>(kMaxLodSlices)));
+  }
+  return span;
 }
+
+/// The span of the union extent of fact rows `rows` of `db` (every row when
+/// null), read from the earliest_start_min and latest_end_min columns: the
+/// extent BuildLodPyramid(offers) takes from the offers the rows rebuild.
+/// HasShapeOf and the column build both size by it.
+Result<SliceSpan> FactRowsSpan(const Database& db, const std::vector<size_t>* rows) {
+  const Table& facts = db.fact_flexoffer();
+  const int64_t* starts = facts.FindColumn("earliest_start_min")->Int64Data();
+  const int64_t* ends = facts.FindColumn("latest_end_min")->Int64Data();
+  const size_t n = rows != nullptr ? rows->size() : facts.NumRows();
+  if (n == 0) return SliceSpan{};
+  int64_t start = INT64_MAX;
+  int64_t end = INT64_MIN;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t row = rows != nullptr ? (*rows)[i] : i;
+    start = std::min(start, starts[row]);
+    end = std::max(end, ends[row]);
+  }
+  return SlicesCovering(start, end);
+}
+
+/// The level-0 fold behind both LodBuilder::Add overloads. `source` yields
+/// `n` items in canonical order; item i has a placement and an earliest
+/// start in minutes (`Placement(i)`, `EarliestStart(i)`), a region
+/// (`Region(i)`), a profile of `Units(i)` unit slices, and its
+/// run-length-encoded slices (`ForEachSlice(i, emit)` calls
+/// emit(duration_slices, min_kwh, max_kwh) in profile order).
+///
+/// Level 0 is folded in disjoint slice ranges on the pool. Each range walks
+/// every item in order and folds the units that land in it, so every bucket
+/// sees its contributions in ascending item order, the canonical order,
+/// whatever the ranges and the thread count.
+template <typename Source>
+void FoldLevel0(const Source& source, size_t n, int64_t origin_minutes,
+                const std::vector<core::RegionId>& regions, LodLevel& level0) {
+  const int64_t num_slices = static_cast<int64_t>(level0.buckets.size());
+  // Each item's start slice and unit span [first, last), relative to the
+  // origin; ranges skip the items that miss them without reading profiles.
+  struct Span {
+    int64_t start;
+    int64_t first;
+    int64_t last;
+  };
+  std::vector<Span> spans(n);
+  ParallelFor(0, n, kOfferGrain, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const int64_t first = FloorDiv(source.Placement(i) - origin_minutes, kSlice);
+      spans[i] = Span{FloorDiv(source.EarliestStart(i) - origin_minutes, kSlice), first,
+                      first + source.Units(i)};
+    }
+  });
+
+  const size_t range_slices = std::max<size_t>(
+      kBucketGrain, (static_cast<size_t>(num_slices) + kMaxFoldRanges - 1) / kMaxFoldRanges);
+  ParallelFor(0, static_cast<size_t>(num_slices), range_slices, [&](size_t lo, size_t hi) {
+    const int64_t range_begin = static_cast<int64_t>(lo);
+    const int64_t range_end = static_cast<int64_t>(hi);
+    for (size_t i = 0; i < n; ++i) {
+      const Span& span = spans[i];
+      // The earliest-start histograms count each item once, in the range
+      // holding its start slice.
+      if (span.start >= range_begin && span.start < range_end) {
+        ++level0.buckets[static_cast<size_t>(span.start)].starts;
+        const core::RegionId region = source.Region(i);
+        auto it = std::lower_bound(regions.begin(), regions.end(), region);
+        if (it != regions.end() && *it == region) {
+          const size_t region_index = static_cast<size_t>(std::distance(regions.begin(), it));
+          ++level0.region_starts[region_index * level0.buckets.size() +
+                                 static_cast<size_t>(span.start)];
+        }
+      }
+      if (span.last <= range_begin || span.first >= range_end) continue;
+      int64_t slice = span.first;
+      source.ForEachSlice(i, [&](int64_t duration, double min_kwh, double max_kwh) {
+        const int64_t last = std::min(slice + duration, range_end);
+        for (int64_t unit = std::max(slice, range_begin); unit < last; ++unit) {
+          level0.buckets[static_cast<size_t>(unit)].AddContribution(min_kwh, max_kwh);
+        }
+        slice += duration;
+      });
+    }
+  });
+}
+
+/// FoldLevel0's view of in-memory offers.
+struct OfferSource {
+  const std::vector<core::FlexOffer>& offers;
+
+  int64_t Placement(size_t i) const { return LodPlacementStart(offers[i]).minutes(); }
+  int64_t EarliestStart(size_t i) const { return offers[i].earliest_start.minutes(); }
+  core::RegionId Region(size_t i) const { return offers[i].region; }
+  int64_t Units(size_t i) const { return offers[i].profile_duration_slices(); }
+  template <typename Emit>
+  void ForEachSlice(size_t i, Emit emit) const {
+    for (const core::ProfileSlice& s : offers[i].profile) {
+      emit(s.duration_slices, s.min_energy_kwh, s.max_energy_kwh);
+    }
+  }
+};
+
+/// FoldLevel0's view of fact rows, over the warehouse columns resolved once.
+/// A row's canonical slices unit-expand to the units of the offer it
+/// rebuilds, up to -0.0 merged beside +0.0, which folds as +0.0 either way.
+class ColumnSource {
+ public:
+  ColumnSource(const Database& db, const std::vector<size_t>& rows)
+      : db_(db),
+        rows_(rows),
+        earliest_start_(db.fact_flexoffer().FindColumn("earliest_start_min")->Int64Data()),
+        region_(db.fact_flexoffer().FindColumn("region_id")->Int64Data()),
+        units_(db.fact_flexoffer().FindColumn("profile_slices")->Int64Data()),
+        scheduled_start_(*db.fact_flexoffer().FindColumn("scheduled_start_min")),
+        duration_(db.fact_profile_slice().FindColumn("duration_slices")->Int64Data()),
+        min_kwh_(db.fact_profile_slice().FindColumn("min_kwh")->DoubleData()),
+        max_kwh_(db.fact_profile_slice().FindColumn("max_kwh")->DoubleData()) {}
+
+  int64_t Placement(size_t i) const {
+    const size_t row = rows_[i];
+    return scheduled_start_.IsNull(row) ? earliest_start_[row] : scheduled_start_.GetInt64(row);
+  }
+  int64_t EarliestStart(size_t i) const { return earliest_start_[rows_[i]]; }
+  core::RegionId Region(size_t i) const { return region_[rows_[i]]; }
+  int64_t Units(size_t i) const { return units_[rows_[i]]; }
+  template <typename Emit>
+  void ForEachSlice(size_t i, Emit emit) const {
+    const Database::RowRange range = db_.ProfileSliceRows(rows_[i]);
+    for (size_t r = range.begin; r < range.begin + range.count; ++r) {
+      emit(duration_[r], min_kwh_[r], max_kwh_[r]);
+    }
+  }
+
+ private:
+  const Database& db_;
+  const std::vector<size_t>& rows_;
+  const int64_t* earliest_start_;
+  const int64_t* region_;
+  const int64_t* units_;
+  const Column& scheduled_start_;
+  const int64_t* duration_;
+  const double* min_kwh_;
+  const double* max_kwh_;
+};
 
 /// The number of levels LodBuilder::Finish derives from `num_slices` level-0
 /// buckets: halve (rounding up) until one bucket is left.
@@ -316,19 +477,9 @@ bool LodPyramid::HasShapeOf(const Database& db) const {
   if (num_offers_ != static_cast<int64_t>(db.NumFlexOffers()) || regions_ != LodRegions(db)) {
     return false;
   }
-  // The union extent of the offers, as BuildLodPyramid derives it.
-  timeutil::TimeInterval extent;
-  const size_t n = db.NumFlexOffers();
-  if (n > 0) {
-    const Table& facts = db.fact_flexoffer();
-    const int64_t* starts = facts.FindColumn("earliest_start_min")->Int64Data();
-    const int64_t* ends = facts.FindColumn("latest_end_min")->Int64Data();
-    extent = timeutil::TimeInterval(
-        timeutil::TimePoint::FromMinutes(*std::min_element(starts, starts + n)),
-        timeutil::TimePoint::FromMinutes(*std::max_element(ends, ends + n)));
-  }
-  const SliceSpan span = SlicesCovering(extent);
-  return origin_.minutes() == span.origin_minutes && num_slices_ == span.num_slices;
+  const Result<SliceSpan> span = FactRowsSpan(db, nullptr);
+  return span.ok() && origin_.minutes() == span->origin_minutes &&
+         num_slices_ == span->num_slices;
 }
 
 LodBuilder::LodBuilder(timeutil::TimeInterval extent, std::vector<core::RegionId> regions) {
@@ -336,11 +487,10 @@ LodBuilder::LodBuilder(timeutil::TimeInterval extent, std::vector<core::RegionId
   std::sort(pyramid_.regions_.begin(), pyramid_.regions_.end());
   pyramid_.regions_.erase(std::unique(pyramid_.regions_.begin(), pyramid_.regions_.end()),
                           pyramid_.regions_.end());
-  if (extent.empty()) return;
-  const SliceSpan span = SlicesCovering(extent);
-  pyramid_.origin_ = timeutil::TimePoint::FromMinutes(span.origin_minutes);
-  pyramid_.num_slices_ = span.num_slices;
-  if (pyramid_.num_slices_ == 0) return;
+  const Result<SliceSpan> span = SlicesCovering(extent.start.minutes(), extent.end.minutes());
+  if (!span.ok() || span->num_slices == 0) return;
+  pyramid_.origin_ = timeutil::TimePoint::FromMinutes(span->origin_minutes);
+  pyramid_.num_slices_ = span->num_slices;
   LodLevel level0;
   level0.level = 0;
   level0.bucket_slices = 1;
@@ -352,101 +502,15 @@ LodBuilder::LodBuilder(timeutil::TimeInterval extent, std::vector<core::RegionId
 void LodBuilder::Add(const std::vector<core::FlexOffer>& offers) {
   pyramid_.num_offers_ += static_cast<int64_t>(offers.size());
   if (pyramid_.num_slices_ == 0 || offers.empty()) return;
-  LodLevel& level0 = pyramid_.levels_[0];
-  const int64_t num_slices = pyramid_.num_slices_;
-  const int64_t origin_minutes = pyramid_.origin_.minutes();
+  FoldLevel0(OfferSource{offers}, offers.size(), pyramid_.origin_.minutes(), pyramid_.regions_,
+             pyramid_.levels_[0]);
+}
 
-  // Earliest-start histograms (integer counters: order-free, so a plain
-  // serial pass keeps them exact under every batch split).
-  for (const core::FlexOffer& offer : offers) {
-    const int64_t slice = FloorDiv(offer.earliest_start.minutes() - origin_minutes, kSlice);
-    if (slice < 0 || slice >= num_slices) continue;
-    ++level0.buckets[static_cast<size_t>(slice)].starts;
-    auto it = std::lower_bound(pyramid_.regions_.begin(), pyramid_.regions_.end(), offer.region);
-    if (it != pyramid_.regions_.end() && *it == offer.region) {
-      const size_t region_index =
-          static_cast<size_t>(std::distance(pyramid_.regions_.begin(), it));
-      ++level0.region_starts[region_index * level0.buckets.size() + static_cast<size_t>(slice)];
-    }
-  }
-
-  // Profile contributions, folded into each bucket in ascending offer order
-  // (the canonical order) at any thread count: gather per chunk, counting-
-  // sort by slice with chunk offsets accumulated in ascending chunk order,
-  // then fold each slice's run serially inside slice-owning chunks.
-  struct Contribution {
-    double min_kwh;
-    double max_kwh;
-  };
-  const size_t num_chunks = parallel_internal::NumChunks(0, offers.size(), kOfferGrain);
-  std::vector<std::vector<int64_t>> chunk_slices(num_chunks);
-  std::vector<std::vector<Contribution>> chunk_contrib(num_chunks);
-  std::vector<std::vector<int64_t>> chunk_counts(num_chunks);
-  ParallelFor(0, num_chunks, 1, [&](size_t chunk_begin, size_t chunk_end) {
-    for (size_t c = chunk_begin; c < chunk_end; ++c) {
-      const size_t begin = c * kOfferGrain;
-      const size_t end = std::min(offers.size(), begin + kOfferGrain);
-      std::vector<int64_t>& slices = chunk_slices[c];
-      std::vector<Contribution>& contrib = chunk_contrib[c];
-      std::vector<int64_t>& counts = chunk_counts[c];
-      counts.assign(static_cast<size_t>(num_slices), 0);
-      for (size_t i = begin; i < end; ++i) {
-        const core::FlexOffer& offer = offers[i];
-        const int64_t first =
-            FloorDiv(LodPlacementStart(offer).minutes() - origin_minutes, kSlice);
-        const std::vector<core::ProfileSlice> unit = offer.UnitProfile();
-        for (size_t s = 0; s < unit.size(); ++s) {
-          const int64_t slice = first + static_cast<int64_t>(s);
-          if (slice < 0 || slice >= num_slices) continue;
-          slices.push_back(slice);
-          contrib.push_back(Contribution{unit[s].min_energy_kwh, unit[s].max_energy_kwh});
-          ++counts[static_cast<size_t>(slice)];
-        }
-      }
-    }
-  });
-
-  // Per-slice totals and scatter positions, chunks folded in ascending
-  // order; chunk_counts rows become each chunk's write cursors.
-  std::vector<int64_t> offsets(static_cast<size_t>(num_slices) + 1, 0);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    for (int64_t s = 0; s < num_slices; ++s) {
-      offsets[static_cast<size_t>(s) + 1] += chunk_counts[c][static_cast<size_t>(s)];
-    }
-  }
-  for (int64_t s = 0; s < num_slices; ++s) {
-    offsets[static_cast<size_t>(s) + 1] += offsets[static_cast<size_t>(s)];
-  }
-  std::vector<int64_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    for (int64_t s = 0; s < num_slices; ++s) {
-      const int64_t n = chunk_counts[c][static_cast<size_t>(s)];
-      chunk_counts[c][static_cast<size_t>(s)] = cursor[static_cast<size_t>(s)];
-      cursor[static_cast<size_t>(s)] += n;
-    }
-  }
-
-  std::vector<Contribution> sorted(static_cast<size_t>(offsets.back()));
-  ParallelFor(0, num_chunks, 1, [&](size_t chunk_begin, size_t chunk_end) {
-    for (size_t c = chunk_begin; c < chunk_end; ++c) {
-      std::vector<int64_t>& pos = chunk_counts[c];
-      for (size_t i = 0; i < chunk_slices[c].size(); ++i) {
-        sorted[static_cast<size_t>(pos[static_cast<size_t>(chunk_slices[c][i])]++)] =
-            chunk_contrib[c][i];
-      }
-    }
-  });
-
-  ParallelFor(0, static_cast<size_t>(num_slices), kBucketGrain,
-              [&](size_t slice_begin, size_t slice_end) {
-                for (size_t s = slice_begin; s < slice_end; ++s) {
-                  LodBucket& bucket = level0.buckets[s];
-                  for (int64_t i = offsets[s]; i < offsets[s + 1]; ++i) {
-                    bucket.AddContribution(sorted[static_cast<size_t>(i)].min_kwh,
-                                           sorted[static_cast<size_t>(i)].max_kwh);
-                  }
-                }
-              });
+void LodBuilder::Add(const Database& db, const std::vector<size_t>& rows) {
+  pyramid_.num_offers_ += static_cast<int64_t>(rows.size());
+  if (pyramid_.num_slices_ == 0 || rows.empty()) return;
+  FoldLevel0(ColumnSource(db, rows), rows.size(), pyramid_.origin_.minutes(), pyramid_.regions_,
+             pyramid_.levels_[0]);
 }
 
 LodPyramid LodBuilder::Finish() {
@@ -498,9 +562,15 @@ std::vector<core::RegionId> LodRegions(const Database& db) {
 }
 
 Result<LodPyramid> BuildLodPyramid(const Database& db, const FlexOfferFilter& filter) {
-  Result<std::vector<core::FlexOffer>> offers = db.SelectFlexOffers(filter);
-  if (!offers.ok()) return offers.status();
-  return BuildLodPyramid(*offers, LodRegions(db));
+  Result<std::vector<size_t>> rows = db.SelectRows(filter);
+  if (!rows.ok()) return rows.status();
+  const Result<SliceSpan> span = FactRowsSpan(db, &*rows);
+  if (!span.ok()) return span.status();
+  const timeutil::TimePoint origin = timeutil::TimePoint::FromMinutes(span->origin_minutes);
+  LodBuilder builder(timeutil::TimeInterval(origin, origin + span->num_slices * kSlice),
+                     LodRegions(db));
+  builder.Add(db, *rows);
+  return builder.Finish();
 }
 
 }  // namespace flexvis::dw

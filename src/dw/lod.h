@@ -25,10 +25,15 @@ namespace flexvis::dw {
 /// canonical accumulation order of every level-0 bucket is ascending offer
 /// order — exactly the left fold a naive serial loop produces — and every
 /// level L > 0 bucket is its level L-1 children merged left-to-right. The
-/// parallel build reproduces that order at any thread count by gathering
-/// contributions per slice with a grain-chunked counting sort (chunk
-/// offsets accumulated in ascending chunk order) and folding each bucket's
-/// list serially inside a ParallelFor whose chunks own disjoint buckets.
+/// parallel build reproduces that order at any thread count: level 0 is cut
+/// into disjoint slice ranges on a ParallelFor, and each range folds the
+/// offers' contributions to its buckets in ascending offer order.
+
+/// The most unit slices a pyramid covers: 2^19, about 15 years of 15-minute
+/// slices. Level 0 and every region row are sized from the extent, so a
+/// wider one is refused before anything is sized (BuildLodPyramid). Every
+/// generated, planned, scenario, golden and benchmark world spans days.
+inline constexpr int64_t kMaxLodSlices = int64_t{1} << 19;
 
 /// One time bucket's aggregates. `count` is the number of (offer, unit
 /// slice) profile contributions overlapping the bucket; `starts` counts
@@ -133,7 +138,8 @@ class LodPyramid {
   /// True when this pyramid has the shape a build over all of `db` gives:
   /// the same offer count, the same region ids (LodRegions) and the same
   /// slice extent, read from the fact table's earliest_start_min and
-  /// latest_end_min columns. Bucket contents are not compared.
+  /// latest_end_min columns as BuildLodPyramid(db, filter) reads them.
+  /// Bucket contents are not compared.
   bool HasShapeOf(const Database& db) const;
 
  private:
@@ -159,11 +165,20 @@ class LodBuilder {
  public:
   /// `extent` fixes the covered time span (slice-aligned outward);
   /// contributions outside it are dropped. `regions`, when non-empty, lists
-  /// the region ids (ascending) to track earliest-start histograms for.
+  /// the region ids (ascending) to track earliest-start histograms for. An
+  /// extent of more than kMaxLodSlices slices sizes nothing: the pyramid
+  /// comes out empty, only counting the offers fed.
   explicit LodBuilder(timeutil::TimeInterval extent, std::vector<core::RegionId> regions = {});
 
   /// Folds `offers` into level 0 (parallel, canonical order preserved).
   void Add(const std::vector<core::FlexOffer>& offers);
+
+  /// Folds fact rows `rows` of `db` into level 0, in the order given, with
+  /// the fold Add(offers) runs over the offers those rows rebuild: each
+  /// row's placement (scheduled_start_min, else earliest_start_min), its
+  /// start cell (earliest_start_min, region_id) and its canonical slice rows
+  /// are read from the warehouse columns, and no offer is rebuilt.
+  void Add(const Database& db, const std::vector<size_t>& rows);
 
   /// Downsamples the higher levels and returns the pyramid. The builder is
   /// exhausted afterwards.
@@ -183,11 +198,14 @@ LodPyramid BuildLodPyramid(const std::vector<core::FlexOffer>& offers,
 /// `db`, ascending.
 std::vector<core::RegionId> LodRegions(const Database& db);
 
-/// Builds the pyramid over the offers matching `filter` — selection runs
-/// through Database::SelectFlexOffers, so every predicate (including the
-/// time window's overlap semantics) is honored identically to a raw scan.
-/// Region histograms cover every registered region. The extent is the
-/// selected offers' union extent.
+/// Builds the pyramid over the offers matching `filter` straight from the
+/// warehouse columns: the rows are Database::SelectRows(filter), the rows
+/// SelectFlexOffers rebuilds, in offer id order, so every predicate (the
+/// time window's overlap semantics included) is honored as in a raw scan,
+/// and LodBuilder::Add(db, rows) folds them as Add(offers) would fold the
+/// selected offers. Region histograms cover every registered region. The
+/// extent is the selected offers' union extent; kOutOfRange, before
+/// anything is sized, when it covers more than kMaxLodSlices slices.
 Result<LodPyramid> BuildLodPyramid(const Database& db, const FlexOfferFilter& filter);
 
 }  // namespace flexvis::dw

@@ -53,6 +53,10 @@ Result<Table> TableFromSnapshot(const StoreRecovery& recovery, std::string table
 }  // namespace
 
 Status SaveDatabase(const Database& db, const std::string& directory) {
+  // The LOD pyramid first: it refuses an extent past kMaxLodSlices before
+  // anything is written.
+  Result<LodPyramid> lod = BuildLodPyramid(db, FlexOfferFilter{});
+  if (!lod.ok()) return lod.status();
   // Offers as JSON Lines in id order. Aggregates must come after their
   // members? Loading re-validates but membership is stored on the aggregate,
   // so order does not matter for correctness; id order keeps diffs stable.
@@ -70,7 +74,7 @@ Status SaveDatabase(const Database& db, const std::string& directory) {
   files.emplace_back(kRegionFile, TableToCsv(db.dim_region()));
   files.emplace_back(kGridFile, TableToCsv(db.dim_grid_node()));
   files.emplace_back(kOffersFile, std::move(lines));
-  files.emplace_back(kLodFile, BuildLodPyramid(*offers, LodRegions(db)).Serialize());
+  files.emplace_back(kLodFile, lod->Serialize());
   Result<DurableStore> store =
       DurableStore::Create(directory, SnapshotStoreOptions(), files, JsonValue());
   if (!store.ok()) return store.status();

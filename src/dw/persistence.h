@@ -33,6 +33,8 @@ inline constexpr const char* kLodFile = "lod.bin";
 
 /// Writes `db` under `directory` (created if absent). Existing files are
 /// overwritten; each write is atomic and the manifest is refreshed last.
+/// `lod.bin` is `BuildLodPyramid(db, {})`, built before anything is written:
+/// its kOutOfRange (an extent past kMaxLodSlices) refuses the save.
 Status SaveDatabase(const Database& db, const std::string& directory);
 
 /// Rebuilds a Database from a directory written by SaveDatabase. The restored
@@ -45,9 +47,10 @@ Status SaveDatabase(const Database& db, const std::string& directory);
 /// When the manifest covers a `lod.bin` that parses and has the loaded
 /// offers' shape (LodPyramid::HasShapeOf), the pyramid is attached to the
 /// database (Database::lod) and publishing serves it. It is byte-equal to
-/// `BuildLodPyramid(db, {})`: the save built it over the same offers, and a
-/// -0.0 energy, which the offer codec reads back as +0.0, folds as +0.0 in
-/// both. Without one the database loads the same, with no pyramid attached.
+/// `BuildLodPyramid(db, {})`: the save ran that same column build over the
+/// same offers, and a -0.0 energy, which the offer codec reads back as
+/// +0.0, folds as +0.0 in both. Without one the database loads the same,
+/// with no pyramid attached.
 Result<Database> LoadDatabase(const std::string& directory);
 
 // ---- Sharded persistence ----------------------------------------------------

@@ -58,28 +58,25 @@ Status Column::Append(const Value& value) {
                                         std::string(ColumnTypeName(spec_.type)).c_str()));
 }
 
-void Column::AppendInt64(int64_t v) {
-  ints_.push_back(v);
-  MarkValidity(true);
+void Column::GrowValidity(bool materialize) {
+  if (valid_.empty() && !materialize) return;
+  // The flags of earlier rows, when first materialized, are all valid.
+  valid_.resize(size(), 1);
 }
 
-void Column::AppendDouble(double v) {
-  doubles_.push_back(v);
-  MarkValidity(true);
+int64_t* Column::GrowInt64(size_t n, uint8_t** valid) {
+  const size_t first = ints_.size();
+  ints_.resize(first + n);
+  GrowValidity(valid != nullptr);
+  if (valid != nullptr) *valid = valid_.data() + first;
+  return ints_.data() + first;
 }
 
-void Column::AppendString(std::string v) {
-  strings_.push_back(std::move(v));
-  MarkValidity(true);
-}
-
-void Column::AppendNull() {
-  switch (spec_.type) {
-    case ColumnType::kInt64: ints_.push_back(0); break;
-    case ColumnType::kDouble: doubles_.push_back(0.0); break;
-    case ColumnType::kString: strings_.emplace_back(); break;
-  }
-  MarkValidity(false);
+double* Column::GrowDouble(size_t n) {
+  const size_t first = doubles_.size();
+  doubles_.resize(first + n);
+  GrowValidity(false);
+  return doubles_.data() + first;
 }
 
 void Column::Reserve(size_t rows) {
@@ -94,13 +91,17 @@ void Column::Reserve(size_t rows) {
   if (!valid_.empty()) grow(valid_);
 }
 
-void Column::Truncate(size_t rows) {
+void Column::Truncate(size_t rows, bool keep_flags) {
   switch (spec_.type) {
     case ColumnType::kInt64: ints_.resize(rows); break;
     case ColumnType::kDouble: doubles_.resize(rows); break;
     case ColumnType::kString: strings_.resize(rows); break;
   }
-  if (valid_.size() > rows) valid_.resize(rows);
+  if (!keep_flags) {
+    valid_.clear();
+  } else if (valid_.size() > rows) {
+    valid_.resize(rows);
+  }
 }
 
 bool Column::IsNull(size_t row) const { return !valid_.empty() && valid_[row] == 0; }
@@ -195,12 +196,16 @@ Status Table::AppendRow(const std::vector<Value>& cells) {
 }
 
 Status Table::AppendRows(size_t rows, const std::function<void(Column* columns)>& fill) {
-  for (Column& column : columns_) column.Reserve(num_rows_ + rows);
+  std::vector<bool> had_flags(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].Reserve(num_rows_ + rows);
+    had_flags[c] = !columns_[c].valid_.empty();
+  }
   fill(columns_.data());
   for (const Column& column : columns_) {
     if (column.size() != num_rows_ + rows) {
       const size_t got = column.size() - std::min(column.size(), num_rows_);
-      for (Column& c : columns_) c.Truncate(num_rows_);
+      for (size_t c = 0; c < columns_.size(); ++c) columns_[c].Truncate(num_rows_, had_flags[c]);
       return InternalError(StrFormat("bulk append of %zu rows to table '%s' gave column '%s' %zu",
                                      rows, name_.c_str(), column.name().c_str(), got));
     }

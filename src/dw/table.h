@@ -32,11 +32,12 @@ class Column {
   /// an error.
   Status Append(const Value& value);
 
-  /// Typed fast-path appends (precondition: matching type).
-  void AppendInt64(int64_t v);
-  void AppendDouble(double v);
-  void AppendString(std::string v);
-  void AppendNull();
+  /// Bulk appends for pooled fills (precondition: matching type): grow the
+  /// column by `n` valid cells and return the first new one, which callers
+  /// may write from any thread until the next append. `valid`, when given,
+  /// receives the new cells' null flags (1 = valid) for the caller to clear.
+  int64_t* GrowInt64(size_t n, uint8_t** valid = nullptr);
+  double* GrowDouble(size_t n);
 
   /// Cell accessor (returns Null for null cells). Precondition: row < size().
   Value Get(size_t row) const;
@@ -61,11 +62,15 @@ class Column {
   friend class Table;
 
   void MarkValidity(bool valid);
+  /// Extends the null flags, if any, to size() valid cells; with
+  /// `materialize`, creates them first.
+  void GrowValidity(bool materialize);
   /// Makes room for `rows` cells in total, growing geometrically so that
   /// repeated bulk appends stay linear.
   void Reserve(size_t rows);
-  /// Drops every cell from row `rows` on.
-  void Truncate(size_t rows);
+  /// Drops every cell from row `rows` on, and every null flag unless
+  /// `keep_flags`.
+  void Truncate(size_t rows, bool keep_flags);
 
   ColumnSpec spec_;
   std::vector<int64_t> ints_;
@@ -76,8 +81,8 @@ class Column {
 };
 
 /// A columnar table: a schema plus equally sized columns. Rows are appended
-/// as vectors of Values in schema order, or in bulk through the typed
-/// column appends.
+/// as vectors of Values in schema order, or in bulk through the column
+/// appends (AppendRows).
 class Table {
  public:
   Table() = default;
@@ -100,10 +105,10 @@ class Table {
   /// must match its column type (or be null).
   Status AppendRow(const std::vector<Value>& cells);
 
-  /// Appends `rows` rows through the typed appends, for bulk loads that hold
+  /// Appends `rows` rows through the column appends, for loads that hold
   /// typed data: `fill(columns)` appends exactly `rows` cells to each of
-  /// columns[0, NumColumns()). kInternal, with the table left as it was,
-  /// when a column did not grow by exactly `rows`.
+  /// columns[0, NumColumns()). kInternal, with the table left as it was
+  /// (null flags included), when a column did not grow by exactly `rows`.
   Status AppendRows(size_t rows, const std::function<void(Column* columns)>& fill);
 
   /// Schema of all columns, in order.

@@ -46,9 +46,9 @@ int64_t GenerationRegistry::Publish(std::shared_ptr<const dw::Database> db,
   snapshot->cube = std::move(cube);
   // The LOD pyramid also materializes outside the lock: a copy of the one
   // attached to the database (a warehouse opened from disk carries the one
-  // its save built), else a build. An unconstrained select over an
-  // immutable database cannot fail; keep Publish infallible by publishing an
-  // empty pyramid in that impossible case.
+  // its save built), else a build from the warehouse columns. The build
+  // refuses offers whose extent passes dw::kMaxLodSlices; Publish stays
+  // infallible by publishing an empty pyramid then.
   if (snapshot->db->lod() != nullptr) {
     snapshot->lod = *snapshot->db->lod();
   } else {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -11,10 +12,12 @@
 #include "core/aggregation.h"
 #include "core/messages.h"
 #include "dw/database.h"
+#include "dw/lod.h"
 #include "dw/persistence.h"
 #include "dw/query.h"
 #include "geo/atlas.h"
 #include "grid/topology.h"
+#include "serve/registry.h"
 #include "sim/enterprise.h"
 #include "sim/workload.h"
 #include "util/parallel.h"
@@ -122,6 +125,91 @@ TEST(TableTest, ColumnIndexLookup) {
   EXPECT_EQ(*t.ColumnIndex("name"), 2u);
   EXPECT_FALSE(t.ColumnIndex("nope").ok());
   EXPECT_EQ(t.FindColumn("nope"), nullptr);
+}
+
+TEST(TableTest, AppendRowsRefusesAShortOrLongColumnAndKeepsEveryColumn) {
+  // Each column in turn ends one cell short or one long, through the
+  // per-cell appends and through the bulk ones; the fill also appends a null
+  // to the id column, which had none. The refused call must leave every cell
+  // and null flag as it was, and the table must take a correct fill
+  // afterwards.
+  for (bool bulk : {false, true}) {
+    for (size_t wrong = 0; wrong < 3; ++wrong) {
+      for (int delta : {-1, 1}) {
+        const std::string label = std::string(bulk ? "bulk" : "per-cell") + " column " +
+                                  std::to_string(wrong) + (delta < 0 ? " short" : " long");
+        Table t = MakeTestTable();
+        auto cells = [&](size_t column) { return column == wrong ? 2 + delta : 2; };
+        const Status s = t.AppendRows(2, [&](Column* c) {
+          if (bulk) {
+            uint8_t* valid = nullptr;
+            int64_t* ids = c[0].GrowInt64(static_cast<size_t>(cells(0)), &valid);
+            for (int i = 0; i < cells(0); ++i) ids[i] = 10 + i;
+            valid[0] = 0;
+            double* scores = c[1].GrowDouble(static_cast<size_t>(cells(1)));
+            for (int i = 0; i < cells(1); ++i) scores[i] = 0.5 * i;
+          } else {
+            EXPECT_TRUE(c[0].Append(Value::Null()).ok());
+            for (int i = 1; i < cells(0); ++i) EXPECT_TRUE(c[0].Append(Value(int64_t{10 + i})).ok());
+            for (int i = 0; i < cells(1); ++i) EXPECT_TRUE(c[1].Append(Value(0.5 * i)).ok());
+          }
+          for (int i = 0; i < cells(2); ++i) EXPECT_TRUE(c[2].Append(Value(std::string("n"))).ok());
+        });
+        EXPECT_EQ(s.code(), StatusCode::kInternal) << label;
+        EXPECT_EQ(t.NumRows(), 3u) << label;
+        const Table before = MakeTestTable();
+        for (size_t c = 0; c < t.NumColumns(); ++c) {
+          ASSERT_EQ(t.column(c).size(), 3u) << label;
+          for (size_t r = 0; r < 3; ++r) {
+            EXPECT_EQ(t.column(c).IsNull(r), before.column(c).IsNull(r)) << label;
+            EXPECT_EQ(t.column(c).Get(r), before.column(c).Get(r)) << label;
+          }
+        }
+
+        ASSERT_TRUE(t.AppendRows(1, [&](Column* c) {
+                      if (bulk) {
+                        *c[0].GrowInt64(1) = 4;
+                        *c[1].GrowDouble(1) = 4.5;
+                      } else {
+                        EXPECT_TRUE(c[0].Append(Value(int64_t{4})).ok());
+                        EXPECT_TRUE(c[1].Append(Value(4.5)).ok());
+                      }
+                      EXPECT_TRUE(c[2].Append(Value(std::string("d"))).ok());
+                    }).ok())
+            << label;
+        EXPECT_EQ(t.NumRows(), 4u) << label;
+        EXPECT_FALSE(t.column(0).IsNull(3)) << label;
+        EXPECT_EQ(t.column(0).GetInt64(3), 4) << label;
+        EXPECT_TRUE(t.column(1).IsNull(2)) << label;
+        EXPECT_FALSE(t.column(1).IsNull(3)) << label;
+      }
+    }
+  }
+}
+
+TEST(TableTest, BulkAppendsCarryNullFlags) {
+  Table t("b", {{"v", ColumnType::kInt64}});
+  ASSERT_TRUE(t.AppendRows(2, [](Column* c) {
+                 int64_t* v = c[0].GrowInt64(2);
+                 v[0] = 1;
+                 v[1] = 2;
+               }).ok());
+  ASSERT_TRUE(t.AppendRows(3, [](Column* c) {
+                 uint8_t* valid = nullptr;
+                 int64_t* v = c[0].GrowInt64(3, &valid);
+                 v[0] = 3;
+                 valid[1] = 0;
+                 v[2] = 5;
+               }).ok());
+  ASSERT_TRUE(t.AppendRows(1, [](Column* c) { *c[0].GrowInt64(1) = 6; }).ok());
+  ASSERT_EQ(t.NumRows(), 6u);
+  const std::vector<bool> nulls = {false, false, false, true, false, false};
+  for (size_t r = 0; r < nulls.size(); ++r) {
+    EXPECT_EQ(t.column(0).IsNull(r), nulls[r]) << r;
+    if (!nulls[r]) {
+      EXPECT_EQ(t.column(0).GetInt64(r), static_cast<int64_t>(r) + 1) << r;
+    }
+  }
 }
 
 // ---- Query (FilterRows) -----------------------------------------------------------
@@ -429,6 +517,77 @@ TEST(DatabaseTest, UpdateFlexOfferRefusesAProfileOtherThanTheLoadedOne) {
 }
 
 // ---- Canonical profiles ------------------------------------------------------------
+
+// ---- The LOD extent cap ------------------------------------------------------
+
+/// An offer starting exactly at `start`, with no time flexibility.
+FlexOffer OfferAt(core::FlexOfferId id, TimePoint start) {
+  FlexOffer o = MakeOffer(id, 1, 0, 0);
+  o.earliest_start = start;
+  o.latest_start = start;
+  o.creation_time = start - 600;
+  o.acceptance_deadline = o.creation_time + 60;
+  o.assignment_deadline = o.creation_time + 120;
+  return o;
+}
+
+TEST(LodTest, AnExtentPastTheSliceCapIsATypedStatusNotAnAbort) {
+  // Two offers that each validate, starting 1.5e9 minutes apart: sized from
+  // their extent, level 0 alone would hold 10^8 buckets.
+  const std::vector<FlexOffer> offers = {OfferAt(1, T0()), OfferAt(2, T0() + 1'500'000'000)};
+  for (const FlexOffer& o : offers) ASSERT_TRUE(core::Validate(o).ok());
+  Database db;
+  ASSERT_TRUE(db.LoadFlexOffers(offers).ok());
+
+  EXPECT_EQ(BuildLodPyramid(db, FlexOfferFilter{}).status().code(), StatusCode::kOutOfRange);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "flexvis_dw_lod_past_cap";
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(SaveDatabase(db, dir.string()).code(), StatusCode::kOutOfRange);
+  EXPECT_FALSE(std::filesystem::exists(dir / kSnapshotManifest));
+  std::filesystem::remove_all(dir);
+
+  // Publish stays infallible: it serves the warehouse with an empty pyramid.
+  serve::GenerationRegistry registry;
+  registry.Publish(std::make_shared<const Database>(db));
+  serve::SnapshotRef pin = registry.PinCurrent();
+  ASSERT_FALSE(pin.empty());
+  EXPECT_EQ(pin->db->NumFlexOffers(), 2u);
+  EXPECT_TRUE(pin->lod.empty());
+  EXPECT_EQ(pin->lod.num_offers(), 0);
+
+  // A filter selecting one of the two still builds.
+  FlexOfferFilter near;
+  near.window = offers[0].extent();
+  Result<LodPyramid> one = BuildLodPyramid(db, near);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one->num_offers(), 1);
+
+  // The in-memory builder sizes nothing for such an extent.
+  const LodPyramid in_memory = BuildLodPyramid(offers);
+  EXPECT_TRUE(in_memory.empty());
+  EXPECT_EQ(in_memory.num_levels(), 0);
+  EXPECT_EQ(in_memory.num_offers(), 2);
+}
+
+TEST(LodTest, TheSliceCapIsInclusive) {
+  // The second offer ends exactly kMaxLodSlices slices after the first
+  // starts; one slice later is past the cap.
+  for (int64_t extra : {0, 1}) {
+    const int64_t units = OfferAt(2, T0()).profile_duration_slices();
+    const FlexOffer last = OfferAt(2, T0() + (kMaxLodSlices - units + extra) * kMinutesPerSlice);
+    Database db;
+    ASSERT_TRUE(db.LoadFlexOffers({OfferAt(1, T0()), last}).ok());
+    Result<LodPyramid> pyramid = BuildLodPyramid(db, FlexOfferFilter{});
+    if (extra == 0) {
+      ASSERT_TRUE(pyramid.ok()) << pyramid.status().ToString();
+      EXPECT_EQ(pyramid->num_slices(), kMaxLodSlices);
+      EXPECT_TRUE(pyramid->HasShapeOf(db));
+    } else {
+      EXPECT_EQ(pyramid.status().code(), StatusCode::kOutOfRange);
+    }
+  }
+}
 
 /// Valid offers whose profiles often repeat the previous slice's bounds, so
 /// many are not in canonical form; about half carry a schedule.

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,9 +19,11 @@
 #include "dw/persistence.h"
 #include "geo/atlas.h"
 #include "grid/topology.h"
+#include "serve/engine.h"
 #include "serve/registry.h"
 #include "sim/enterprise.h"
 #include "sim/workload.h"
+#include "util/crc32.h"
 #include "util/fileio.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -403,8 +406,9 @@ TEST(LodTest, ParseSurvivesEveryTruncationAndBitFlip) {
 
 // ---- Filter equivalence (the satellite fix) --------------------------------
 
-/// A 30-prosumer synthetic day on the Denmark atlas and a radial grid.
-dw::Database WorkloadWarehouse(uint64_t seed, bool planned) {
+/// A synthetic day of `num_prosumers` prosumers on the Denmark atlas and a
+/// radial grid.
+dw::Database WorkloadWarehouse(uint64_t seed, bool planned, int num_prosumers = 30) {
   const geo::Atlas atlas = geo::Atlas::MakeDenmark();
   const grid::GridTopology topology = grid::GridTopology::MakeRadial(2, 2, 2, 3);
   dw::Database db;
@@ -413,7 +417,7 @@ dw::Database WorkloadWarehouse(uint64_t seed, bool planned) {
   sim::WorkloadGenerator generator(&atlas, &topology);
   sim::WorkloadParams params;
   params.seed = seed;
-  params.num_prosumers = 30;
+  params.num_prosumers = num_prosumers;
   params.horizon = TimeInterval(T0(), T0() + timeutil::kMinutesPerDay);
   sim::Workload workload = *generator.Generate(params);
   EXPECT_TRUE(sim::WorkloadGenerator::LoadIntoDatabase(workload, db).ok());
@@ -704,6 +708,151 @@ TEST(LodTest, AttachRefusesAPyramidOfAnotherShape) {
   ASSERT_TRUE(db.AttachLod(dw::BuildLodPyramid(*offers, regions)).ok());
   ASSERT_NE(db.lod(), nullptr);
   EXPECT_EQ(db.lod()->Serialize(), RebuiltLod(warehouse));
+}
+
+// ---- The column build and what a publish serves ---------------------------
+
+/// Offers loaded in two batches, ids descending within and across them: the
+/// fact rows run against id order.
+dw::Database DescendingIdWarehouse() {
+  dw::Database db;
+  for (core::RegionId region : {11, 22, 33}) {
+    EXPECT_TRUE(db.RegisterRegion({region, "r", core::kInvalidRegionId, "region"}).ok());
+  }
+  std::vector<core::FlexOffer> offers = MakeOffers(61, 2500, {11, 22, 33});
+  std::reverse(offers.begin(), offers.end());
+  const auto half = offers.begin() + static_cast<ptrdiff_t>(offers.size() / 2);
+  EXPECT_TRUE(db.LoadFlexOffers({offers.begin(), half}).ok());
+  EXPECT_TRUE(db.LoadFlexOffers({half, offers.end()}).ok());
+  return db;
+}
+
+/// Unscheduled offers; UpdateFlexOffer then schedules every third at its
+/// latest start and clears the schedule of every sixth again.
+dw::Database RescheduledWarehouse() {
+  dw::Database db;
+  for (core::RegionId region : {11, 22}) {
+    EXPECT_TRUE(db.RegisterRegion({region, "r", core::kInvalidRegionId, "region"}).ok());
+  }
+  std::vector<core::FlexOffer> offers = MakeOffers(62, 1500, {11, 22});
+  for (core::FlexOffer& o : offers) o.schedule.reset();
+  EXPECT_TRUE(db.LoadFlexOffers(offers).ok());
+  for (size_t i = 0; i < offers.size(); i += 3) {
+    core::FlexOffer o = offers[i];
+    core::Schedule schedule;
+    schedule.start = o.latest_start;
+    for (const core::ProfileSlice& unit : o.UnitProfile()) {
+      schedule.energy_kwh.push_back(unit.max_energy_kwh);
+    }
+    o.schedule = schedule;
+    o.state = core::FlexOfferState::kAssigned;
+    EXPECT_TRUE(db.UpdateFlexOffer(o).ok());
+  }
+  for (size_t i = 0; i < offers.size(); i += 6) {
+    core::FlexOffer o = offers[i];
+    o.state = core::FlexOfferState::kAccepted;
+    EXPECT_TRUE(db.UpdateFlexOffer(o).ok());
+  }
+  return db;
+}
+
+/// The filters the column build must honor as SelectFlexOffers does: the
+/// LodFilterTest windows, every predicate alone with a value taken from
+/// `db`'s first offer, a combination, and one that selects nothing.
+std::vector<dw::FlexOfferFilter> OracleFilters(const dw::Database& db) {
+  std::vector<dw::FlexOfferFilter> filters;
+  for (const TimeInterval& window :
+       {TimeInterval(), TimeInterval(T0() + 6 * 60, T0() + 12 * 60),
+        TimeInterval(T0() + 6 * 60 - 1, T0() + 12 * 60),
+        TimeInterval(T0() + 6 * 60, T0() + 12 * 60 + 1),
+        TimeInterval(T0() + 6 * 60 + 7, T0() + 6 * 60 + 8),
+        TimeInterval(T0() - timeutil::kMinutesPerDay, T0() + 3 * timeutil::kMinutesPerDay)}) {
+    dw::FlexOfferFilter filter;
+    filter.window = window;
+    filters.push_back(filter);
+  }
+  core::FlexOffer o;
+  if (db.NumFlexOffers() > 0) o = db.SelectFlexOffers(dw::FlexOfferFilter{})->front();
+  auto add = [&](const std::function<void(dw::FlexOfferFilter&)>& set) {
+    dw::FlexOfferFilter filter;
+    set(filter);
+    filters.push_back(filter);
+  };
+  add([&](dw::FlexOfferFilter& f) { f.prosumer = o.prosumer; });
+  add([&](dw::FlexOfferFilter& f) { f.prosumer = -5; });
+  add([&](dw::FlexOfferFilter& f) {
+    f.states = {core::FlexOfferState::kAssigned, core::FlexOfferState::kAccepted};
+  });
+  add([&](dw::FlexOfferFilter& f) { f.regions = {o.region}; });
+  add([&](dw::FlexOfferFilter& f) { f.grid_nodes = {o.grid_node}; });
+  add([&](dw::FlexOfferFilter& f) { f.energy_types = {o.energy_type}; });
+  add([&](dw::FlexOfferFilter& f) { f.prosumer_types = {o.prosumer_type}; });
+  add([&](dw::FlexOfferFilter& f) { f.appliance_types = {o.appliance_type}; });
+  add([&](dw::FlexOfferFilter& f) { f.direction = o.direction; });
+  add([&](dw::FlexOfferFilter& f) {
+    f.aggregates = dw::FlexOfferFilter::AggregateFilter::kOnlyAggregates;
+  });
+  add([&](dw::FlexOfferFilter& f) { f.aggregates = dw::FlexOfferFilter::AggregateFilter::kOnlyRaw; });
+  add([&](dw::FlexOfferFilter& f) {
+    f.regions = {o.region};
+    f.window = TimeInterval(T0() + 4 * 60, T0() + 20 * 60);
+    f.aggregates = dw::FlexOfferFilter::AggregateFilter::kOnlyRaw;
+  });
+  return filters;
+}
+
+TEST(LodTest, ColumnBuildEqualsTheOfferBuildOnEveryWarehouseAndFilter) {
+  std::vector<std::pair<std::string, dw::Database>> warehouses = TestWarehouses();
+  warehouses.emplace_back("descending_ids", DescendingIdWarehouse());
+  warehouses.emplace_back("rescheduled", RescheduledWarehouse());
+  ThreadCountGuard guard;
+  for (int threads : {1, 8}) {
+    SetParallelThreadCount(threads);
+    for (const auto& [name, db] : warehouses) {
+      const std::vector<dw::FlexOfferFilter> filters = OracleFilters(db);
+      for (size_t f = 0; f < filters.size(); ++f) {
+        const std::string label =
+            name + " filter " + std::to_string(f) + " at " + std::to_string(threads) + " threads";
+        Result<LodPyramid> via_columns = dw::BuildLodPyramid(db, filters[f]);
+        ASSERT_TRUE(via_columns.ok()) << label << ": " << via_columns.status().ToString();
+        Result<std::vector<core::FlexOffer>> selected = db.SelectFlexOffers(filters[f]);
+        ASSERT_TRUE(selected.ok()) << label;
+        EXPECT_EQ(via_columns->Serialize(),
+                  dw::BuildLodPyramid(*selected, dw::LodRegions(db)).Serialize())
+            << label;
+      }
+    }
+  }
+}
+
+TEST(LodTest, PublishedPyramidBytesArePinned) {
+  // CRC-32 of the pyramid ServeEngine::Publish serves for each warehouse. A
+  // change to these literals changes what every publish serves: it belongs
+  // in the diff that makes that change.
+  const std::map<std::string, uint32_t> kPinned = {
+      {"descending_ids", 0x36cfaa2d},
+      {"generated", 0xf633291d},
+      {"planned", 0xbb5019bb},
+      {"rescheduled", 0x7da740f5}};
+  ThreadCountGuard guard;
+  for (int threads : {1, 8}) {
+    SetParallelThreadCount(threads);
+    std::vector<std::pair<std::string, dw::Database>> warehouses;
+    warehouses.emplace_back("generated", WorkloadWarehouse(4242, false, 300));
+    warehouses.emplace_back("planned", WorkloadWarehouse(4242, true, 300));
+    warehouses.emplace_back("descending_ids", DescendingIdWarehouse());
+    warehouses.emplace_back("rescheduled", RescheduledWarehouse());
+    std::map<std::string, uint32_t> published;
+    for (auto& [name, db] : warehouses) {
+      serve::ServeEngine engine(serve::ServeEngine::Options{});
+      engine.Publish(std::make_shared<const dw::Database>(std::move(db)));
+      serve::SnapshotRef pin = engine.registry().PinCurrent();
+      ASSERT_FALSE(pin.empty()) << name;
+      EXPECT_GT(pin->lod.num_offers(), 1024) << name;
+      published[name] = Crc32(pin->lod.Serialize());
+    }
+    EXPECT_EQ(published, kPinned) << threads << " threads";
+  }
 }
 
 }  // namespace
