@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <utility>
@@ -100,11 +101,11 @@ bool CompactsAfter(int compact_ticks, int64_t tick) {
   return compact_ticks > 0 && (tick + 1) % compact_ticks == 0;
 }
 
-/// Applies `fold` onto `*state` — a fresh Begin over the shard's new members
-/// under the shard-owning `enterprise` — then verifies that the consumed
-/// arrival prefix is exactly `expect_consumed` as a set (FailedPrecondition
-/// otherwise: ingest-backlog skew would reorder consumed history). On error
-/// `*state` is half-built and must be discarded.
+/// Applies `fold` onto `*state` — a fresh Begin over a resized shard's
+/// members under the shard-owning `enterprise` — then verifies that the
+/// consumed arrival prefix is exactly `expect_consumed` as a set
+/// (FailedPrecondition otherwise: ingest-backlog skew would reorder consumed
+/// history). On error `*state` is half-built and must be discarded.
 Status ApplySplice(const OnlineEnterprise& enterprise, const OnlineTickRecord& fold,
                    const std::vector<core::FlexOfferId>& expect_consumed,
                    OnlineLoopState* state) {
@@ -118,7 +119,7 @@ Status ApplySplice(const OnlineEnterprise& enterprise, const OnlineTickRecord& f
   // Set equality over the prefix: stable arrival ordering makes membership
   // the only degree of freedom — an unconsumed offer sorting into the prefix
   // (or a consumed one sorting out) is exactly the backlog-skew reorder the
-  // migration must refuse.
+  // resize must refuse.
   std::set<core::FlexOfferId> expect(expect_consumed.begin(), expect_consumed.end());
   for (size_t pos = 0; pos < state->next_arrival; ++pos) {
     const core::FlexOfferId id = state->report.offers[state->arrival[pos]].id;
@@ -138,8 +139,9 @@ Status ApplySplice(const OnlineEnterprise& enterprise, const OnlineTickRecord& f
 // format, unchanged byte for byte); migration records are tagged with one.
 // A migration appends migrate_out to the source journal (flushed first),
 // then migrate_in — carrying the full offer payload, so the record is
-// self-contained — to the target journal, then rewrites COORDINATOR.json
-// with the bumped epoch. Recovery therefore sees one of: both records (the
+// self-contained — to the target journal; then COORDINATOR.json is rewritten
+// with the bumped epoch (after each MigrateProsumer call, and once after the
+// last move of a rebalance plan). Recovery therefore sees one of: both records (the
 // migration committed; replay it), only migrate_out (crash between the two
 // flushes; complete the migration by synthesizing the migrate_in), or
 // neither (the migration never happened).
@@ -282,6 +284,37 @@ std::string EncodePlanDoneRecord(int64_t id) {
   return json.Dump();
 }
 
+/// `offer`'s decided state as a fold carries it: the schedule rides along
+/// when assigned.
+OnlineStateChange DecidedChange(const FlexOffer& offer) {
+  OnlineStateChange change;
+  change.offer = offer.id;
+  change.state = offer.state;
+  if (offer.state == core::FlexOfferState::kAssigned) change.schedule = offer.schedule;
+  return change;
+}
+
+/// The cumulative counters of `from` (an OnlineReport or a tick record), as a
+/// fold carries them.
+template <typename Counters>
+void CopyCounters(const Counters& from, OnlineTickRecord* to) {
+  to->offers_received = from.offers_received;
+  to->accepted = from.accepted;
+  to->rejected = from.rejected;
+  to->assigned = from.assigned;
+  to->missed_acceptance = from.missed_acceptance;
+  to->missed_assignment = from.missed_assignment;
+  to->dropped_ingest = from.dropped_ingest;
+  to->failed_sends = from.failed_sends;
+  to->shed_offers = from.shed_offers;
+  to->queue_high_watermark = from.queue_high_watermark;
+}
+
+/// A splice's remap entry for an offer that leaves the shard.
+constexpr size_t kLeaves = std::numeric_limits<size_t>::max();
+
+Coordinator::InvariantCheck g_invariant_check = nullptr;
+
 }  // namespace
 
 int ShardsFromEnv(int fallback) {
@@ -307,11 +340,14 @@ struct Coordinator::Shard {
   /// order, which changes the residual's floating-point sums and with them
   /// later decisions.
   OnlineTickRecord history;
+  /// The residual of a fresh Begin (the balancing target, independent of the
+  /// members): a splice that changes the decisions refolds from it.
+  core::TimeSeries target;
   DurableStore store;
   /// The committed offers.jsonl (and meta.json) holds exactly the shard's
   /// members in global order: set when the store is created, after every
   /// compaction, and at resume (Recover has just verified the file); cleared
-  /// by every Splice that re-bases the shard. While set, compaction hands in
+  /// by every Splice that changes the shard's members. While set, compaction hands in
   /// only state.json and the store carries the rest forward by hard link.
   bool offers_committed = false;
 };
@@ -350,6 +386,7 @@ Status Coordinator::AddShard(int s, OnlineParams params, const std::vector<FlexO
   Result<OnlineLoopState> state = shard->enterprise.Begin(members, window_);
   if (!state.ok()) return state.status();
   shard->state = *std::move(state);
+  shard->target = shard->state.residual;
   fleet->push_back(std::move(shard));
   return OkStatus();
 }
@@ -357,6 +394,7 @@ Status Coordinator::AddShard(int s, OnlineParams params, const std::vector<FlexO
 Status Coordinator::Begin(const std::vector<FlexOffer>& offers, const TimeInterval& window) {
   if (begun_) return FailedPreconditionError("coordinator already begun");
   offers_ = offers;
+  IndexOffers();
   window_ = window;
   // Keep the unscaled energy means: a resize re-derives exact per-shard
   // params for the new fleet size from these (re-dividing already-scaled
@@ -499,7 +537,7 @@ Status Coordinator::Tick() {
   if (!resized && checkpointed_ && CompactsAfter(params_.online.compact_ticks, min_tick)) {
     FLEXVIS_RETURN_IF_ERROR(CompactShards());
   }
-  return OkStatus();
+  return CheckInvariants();
 }
 
 Status Coordinator::CompactShards(const std::vector<bool>* include) {
@@ -541,6 +579,11 @@ Status Coordinator::CompactShards(const std::vector<bool>* include) {
 
 Status Coordinator::MigrateProsumer(core::ProsumerId prosumer, int to_shard,
                                     MigrationMode mode) {
+  FLEXVIS_RETURN_IF_ERROR(MoveProsumer(prosumer, to_shard, mode));
+  return checkpointed_ ? WriteCoordinatorManifest() : OkStatus();
+}
+
+Status Coordinator::MoveProsumer(core::ProsumerId prosumer, int to_shard, MigrationMode mode) {
   if (!begun_) return FailedPreconditionError("coordinator not begun");
   if (to_shard < 0 || to_shard >= params_.num_shards) {
     return InvalidArgumentError(
@@ -577,10 +620,10 @@ Status Coordinator::MigrateProsumer(core::ProsumerId prosumer, int to_shard,
         static_cast<long long>(prosumer), from, ids.c_str()));
   }
 
-  // Durability order, once both re-based states verified: migrate_out
+  // Durability order, once both spliced states verified: migrate_out
   // (source journal) -> migrate_in with the offer payload (target journal)
-  // -> manifest rewrite. Recovery completes a lone migrate_out; a
-  // migrate_in cannot exist without its migrate_out.
+  // -> manifest rewrite (by the caller). Recovery completes a lone
+  // migrate_out; a migrate_in cannot exist without its migrate_out.
   auto make_durable = [&]() -> Status {
     if (!checkpointed_) return OkStatus();
     DurableStore& source = shards_[static_cast<size_t>(from)]->store;
@@ -593,17 +636,37 @@ Status Coordinator::MigrateProsumer(core::ProsumerId prosumer, int to_shard,
     FLEXVIS_RETURN_IF_ERROR(target.Append(EncodeMigrationRecord(in)));
     return target.Flush();
   };
-  FLEXVIS_RETURN_IF_ERROR(Splice(prosumer, from, to_shard, out.epoch, out.moved,
-                                 SpliceSides::kBoth, make_durable));
-  if (checkpointed_) FLEXVIS_RETURN_IF_ERROR(WriteCoordinatorManifest());
-  return OkStatus();
+  return Splice(prosumer, from, to_shard, out.epoch, out.moved, SpliceSides::kBoth,
+                make_durable);
+}
+
+void Coordinator::IndexOffers() {
+  by_prosumer_.clear();
+  by_prosumer_.reserve(offers_.size());
+  for (size_t pos = 0; pos < offers_.size(); ++pos) {
+    by_prosumer_.emplace_back(offers_[pos].prosumer, pos);
+  }
+  std::sort(by_prosumer_.begin(), by_prosumer_.end());
+}
+
+std::span<const std::pair<core::ProsumerId, size_t>> Coordinator::PositionsOf(
+    core::ProsumerId prosumer) const {
+  auto [begin, end] = std::equal_range(
+      by_prosumer_.begin(), by_prosumer_.end(), std::make_pair(prosumer, size_t{0}),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  return {begin, end};
+}
+
+size_t Coordinator::GlobalPosition(const FlexOffer& offer) const {
+  for (const auto& [prosumer, pos] : PositionsOf(offer.prosumer)) {
+    if (offers_[pos].id == offer.id) return pos;
+  }
+  return offers_.size();
 }
 
 std::vector<FlexOffer> Coordinator::OffersOf(core::ProsumerId prosumer) const {
   std::vector<FlexOffer> owned;
-  for (const FlexOffer& offer : offers_) {
-    if (offer.prosumer == prosumer) owned.push_back(offer);
-  }
+  for (const auto& [p, pos] : PositionsOf(prosumer)) owned.push_back(offers_[pos]);
   return owned;
 }
 
@@ -626,110 +689,360 @@ MigratedState Coordinator::ExtractMovedState(int s, core::ProsumerId prosumer) c
     if (offer.prosumer != prosumer || offer.state == core::FlexOfferState::kOffered) {
       continue;
     }
-    OnlineStateChange change;
-    change.offer = offer.id;
-    change.state = offer.state;
-    if (offer.state == core::FlexOfferState::kAssigned) change.schedule = offer.schedule;
-    moved.states.push_back(std::move(change));
+    moved.states.push_back(DecidedChange(offer));
   }
   return moved;
+}
+
+/// The members of a shard are its offers in global input order, so a splice
+/// is a merge: the prosumer's offers leave at their live indices, join at
+/// their global positions, and every index-valued field (index_of, arrival,
+/// both queues) follows the members that stay through `remap`.
+struct Coordinator::SpliceSide {
+  Shard* shard = nullptr;
+  bool joining = false;
+  /// Live indices of the prosumer's offers the shard holds, ascending (a
+  /// target normally holds none).
+  std::vector<size_t> leaving;
+  /// Target only: the prosumer's offers in global order, reset as Begin
+  /// resets them with the moved decisions applied, and their indices in the
+  /// spliced offer list.
+  std::vector<FlexOffer> joined;
+  std::vector<size_t> joined_at;
+  /// Live index -> spliced index; kLeaves for a leaving offer.
+  std::vector<size_t> remap;
+  std::vector<size_t> arrival;
+  std::vector<size_t> pending_acceptance;
+  std::vector<size_t> pending_assignment;
+  size_t next_arrival = 0;
+  /// The new history without its outbox wires, which the live history hands
+  /// over on commit. Unset when the shard has not ticked yet: its history
+  /// stays empty.
+  std::optional<OnlineTickRecord> fold;
+  /// The fold keeps the live history's change list as it is.
+  bool keep_changes = false;
+  /// The residual refolded from the Begin target; unset when the change list
+  /// stands and with it the live residual, bit for bit.
+  std::optional<core::TimeSeries> residual;
+};
+
+Status Coordinator::PlanSpliceSide(core::ProsumerId prosumer, const MigratedState& moved,
+                                   SpliceSide* side) const {
+  const Shard& shard = *side->shard;
+  const OnlineLoopState& live = shard.state;
+  const std::vector<FlexOffer>& offers = live.report.offers;
+  std::vector<size_t> owned;
+  for (const auto& [p, pos] : PositionsOf(prosumer)) {
+    owned.push_back(pos);
+    auto it = live.index_of.find(offers_[pos].id);
+    if (it != live.index_of.end()) side->leaving.push_back(it->second);
+  }
+  std::sort(side->leaving.begin(), side->leaving.end());
+  // A joining offer lands after every staying member that precedes it in
+  // global order, and after the joining offers before it.
+  if (side->joining) {
+    for (size_t j = 0; j < owned.size(); ++j) {
+      const size_t before = static_cast<size_t>(
+          std::partition_point(offers.begin(), offers.end(),
+                               [&](const FlexOffer& offer) {
+                                 return GlobalPosition(offer) < owned[j];
+                               }) -
+          offers.begin());
+      const size_t leaving_before = static_cast<size_t>(
+          std::lower_bound(side->leaving.begin(), side->leaving.end(), before) -
+          side->leaving.begin());
+      side->joined_at.push_back(before - leaving_before + j);
+      FlexOffer offer = offers_[owned[j]];
+      offer.state = core::FlexOfferState::kOffered;
+      offer.schedule.reset();
+      side->joined.push_back(std::move(offer));
+    }
+  }
+  side->remap.assign(offers.size(), kLeaves);
+  for (size_t i = 0, next = 0, l = 0, j = 0; i < offers.size(); ++i) {
+    if (l < side->leaving.size() && side->leaving[l] == i) {
+      ++l;
+      continue;
+    }
+    for (; j < side->joined_at.size() && side->joined_at[j] == next; ++j) ++next;
+    side->remap[i] = next++;
+  }
+
+  // The moved state grafts onto a target that has ticked; at tick 0 the new
+  // membership is the whole state. Every id it names must be one of the
+  // prosumer's offers: anything else is a journal that does not match the
+  // snapshots.
+  const bool grafting = side->joining && live.next_tick > 0;
+  auto joined_slot = [&](core::FlexOfferId id, size_t* slot) -> Status {
+    for (size_t j = 0; j < side->joined.size(); ++j) {
+      if (side->joined[j].id == id) {
+        *slot = j;
+        return OkStatus();
+      }
+    }
+    return DataLossError(StrFormat("migrated state names flex-offer %lld, which prosumer %lld "
+                                   "does not own",
+                                   static_cast<long long>(id),
+                                   static_cast<long long>(prosumer)));
+  };
+  std::vector<char> joined_consumed(side->joined.size(), 0);
+  size_t moved_consumed = 0;
+  if (grafting) {
+    for (const OnlineStateChange& change : moved.states) {
+      size_t slot = 0;
+      FLEXVIS_RETURN_IF_ERROR(joined_slot(change.offer, &slot));
+      FlexOffer& offer = side->joined[slot];
+      offer.state = change.state;
+      offer.schedule.reset();
+      if (change.state == core::FlexOfferState::kAssigned) {
+        if (!change.schedule.has_value()) {
+          return DataLossError(StrFormat("journal assigns flex-offer %lld without a schedule",
+                                         static_cast<long long>(change.offer)));
+        }
+        offer.schedule = change.schedule;
+      }
+    }
+    for (core::FlexOfferId id : moved.consumed) {
+      size_t slot = 0;
+      FLEXVIS_RETURN_IF_ERROR(joined_slot(id, &slot));
+      if (joined_consumed[slot] != 0) {
+        return DataLossError(StrFormat("migrated state consumes flex-offer %lld twice",
+                                       static_cast<long long>(id)));
+      }
+      joined_consumed[slot] = 1;
+      ++moved_consumed;
+    }
+  }
+
+  // Arrival order is (creation time, index), as Begin's stable sort leaves
+  // it: the staying arrivals keep their order under the monotone remap, and
+  // the joining ones merge in. The consumed prefix must come out as exactly
+  // the staying consumed arrivals plus the moved ones (as a set).
+  size_t kept_consumed = 0;
+  for (size_t pos = 0; pos < live.next_arrival; ++pos) {
+    if (side->remap[live.arrival[pos]] != kLeaves) ++kept_consumed;
+  }
+  side->next_arrival = kept_consumed + moved_consumed;
+  std::vector<size_t> joining_order(side->joined.size());
+  std::iota(joining_order.begin(), joining_order.end(), 0);
+  std::stable_sort(joining_order.begin(), joining_order.end(), [&](size_t a, size_t b) {
+    return side->joined[a].creation_time < side->joined[b].creation_time;
+  });
+  side->arrival.reserve(offers.size() - side->leaving.size() + side->joined.size());
+  std::optional<core::FlexOfferId> misplaced;
+  auto place = [&](size_t index, bool consumed, core::FlexOfferId id) {
+    if (!consumed && !misplaced.has_value() && side->arrival.size() < side->next_arrival) {
+      misplaced = id;
+    }
+    side->arrival.push_back(index);
+  };
+  for (size_t pos = 0, k = 0;;) {
+    while (pos < live.arrival.size() && side->remap[live.arrival[pos]] == kLeaves) ++pos;
+    const bool staying = pos < live.arrival.size();
+    if (!staying && k == joining_order.size()) break;
+    bool join = !staying;
+    if (staying && k < joining_order.size()) {
+      const FlexOffer& stay = offers[live.arrival[pos]];
+      const FlexOffer& come = side->joined[joining_order[k]];
+      join = come.creation_time < stay.creation_time ||
+             (!(stay.creation_time < come.creation_time) &&
+              side->joined_at[joining_order[k]] < side->remap[live.arrival[pos]]);
+    }
+    if (join) {
+      const size_t slot = joining_order[k++];
+      place(side->joined_at[slot], joined_consumed[slot] != 0, side->joined[slot].id);
+    } else {
+      place(side->remap[live.arrival[pos]], pos < live.next_arrival,
+            offers[live.arrival[pos]].id);
+      ++pos;
+    }
+  }
+  if (misplaced.has_value()) {
+    return FailedPreconditionError(StrFormat(
+        "offer %lld lands inside the spliced consumed-arrival prefix but was never "
+        "consumed; ingest-backlog skew would reorder consumed history",
+        static_cast<long long>(*misplaced)));
+  }
+
+  // Queues: the staying entries in order, then the moved ones; as indices
+  // for the state and as ids for the history.
+  auto splice_queue = [&](const std::vector<size_t>& queue,
+                          const std::vector<core::FlexOfferId>& moved_ids,
+                          std::vector<size_t>* out,
+                          std::vector<core::FlexOfferId>* ids) -> Status {
+    for (size_t idx : queue) {
+      if (side->remap[idx] == kLeaves) continue;
+      out->push_back(side->remap[idx]);
+      ids->push_back(offers[idx].id);
+    }
+    if (!grafting) return OkStatus();
+    for (core::FlexOfferId id : moved_ids) {
+      size_t slot = 0;
+      FLEXVIS_RETURN_IF_ERROR(joined_slot(id, &slot));
+      out->push_back(side->joined_at[slot]);
+      ids->push_back(id);
+    }
+    return OkStatus();
+  };
+  std::vector<core::FlexOfferId> acceptance_ids;
+  std::vector<core::FlexOfferId> assignment_ids;
+  FLEXVIS_RETURN_IF_ERROR(splice_queue(live.pending_acceptance, moved.pending_acceptance,
+                                       &side->pending_acceptance, &acceptance_ids));
+  FLEXVIS_RETURN_IF_ERROR(splice_queue(live.pending_assignment, moved.pending_assignment,
+                                       &side->pending_assignment, &assignment_ids));
+  if (live.next_tick == 0) return OkStatus();
+
+  // The new history. An idle move changes no decision, so the shard keeps
+  // its own history (and with it its residual, bit for bit); moved
+  // decisions collapse the shard onto its Snapshot order instead. Either
+  // way the prosumer's entries leave and the moved ones append. Counters
+  // (including sheds the prosumer caused) stay: cumulative history does not
+  // move.
+  OnlineTickRecord& fold = side->fold.emplace();
+  const OnlineTickRecord& history = shard.history;
+  auto leaves = [&](core::FlexOfferId id) {
+    auto it = live.index_of.find(id);
+    return it != live.index_of.end() && side->remap[it->second] == kLeaves;
+  };
+  if (moved.idle()) {
+    fold.tick = history.tick;
+    fold.folded = history.folded;
+    fold.shed_policy = history.shed_policy;
+    CopyCounters(history, &fold);
+    side->keep_changes =
+        (!grafting || moved.states.empty()) &&
+        (side->leaving.empty() ||
+         std::none_of(history.changes.begin(), history.changes.end(),
+                      [&](const OnlineStateChange& change) { return leaves(change.offer); }));
+    if (!side->keep_changes) {
+      for (const OnlineStateChange& change : history.changes) {
+        if (!leaves(change.offer)) fold.changes.push_back(change);
+      }
+    }
+  } else {
+    fold.tick = live.next_tick - 1;
+    fold.folded = true;
+    fold.shed_policy = static_cast<int>(shard.enterprise.params().shed_policy);
+    CopyCounters(live.report, &fold);
+    for (size_t i = 0; i < offers.size(); ++i) {
+      const FlexOffer& offer = offers[i];
+      if (side->remap[i] == kLeaves || offer.state == core::FlexOfferState::kOffered) continue;
+      fold.changes.push_back(DecidedChange(offer));
+    }
+  }
+  if (grafting) {
+    fold.changes.insert(fold.changes.end(), moved.states.begin(), moved.states.end());
+  }
+  fold.next_arrival = static_cast<int64_t>(side->next_arrival);
+  fold.pending_acceptance = std::move(acceptance_ids);
+  fold.pending_assignment = std::move(assignment_ids);
+  if (side->joining) {
+    fold.queue_high_watermark = std::max(fold.queue_high_watermark,
+                                         static_cast<int>(fold.pending_acceptance.size()));
+  }
+  if (side->keep_changes) return OkStatus();
+
+  // Refold the residual: Begin's target with every committed schedule in
+  // the new history's change order, as Apply books them.
+  core::TimeSeries& residual = side->residual.emplace(shard.target);
+  for (const OnlineStateChange& change : fold.changes) {
+    if (change.state != core::FlexOfferState::kAssigned) continue;
+    const FlexOffer* offer = nullptr;
+    if (!leaves(change.offer)) {
+      auto it = live.index_of.find(change.offer);
+      if (it != live.index_of.end()) offer = &offers[it->second];
+    }
+    if (offer == nullptr) {
+      size_t slot = 0;
+      FLEXVIS_RETURN_IF_ERROR(joined_slot(change.offer, &slot));
+      offer = &side->joined[slot];
+    }
+    CommitScheduleToResidual(offer->direction, *change.schedule, residual);
+  }
+  return OkStatus();
+}
+
+void Coordinator::CommitSpliceSide(SpliceSide* side) {
+  Shard& shard = *side->shard;
+  OnlineLoopState& state = shard.state;
+  std::vector<FlexOffer>& offers = state.report.offers;
+  for (size_t i : side->leaving) state.index_of.erase(offers[i].id);
+  std::vector<FlexOffer> spliced(offers.size() - side->leaving.size() + side->joined.size());
+  for (size_t i = 0; i < offers.size(); ++i) {
+    const size_t to = side->remap[i];
+    if (to == kLeaves) continue;
+    if (to != i) state.index_of[offers[i].id] = to;
+    spliced[to] = std::move(offers[i]);
+  }
+  for (size_t j = 0; j < side->joined.size(); ++j) {
+    state.index_of[side->joined[j].id] = side->joined_at[j];
+    spliced[side->joined_at[j]] = std::move(side->joined[j]);
+  }
+  offers = std::move(spliced);
+  state.arrival = std::move(side->arrival);
+  state.pending_acceptance = std::move(side->pending_acceptance);
+  state.pending_assignment = std::move(side->pending_assignment);
+  state.next_arrival = side->next_arrival;
+  if (side->fold.has_value()) {
+    OnlineTickRecord& fold = *side->fold;
+    if (side->keep_changes) fold.changes = std::move(shard.history.changes);
+    fold.sent = std::move(shard.history.sent);
+    shard.history = std::move(fold);
+    state.report.queue_high_watermark = shard.history.queue_high_watermark;
+  }
+  if (side->residual.has_value()) state.residual = std::move(*side->residual);
+  shard.offers_committed = false;
 }
 
 Status Coordinator::Splice(core::ProsumerId prosumer, int from, int to, int64_t epoch,
                            const MigratedState& moved, SpliceSides sides,
                            const std::function<Status()>& make_durable) {
-  struct Rebased {
-    Shard* shard;
-    bool joining;
-    OnlineTickRecord fold;
-    OnlineLoopState state;
-  };
-  std::vector<Rebased> rebased;
+  std::vector<SpliceSide> spliced;
   if (sides != SpliceSides::kTargetOnly) {
-    rebased.push_back({shards_[static_cast<size_t>(from)].get(), false, {}, {}});
+    spliced.emplace_back().shard = shards_[static_cast<size_t>(from)].get();
   }
   if (sides != SpliceSides::kSourceOnly) {
-    rebased.push_back({shards_[static_cast<size_t>(to)].get(), true, {}, {}});
+    SpliceSide& target = spliced.emplace_back();
+    target.shard = shards_[static_cast<size_t>(to)].get();
+    target.joining = true;
   }
   // Moved decisions only mean the same thing on a shard at the same tick.
-  if (rebased.size() == 2 && !moved.idle() &&
-      rebased[0].shard->state.next_tick != rebased[1].shard->state.next_tick) {
+  if (spliced.size() == 2 && !moved.idle() &&
+      spliced[0].shard->state.next_tick != spliced[1].shard->state.next_tick) {
     return FailedPreconditionError(StrFormat(
         "shards %d and %d are not at a common tick boundary (%d vs %d)", from, to,
-        rebased[0].shard->state.next_tick, rebased[1].shard->state.next_tick));
+        spliced[0].shard->state.next_tick, spliced[1].shard->state.next_tick));
   }
-
-  for (Rebased& side : rebased) {
-    const OnlineEnterprise& enterprise = side.shard->enterprise;
-    const OnlineLoopState& live = side.shard->state;
-    std::vector<FlexOffer> subset;
-    for (const FlexOffer& offer : offers_) {
-      if (offer.prosumer == prosumer ? side.joining : live.index_of.count(offer.id) != 0) {
-        subset.push_back(offer);
-      }
-    }
-    Result<OnlineLoopState> fresh = enterprise.Begin(subset, window_);
-    if (!fresh.ok()) return fresh.status();
-    side.state = *std::move(fresh);
-    if (live.next_tick == 0) continue;  // the new membership is the whole state
-    // An idle move changes no decision, so the shard keeps its own history
-    // (and with it its residual, bit for bit). Moved decisions re-base the
-    // shard onto its collapsed Snapshot instead.
-    OnlineTickRecord& fold = side.fold;
-    fold = moved.idle() ? side.shard->history : enterprise.Snapshot(live);
-    // Strip the prosumer's footprint: its decided states and queue entries
-    // drop out and the arrival cursor retreats past its consumed arrivals.
-    // Counters (including sheds it caused) stay — cumulative history does
-    // not move.
-    std::set<core::FlexOfferId> leaving;
-    for (const FlexOffer& offer : live.report.offers) {
-      if (offer.prosumer == prosumer) leaving.insert(offer.id);
-    }
-    auto is_leaving = [&leaving](core::FlexOfferId id) { return leaving.count(id) != 0; };
-    fold.changes.erase(std::remove_if(fold.changes.begin(), fold.changes.end(),
-                                      [&](const OnlineStateChange& change) {
-                                        return is_leaving(change.offer);
-                                      }),
-                       fold.changes.end());
-    for (std::vector<core::FlexOfferId>* queue :
-         {&fold.pending_acceptance, &fold.pending_assignment}) {
-      queue->erase(std::remove_if(queue->begin(), queue->end(), is_leaving), queue->end());
-    }
-    std::vector<core::FlexOfferId> expect;
-    for (size_t pos = 0; pos < live.next_arrival; ++pos) {
-      const core::FlexOfferId id = live.report.offers[live.arrival[pos]].id;
-      if (!is_leaving(id)) expect.push_back(id);
-    }
-    if (side.joining) {
-      // Graft the moved state after the shard's own: decided states and
-      // queue entries append, the cursor covers the moved consumed arrivals,
-      // and the watermark accounts for the deeper merged queue.
-      fold.changes.insert(fold.changes.end(), moved.states.begin(), moved.states.end());
-      fold.pending_acceptance.insert(fold.pending_acceptance.end(),
-                                     moved.pending_acceptance.begin(),
-                                     moved.pending_acceptance.end());
-      fold.pending_assignment.insert(fold.pending_assignment.end(),
-                                     moved.pending_assignment.begin(),
-                                     moved.pending_assignment.end());
-      expect.insert(expect.end(), moved.consumed.begin(), moved.consumed.end());
-      fold.queue_high_watermark = std::max(fold.queue_high_watermark,
-                                           static_cast<int>(fold.pending_acceptance.size()));
-    }
-    fold.next_arrival = static_cast<int64_t>(expect.size());
-    FLEXVIS_RETURN_IF_ERROR(ApplySplice(enterprise, fold, expect, &side.state));
+  for (SpliceSide& side : spliced) {
+    FLEXVIS_RETURN_IF_ERROR(PlanSpliceSide(prosumer, moved, &side));
   }
-
   if (make_durable) FLEXVIS_RETURN_IF_ERROR(make_durable());
-  for (Rebased& side : rebased) {
-    side.shard->state = std::move(side.state);
-    side.shard->history = std::move(side.fold);
-    side.shard->offers_committed = false;
-  }
+  for (SpliceSide& side : spliced) CommitSpliceSide(&side);
   FLEXVIS_RETURN_IF_ERROR(router_.Assign(prosumer, to));
   // max, not assignment: a resume starts the epoch at the manifest's
   // base_epoch, and a replayed migration below it must not regress it.
   epoch_ = std::max(epoch_, epoch);
-  return OkStatus();
+  return CheckInvariants();
+}
+
+void Coordinator::SetInvariantCheckForTesting(InvariantCheck check) {
+  g_invariant_check = check;
+}
+
+Status Coordinator::CheckInvariants() const {
+  return g_invariant_check != nullptr ? g_invariant_check(*this) : OkStatus();
+}
+
+const OnlineEnterprise& Coordinator::shard_enterprise(int shard) const {
+  return shards_[static_cast<size_t>(shard)]->enterprise;
+}
+
+const OnlineLoopState& Coordinator::shard_state(int shard) const {
+  return shards_[static_cast<size_t>(shard)]->state;
+}
+
+const OnlineTickRecord& Coordinator::shard_history(int shard) const {
+  return shards_[static_cast<size_t>(shard)]->history;
 }
 
 Status Coordinator::Resize(int new_num_shards) {
@@ -773,11 +1086,7 @@ Status Coordinator::Resize(int new_num_shards) {
     }
     for (const FlexOffer& offer : st.report.offers) {
       if (offer.state == core::FlexOfferState::kOffered) continue;
-      OnlineStateChange change;
-      change.offer = offer.id;
-      change.state = offer.state;
-      if (offer.state == core::FlexOfferState::kAssigned) change.schedule = offer.schedule;
-      decided.emplace(offer.id, std::move(change));
+      decided.emplace(offer.id, DecidedChange(offer));
     }
     AddCounters(&totals, st.report);
   }
@@ -821,19 +1130,10 @@ Status Coordinator::Resize(int new_num_shards) {
       }
       fold.next_arrival = static_cast<int64_t>(expect.size());
       if (s == 0) {
-        fold.offers_received = totals.offers_received;
-        fold.accepted = totals.accepted;
-        fold.rejected = totals.rejected;
-        fold.assigned = totals.assigned;
-        fold.missed_acceptance = totals.missed_acceptance;
-        fold.missed_assignment = totals.missed_assignment;
-        fold.dropped_ingest = totals.dropped_ingest;
-        fold.failed_sends = totals.failed_sends;
-        fold.shed_offers = totals.shed_offers;
+        CopyCounters(totals, &fold);
         fold.sent = totals.outbox;
-        fold.queue_high_watermark =
-            std::max(totals.queue_high_watermark,
-                     static_cast<int>(fold.pending_acceptance.size()));
+        fold.queue_high_watermark = std::max(fold.queue_high_watermark,
+                                             static_cast<int>(fold.pending_acceptance.size()));
       } else {
         fold.queue_high_watermark = static_cast<int>(fold.pending_acceptance.size());
       }
@@ -939,13 +1239,14 @@ Status Coordinator::ExecutePlan(const RebalancePlan& plan, bool already_journale
     FLEXVIS_RETURN_IF_ERROR(coord_store_.Flush());
   }
   if (plan.action == RebalancePlan::Action::kMove) {
+    bool moved = false;
     for (const RebalanceMove& move : plan.moves) {
       const std::map<core::ProsumerId, int>& overrides = router_.overrides();
       auto it = overrides.find(move.prosumer);
       if (it != overrides.end() && it->second == move.to) {
         continue;  // already committed (a resumed plan replays its moves)
       }
-      Status status = MigrateProsumer(move.prosumer, move.to, MigrationMode::kAllowActive);
+      Status status = MoveProsumer(move.prosumer, move.to, MigrationMode::kAllowActive);
       if (status.code() == StatusCode::kFailedPrecondition ||
           status.code() == StatusCode::kInvalidArgument) {
         // Verification refused the move (ingest-backlog skew, or the offers
@@ -954,7 +1255,12 @@ Status Coordinator::ExecutePlan(const RebalancePlan& plan, bool already_journale
         continue;
       }
       FLEXVIS_RETURN_IF_ERROR(status);
+      moved = true;
     }
+    // One manifest commit for the whole plan. A crash between two moves
+    // leaves it behind the journals; the resume's staleness rewrite and its
+    // plan reconciliation bring it up to date.
+    if (moved && checkpointed_) FLEXVIS_RETURN_IF_ERROR(WriteCoordinatorManifest());
     if (journaled) {
       FLEXVIS_RETURN_IF_ERROR(coord_store_.Append(EncodePlanDoneRecord(plan.id)));
       FLEXVIS_RETURN_IF_ERROR(coord_store_.Flush());
@@ -1309,6 +1615,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   if (coordinator.offers_.size() != by_id.size()) {
     return DataLossError("shard snapshots hold offers missing from offer_order");
   }
+  coordinator.IndexOffers();
 
   // The manifest's overrides cover migrations whose records compaction
   // folded away. Replay below never consults the router (every splice takes
@@ -1398,7 +1705,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
               "migration record moves prosumer %lld from shard %d to shard %d of %d",
               static_cast<long long>(record.prosumer), record.from, record.to, n));
         }
-        if (coordinator.OffersOf(record.prosumer).empty()) {
+        if (coordinator.PositionsOf(record.prosumer).empty()) {
           return DataLossError(
               StrFormat("migration record names prosumer %lld, which owns no offer",
                         static_cast<long long>(record.prosumer)));
@@ -1567,6 +1874,23 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
     if (*kind == "plan") {
       Result<RebalancePlan> plan = DecodeRebalancePlan(*json);
       if (!plan.ok()) return plan.status();
+      // A plan was journaled under the manifest's fleet (a resize truncates
+      // the WAL): refused like a migration record naming a shard it lacks.
+      for (const RebalanceMove& move : plan->moves) {
+        if (move.from < 0 || move.from >= n || move.to < 0 || move.to >= n ||
+            move.from == move.to) {
+          return DataLossError(StrFormat(
+              "rebalance plan %lld moves prosumer %lld from shard %d to shard %d of %d",
+              static_cast<long long>(plan->id), static_cast<long long>(move.prosumer),
+              move.from, move.to, n));
+        }
+      }
+      if (plan->action != RebalancePlan::Action::kMove &&
+          (plan->new_num_shards < 1 || plan->new_num_shards > kMaxShards)) {
+        return DataLossError(StrFormat("rebalance plan %lld resizes to %d shards, outside [1, %d]",
+                                       static_cast<long long>(plan->id),
+                                       plan->new_num_shards, kMaxShards));
+      }
       wal_plans.push_back(*std::move(plan));
     } else if (*kind == "plan_done") {
       Result<int64_t> id = json->GetInt("id");

@@ -5,7 +5,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/checkpoint.h"
@@ -44,8 +46,9 @@ namespace flexvis::sim {
 ///                         generation whose `meta` carries num_shards, policy,
 ///                         epoch, base_epoch, migration overrides, and the
 ///                         global offer order) — written atomically, last at
-///                         Begin (the run's commit point) and again after
-///                         every committed migration and at every compaction
+///                         Begin (the run's commit point), again after each
+///                         MigrateProsumer call and once after each rebalance
+///                         plan's moves, and at every compaction
 ///   shard-0000/           one sim/checkpoint store per shard (meta.json,
 ///   shard-0001/ ...       offers.jsonl, state.json for compacted
 ///                         generations, SNAPSHOT.json, journal.wal)
@@ -201,10 +204,10 @@ class Coordinator {
   /// then the records are journaled serially in shard order.
   Status Tick();
 
-  /// Moves `prosumer` to `to_shard` by splicing: the source is re-based onto
-  /// its collapsed state minus the prosumer, the target onto its collapsed
-  /// state plus the prosumer's offers and MigratedState (empty when idle),
-  /// and both re-based states are verified before anything becomes durable
+  /// Moves `prosumer` to `to_shard` by splicing the live shard states: the
+  /// prosumer's offers and footprint leave the source's state, and enter the
+  /// target's with its MigratedState (empty when idle). Both spliced states
+  /// are computed and verified before anything becomes durable
   /// (FailedPrecondition when inter-shard ingest backlog skew would reorder
   /// either shard's consumed history, or when an active prosumer's shards
   /// are not at a common tick). Then a migrate_out record goes to the source
@@ -255,10 +258,31 @@ class Coordinator {
   static Result<MergedOnlineReport> ResumeSharded(const std::string& directory,
                                                   ShardResumeInfo* info = nullptr);
 
+  // ---- Invariant checks ------------------------------------------------------
+
+  /// A check of a coordinator's live state; a non-OK status names the fault.
+  using InvariantCheck = Status (*)(const Coordinator& coordinator);
+  /// Test seam: while set, every Coordinator in the process runs `check`
+  /// after each Tick and each committed migration splice (live, inside a
+  /// rebalance plan, or replayed by ResumeSharded) and fails that call with
+  /// its status. nullptr (the default) runs nothing.
+  static void SetInvariantCheckForTesting(InvariantCheck check);
+
+  /// Read-only views for invariant checks: the run's offers in global input
+  /// order, and one shard's enterprise, live state, and the folded history
+  /// that reproduces that state from Begin over the shard's members.
+  const std::vector<core::FlexOffer>& offers() const { return offers_; }
+  const OnlineEnterprise& shard_enterprise(int shard) const;
+  const OnlineLoopState& shard_state(int shard) const;
+  const OnlineTickRecord& shard_history(int shard) const;
+
  private:
   /// One shard's fault registry, enterprise, live loop state, the folded
   /// history that reproduces that state, and durable store.
   struct Shard;
+  /// One shard's side of a migration splice, computed from its live state
+  /// without touching it.
+  struct SpliceSide;
 
   /// Appends shard `s` to `fleet`: its own fault registry (seeded from
   /// fault_seed, armed from FLEXVIS_FAULTS), an enterprise running `params`
@@ -286,6 +310,14 @@ class Coordinator {
 
   // ---- Migration splice -----------------------------------------------------
 
+  /// Builds by_prosumer_ over offers_; called wherever offers_ is set.
+  void IndexOffers();
+  /// `prosumer`'s run of by_prosumer_: the global input positions of its
+  /// offers, ascending (empty when it owns none).
+  std::span<const std::pair<core::ProsumerId, size_t>> PositionsOf(
+      core::ProsumerId prosumer) const;
+  /// Global input position of `offer`, one of the run's offers.
+  size_t GlobalPosition(const core::FlexOffer& offer) const;
   /// `prosumer`'s offers, verbatim input copies in global input order.
   std::vector<core::FlexOffer> OffersOf(core::ProsumerId prosumer) const;
   /// Everything of `prosumer`'s mid-flight state on shard `s`, extracted
@@ -295,18 +327,30 @@ class Coordinator {
   /// record pair; one when compaction already baked the move into the other
   /// shard's snapshot.
   enum class SpliceSides { kBoth, kSourceOnly, kTargetOnly };
-  /// The one migration path, live and replayed. Re-bases shard `from` onto
-  /// its collapsed state minus `prosumer`'s footprint and shard `to` onto
-  /// its collapsed state plus `moved`, each over its current members
-  /// minus/plus `prosumer`'s offers (never the router's view). The
-  /// collapsed state is the shard's own history when `moved` is empty, its
-  /// Snapshot otherwise. Every re-based state is built and verified before
-  /// `make_durable` (when set) runs and before any is swapped in; then
-  /// `prosumer` is assigned to `to` and the epoch advances to at least
-  /// `epoch`.
+  /// The one migration path, live and replayed. Splices `prosumer`'s offers
+  /// and footprint out of shard `from`'s live state, and its offers plus
+  /// `moved` into shard `to`'s, each over the shard's current members
+  /// (never the router's view). The result equals a fresh Begin over the
+  /// new members followed by Apply of the new history: the shard's own
+  /// history for an idle move, the collapsed Snapshot order otherwise, minus
+  /// the prosumer's entries and plus `moved`. Both sides are computed and
+  /// verified before `make_durable` (when set) runs and before either live
+  /// state changes; then `prosumer` is assigned to `to` and the epoch
+  /// advances to at least `epoch`.
   Status Splice(core::ProsumerId prosumer, int from, int to, int64_t epoch,
                 const MigratedState& moved, SpliceSides sides,
                 const std::function<Status()>& make_durable = nullptr);
+  /// Computes `side`'s spliced state from its shard's live one; refuses as
+  /// Splice documents. Touches no live state.
+  Status PlanSpliceSide(core::ProsumerId prosumer, const MigratedState& moved,
+                        SpliceSide* side) const;
+  /// Moves a planned side into its shard's live state; cannot fail.
+  static void CommitSpliceSide(SpliceSide* side);
+  /// MigrateProsumer without the COORDINATOR.json commit: checks, journals
+  /// and splices one move. ExecutePlan commits the manifest once per plan.
+  Status MoveProsumer(core::ProsumerId prosumer, int to_shard, MigrationMode mode);
+  /// Runs the installed invariant check, if any.
+  Status CheckInvariants() const;
 
   // ---- Rebalance controller wiring -----------------------------------------
 
@@ -317,7 +361,8 @@ class Coordinator {
   /// the hot shard's per-prosumer pending load).
   RebalancePlan BuildPlan(const RebalanceDecision& decision) const;
   /// Journals the plan record, executes it step by step (moves that fail
-  /// their precondition are skipped), journals the completion marker.
+  /// their precondition are skipped), commits COORDINATOR.json once after
+  /// the last committed move, journals the completion marker.
   Status ExecutePlan(const RebalancePlan& plan, bool already_journaled);
   /// Controller observation for the tick just completed; may trigger and
   /// execute a plan. Sets `*resized` when the plan changed the topology.
@@ -327,6 +372,9 @@ class Coordinator {
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<core::FlexOffer> offers_;  // global input order
+  /// (prosumer, global input position) of every offer, sorted: each
+  /// prosumer's offers form one ascending run (IndexOffers).
+  std::vector<std::pair<core::ProsumerId, size_t>> by_prosumer_;
   timeutil::TimeInterval window_;
   int64_t epoch_ = 0;
   /// Highest epoch whose migrations are baked into the shard snapshots (set

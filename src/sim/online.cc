@@ -18,20 +18,14 @@ using timeutil::kMinutesPerSlice;
 using timeutil::TimeInterval;
 using timeutil::TimePoint;
 
-namespace {
-
-/// Books a committed schedule's energy against the residual (consumption
-/// positive). Shared by the live tick and journal replay so both sides of a
-/// recovery agree bit-for-bit on the remaining target.
-void CommitScheduleToResidual(const FlexOffer& offer, TimeSeries& residual) {
-  const double sign = offer.direction == core::Direction::kConsumption ? 1.0 : -1.0;
-  for (size_t i = 0; i < offer.schedule->energy_kwh.size(); ++i) {
-    residual.AddAt(offer.schedule->start + static_cast<int64_t>(i) * kMinutesPerSlice,
-                   -sign * offer.schedule->energy_kwh[i]);
+void CommitScheduleToResidual(core::Direction direction, const core::Schedule& schedule,
+                              TimeSeries& residual) {
+  const double sign = direction == core::Direction::kConsumption ? 1.0 : -1.0;
+  for (size_t i = 0; i < schedule.energy_kwh.size(); ++i) {
+    residual.AddAt(schedule.start + static_cast<int64_t>(i) * kMinutesPerSlice,
+                   -sign * schedule.energy_kwh[i]);
   }
 }
-
-}  // namespace
 
 Result<OnlineLoopState> OnlineEnterprise::Begin(const std::vector<FlexOffer>& offers,
                                                 const TimeInterval& window) const {
@@ -266,7 +260,7 @@ void OnlineEnterprise::Tick(OnlineLoopState& state, OnlineTickRecord* record) co
       offer.schedule = plan.offers[k].schedule;
       offer.state = core::FlexOfferState::kAssigned;
       ++report.assigned;
-      CommitScheduleToResidual(offer, state.residual);
+      CommitScheduleToResidual(offer.direction, *offer.schedule, state.residual);
       note_change(offer);
     }
   }
@@ -334,7 +328,7 @@ Status OnlineEnterprise::Apply(OnlineLoopState& state, const OnlineTickRecord& r
                                        static_cast<long long>(change.offer)));
       }
       offer.schedule = change.schedule;
-      CommitScheduleToResidual(offer, state.residual);
+      CommitScheduleToResidual(offer.direction, *offer.schedule, state.residual);
     } else {
       offer.schedule.reset();
     }

@@ -204,6 +204,13 @@ struct OnlineLoopState {
   std::unordered_map<core::FlexOfferId, size_t> index_of;  // id -> offers index
 };
 
+/// Books a committed schedule's energy against `residual` (consumption
+/// positive). The live tick, journal replay and the coordinator's migration
+/// splice all commit through it, so every path agrees bit for bit on the
+/// remaining target.
+void CommitScheduleToResidual(core::Direction direction, const core::Schedule& schedule,
+                              core::TimeSeries& residual);
+
 /// The enterprise's *online* mode (Section 2: "performs a complex planning
 /// activity in an online fashion"): offers arrive at their creation times;
 /// the loop must send the acceptance message before each offer's acceptance

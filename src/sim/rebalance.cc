@@ -4,6 +4,7 @@
 #include <initializer_list>
 
 #include "sim/alerts.h"
+#include "sim/checkpoint.h"
 #include "sim/online.h"
 #include "util/strings.h"
 
@@ -51,14 +52,17 @@ Result<RebalanceParams> DecodeRebalanceParams(const JsonValue& value) {
        &merge_window.status()},
       "rebalance params"));
   RebalanceParams params;
-  params.window_ticks = static_cast<int>(*window);
-  params.queue_depth_threshold = static_cast<int>(*depth);
-  params.cooldown_ticks = static_cast<int>(*cooldown);
-  params.max_moves = static_cast<int>(*max_moves);
+  const char* what = "rebalance params";
+  FLEXVIS_RETURN_IF_ERROR(NarrowToInt(*window, what, "window_ticks", &params.window_ticks));
+  FLEXVIS_RETURN_IF_ERROR(
+      NarrowToInt(*depth, what, "queue_depth_threshold", &params.queue_depth_threshold));
+  FLEXVIS_RETURN_IF_ERROR(NarrowToInt(*cooldown, what, "cooldown_ticks", &params.cooldown_ticks));
+  FLEXVIS_RETURN_IF_ERROR(NarrowToInt(*max_moves, what, "max_moves", &params.max_moves));
   params.allow_resize = *allow_resize;
-  params.min_shards = static_cast<int>(*min_shards);
-  params.max_shards = static_cast<int>(*max_shards);
-  params.merge_window_ticks = static_cast<int>(*merge_window);
+  FLEXVIS_RETURN_IF_ERROR(NarrowToInt(*min_shards, what, "min_shards", &params.min_shards));
+  FLEXVIS_RETURN_IF_ERROR(NarrowToInt(*max_shards, what, "max_shards", &params.max_shards));
+  FLEXVIS_RETURN_IF_ERROR(
+      NarrowToInt(*merge_window, what, "merge_window_ticks", &params.merge_window_ticks));
   return params;
 }
 
@@ -116,7 +120,8 @@ Result<RebalancePlan> DecodeRebalancePlan(const JsonValue& value) {
   plan.id = *id;
   plan.tick = *tick;
   plan.action = *action;
-  plan.new_num_shards = static_cast<int>(*new_num_shards);
+  FLEXVIS_RETURN_IF_ERROR(
+      NarrowToInt(*new_num_shards, "rebalance plan", "new_num_shards", &plan.new_num_shards));
   const JsonValue& moves = value.Get("moves");
   if (!moves.is_array()) return DataLossError("rebalance plan 'moves' is not an array");
   for (size_t i = 0; i < moves.size(); ++i) {
@@ -129,8 +134,8 @@ Result<RebalancePlan> DecodeRebalancePlan(const JsonValue& value) {
         FirstError({&prosumer.status(), &from.status(), &to.status()}, "rebalance move"));
     RebalanceMove move;
     move.prosumer = *prosumer;
-    move.from = static_cast<int>(*from);
-    move.to = static_cast<int>(*to);
+    FLEXVIS_RETURN_IF_ERROR(NarrowToInt(*from, "rebalance move", "from", &move.from));
+    FLEXVIS_RETURN_IF_ERROR(NarrowToInt(*to, "rebalance move", "to", &move.to));
     plan.moves.push_back(move);
   }
   return plan;
@@ -287,10 +292,12 @@ Status RebalanceController::DecodeState(const JsonValue& state) {
   FLEXVIS_RETURN_IF_ERROR(FirstError({&next_plan_id.status(), &cooldown.status(),
                                       &idle_streak.status(), &last_observed.status()},
                                      "controller state"));
-  next_plan_id_ = *next_plan_id;
-  cooldown_ = static_cast<int>(*cooldown);
-  idle_streak_ = static_cast<int>(*idle_streak);
-  last_observed_tick_ = *last_observed;
+  // Decoded into locals first: a refused state leaves the controller as it was.
+  const char* what = "controller state";
+  int cooldown_value = 0;
+  int idle_streak_value = 0;
+  FLEXVIS_RETURN_IF_ERROR(NarrowToInt(*cooldown, what, "cooldown", &cooldown_value));
+  FLEXVIS_RETURN_IF_ERROR(NarrowToInt(*idle_streak, what, "idle_streak", &idle_streak_value));
   const JsonValue& streaks = state.Get("streak");
   const JsonValue& sheds = state.Get("prev_shed");
   if (!streaks.is_array() || !sheds.is_array() ||
@@ -298,10 +305,22 @@ Status RebalanceController::DecodeState(const JsonValue& state) {
       sheds.size() != static_cast<size_t>(num_shards_)) {
     return DataLossError(StrFormat("controller state does not cover %d shard(s)", num_shards_));
   }
+  std::vector<int> streak(static_cast<size_t>(num_shards_));
+  std::vector<int64_t> prev_shed(static_cast<size_t>(num_shards_));
   for (int s = 0; s < num_shards_; ++s) {
-    streak_[s] = static_cast<int>(streaks[s].AsInt());
-    prev_shed_[s] = sheds[s].AsInt();
+    if (!streaks[s].is_int() || !sheds[s].is_int()) {
+      return DataLossError("controller state 'streak'/'prev_shed' holds a non-integer");
+    }
+    FLEXVIS_RETURN_IF_ERROR(
+        NarrowToInt(streaks[s].AsInt(), what, "streak", &streak[static_cast<size_t>(s)]));
+    prev_shed[static_cast<size_t>(s)] = sheds[s].AsInt();
   }
+  next_plan_id_ = *next_plan_id;
+  cooldown_ = cooldown_value;
+  idle_streak_ = idle_streak_value;
+  last_observed_tick_ = *last_observed;
+  streak_ = std::move(streak);
+  prev_shed_ = std::move(prev_shed);
   return OkStatus();
 }
 

@@ -4,7 +4,8 @@
 // migration (precondition reporting, conservation, checkpointed resume),
 // split/merge elasticity with topology-epoch'd stores, the closed control
 // loop, and the rebalancing kill matrix (crash at every durable write while
-// plans execute; recovery converges to the uninterrupted run).
+// plans execute; recovery converges to the uninterrupted run). Coordinator
+// tests run under the re-base oracle (rebase_oracle.h).
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -20,6 +21,7 @@
 #include "core/messages.h"
 #include "geo/atlas.h"
 #include "grid/topology.h"
+#include "rebase_oracle.h"
 #include "sim/alerts.h"
 #include "sim/coordinator.h"
 #include "sim/online.h"
@@ -27,7 +29,9 @@
 #include "sim/shard.h"
 #include "sim/workload.h"
 #include "util/fault.h"
+#include "util/json.h"
 #include "util/parallel.h"
+#include "util/store.h"
 
 namespace flexvis {
 namespace {
@@ -335,6 +339,54 @@ TEST(RebalancePlanTest, CodecRoundTripsAndRejectsGarbage) {
   EXPECT_EQ(round->window_ticks, params.window_ticks);
   EXPECT_EQ(sim::DecodeRebalanceParams(JsonValue::Object()).status().code(),
             StatusCode::kDataLoss);
+
+  // Integers no run writes: narrowed to int they would read as shard 1 of 2
+  // shards, one move per plan, no cooldown. Each is kDataLoss naming its field.
+  struct Garbage {
+    std::string text;
+    std::string field;
+  };
+  const std::vector<Garbage> plans = {
+      {"{\"kind\":\"plan\",\"id\":1,\"tick\":2,\"action\":\"move\",\"new_num_shards\":2,"
+       "\"moves\":[{\"prosumer\":2,\"from\":0,\"to\":4294967297}]}",
+       "'to'"},
+      {"{\"kind\":\"plan\",\"id\":1,\"tick\":2,\"action\":\"split\","
+       "\"new_num_shards\":4294967298,\"moves\":[]}",
+       "'new_num_shards'"},
+  };
+  for (const Garbage& garbage : plans) {
+    Result<JsonValue> json = JsonValue::Parse(garbage.text);
+    ASSERT_TRUE(json.ok()) << garbage.text;
+    Result<sim::RebalancePlan> bad = sim::DecodeRebalancePlan(*json);
+    EXPECT_EQ(bad.status().code(), StatusCode::kDataLoss) << garbage.text;
+    EXPECT_NE(bad.status().message().find(garbage.field), std::string::npos)
+        << bad.status().ToString();
+  }
+  std::string params_text = sim::EncodeRebalanceParams(params).Dump();
+  for (const auto& [field, value] :
+       std::vector<std::pair<std::string, std::string>>{{"max_moves", "4294967297"},
+                                                        {"cooldown_ticks", "4294967296000"}}) {
+    std::string text = params_text;
+    const std::string key = "\"" + field + "\":";
+    const size_t at = text.find(key) + key.size();
+    text.replace(at, text.find_first_of(",}", at) - at, value);
+    Result<JsonValue> json = JsonValue::Parse(text);
+    ASSERT_TRUE(json.ok()) << text;
+    Result<sim::RebalanceParams> bad = sim::DecodeRebalanceParams(*json);
+    EXPECT_EQ(bad.status().code(), StatusCode::kDataLoss) << text;
+    EXPECT_NE(bad.status().message().find("'" + field + "'"), std::string::npos)
+        << bad.status().ToString();
+  }
+  sim::RebalanceController controller(params, 2, Day());
+  std::string state_text = controller.EncodeState().Dump();
+  const std::string cooldown_key = "\"cooldown\":";
+  const size_t at = state_text.find(cooldown_key) + cooldown_key.size();
+  state_text.replace(at, state_text.find_first_of(",}", at) - at, "4294967296");
+  Result<JsonValue> state = JsonValue::Parse(state_text);
+  ASSERT_TRUE(state.ok()) << state_text;
+  Status refused = controller.DecodeState(*state);
+  EXPECT_EQ(refused.code(), StatusCode::kDataLoss) << state_text;
+  EXPECT_NE(refused.message().find("'cooldown'"), std::string::npos) << refused.ToString();
 }
 
 // ---- Coordinator-level rebalancing ------------------------------------------
@@ -467,6 +519,7 @@ class RebalanceTest : public ::testing::Test {
   TimeInterval window_;
   sim::OnlineParams online_;
   fs::path root_;
+  rebase_oracle::ScopedRebaseOracle oracle_;
 };
 
 TEST_F(RebalanceTest, IdleOnlyMigrationErrorNamesEveryIngestedOffer) {
@@ -809,6 +862,54 @@ TEST_F(RebalanceTest, ResumeWhoseContinuationResizesTheFleetAccountsEveryShard) 
   }
 }
 
+TEST_F(RebalanceTest, ResumeRejectsPlanRecordsWithBadShards) {
+  // Each case appends a CRC-valid plan record without its done marker to a
+  // completed 2-shard run's coordinator WAL. Recovery must refuse it as
+  // kDataLoss: never narrow a field into a valid shard, never skip a move.
+  const std::string prosumer = std::to_string(workload_.offers.front().prosumer);
+  auto plan = [](const std::string& action, const std::string& new_num_shards,
+                 const std::string& moves) {
+    return "{\"kind\":\"plan\",\"id\":99,\"tick\":3,\"action\":\"" + action +
+           "\",\"new_num_shards\":" + new_num_shards + ",\"moves\":[" + moves + "]}";
+  };
+  auto move = [&prosumer](const std::string& from, const std::string& to) {
+    return "{\"prosumer\":" + prosumer + ",\"from\":" + from + ",\"to\":" + to + "}";
+  };
+  struct Case {
+    std::string label;
+    std::string record;
+    std::string message;  // the refusal must contain it
+  };
+  const std::vector<Case> cases = {
+      {"move to shard 2^32 + 1", plan("move", "2", move("0", "4294967297")), "4294967297"},
+      {"move to shard 99", plan("move", "2", move("0", "99")), "to shard 99 of 2"},
+      {"move from shard -1", plan("move", "2", move("-1", "1")), "from shard -1"},
+      {"move to its own shard", plan("move", "2", move("1", "1")), "to shard 1 of 2"},
+      {"split to 2^32 + 2 shards", plan("split", "4294967298", ""), "4294967298"},
+      {"split to 65 shards", plan("split", "65", ""), "65 shards"},
+      {"merge to 0 shards", plan("merge", "0", ""), "0 shards"},
+  };
+  StoreOptions coordinator_store;
+  coordinator_store.manifest_name = sim::kCoordinatorManifestFile;
+  coordinator_store.journal_name = "coordinator.wal";
+  for (const Case& c : cases) {
+    std::string dir = Dir("bad_plan");
+    ASSERT_TRUE(
+        sim::Coordinator::RunShardedCheckpointed(Params(2), workload_.offers, window_, dir).ok());
+    Result<DurableStore> store = DurableStore::Resume(dir, coordinator_store, nullptr);
+    ASSERT_TRUE(store.ok()) << c.label << ": " << store.status().ToString();
+    ASSERT_TRUE(store->Append(c.record).ok()) << c.label;
+    ASSERT_TRUE(store->Flush().ok()) << c.label;
+    ASSERT_TRUE(store->Close().ok()) << c.label;
+    Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir);
+    ASSERT_FALSE(resumed.ok()) << c.label << ": resumed at epoch " << resumed->epoch;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kDataLoss)
+        << c.label << ": " << resumed.status().ToString();
+    EXPECT_NE(resumed.status().message().find(c.message), std::string::npos)
+        << c.label << ": " << resumed.status().ToString();
+  }
+}
+
 // ---- Kill matrices ----------------------------------------------------------
 
 TEST_F(RebalanceTest, RebalancingKillMatrixConvergesToTheUninterruptedRun) {
@@ -818,82 +919,101 @@ TEST_F(RebalanceTest, RebalancingKillMatrixConvergesToTheUninterruptedRun) {
   // the shard stores and the coordinator store. Crash at every hit of every
   // point; recovery must converge to the uninterrupted run byte for byte —
   // the controller re-derives any lost decision from the replayed history.
+  // The second input moves up to two prosumers per plan, so crash points
+  // also fall between two moves of one plan, where COORDINATOR.json
+  // (committed once per plan) lags the journals.
   UseDenseWorkload();
-  sim::CoordinatorParams params = Params(2);
-  params.online.tick_minutes = 240;  // 6 global ticks, keeps the matrix tractable
-  params.online.ingest_queue_capacity = 1;
-  params.online.compact_ticks = 4;
-  sim::RebalanceParams rebalance;
-  rebalance.window_ticks = 2;
-  rebalance.cooldown_ticks = 2;
-  rebalance.max_moves = 1;
-  params.rebalance = rebalance;
+  for (int max_moves : {1, 2}) {
+    const std::string input = "max_moves " + std::to_string(max_moves) + ": ";
+    sim::CoordinatorParams params = Params(2);
+    params.online.tick_minutes = 240;  // 6 global ticks, keeps the matrix tractable
+    params.online.ingest_queue_capacity = 1;
+    params.online.compact_ticks = 4;
+    sim::RebalanceParams rebalance;
+    rebalance.window_ticks = 2;
+    rebalance.cooldown_ticks = 2;
+    rebalance.max_moves = max_moves;
+    params.rebalance = rebalance;
 
-  auto run = [&](const std::string& dir,
-                 int64_t* plans = nullptr) -> Result<sim::MergedOnlineReport> {
-    sim::Coordinator coordinator(params);
-    FLEXVIS_RETURN_IF_ERROR(coordinator.BeginCheckpointed(workload_.offers, window_, dir));
-    while (!coordinator.Done()) FLEXVIS_RETURN_IF_ERROR(coordinator.Tick());
-    if (plans != nullptr) *plans = coordinator.plans_executed();
-    return coordinator.Finish();
-  };
-  int64_t baseline_plans = 0;
-  Result<sim::MergedOnlineReport> baseline = run(Dir("rkill_base"), &baseline_plans);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  ASSERT_GE(baseline_plans, 1) << "the matrix run never fired a plan";
-
-  for (const char* point : {"util.journal.append", "util.journal.flush",
-                            "util.fileio.write", "util.store.compact",
-                            "util.store.delete"}) {
-    FaultRegistry::Global().Arm(point, FaultConfig{});
-    ASSERT_TRUE(run(Dir("rkill_count")).ok());
-    const int64_t hits = FaultRegistry::Global().Stats(point).hits;
-    FaultRegistry::Global().DisarmAll();
-    ASSERT_GT(hits, 0) << point << " is not on the rebalancing write path";
-
-    for (int64_t hit = 1; hit <= hits; ++hit) {
-      const std::string label =
-          std::string(point) + " hit " + std::to_string(hit) + "/" + std::to_string(hits);
-      std::string dir = Dir("rkill_" + std::to_string(hit) + point);
-
-      pid_t pid = fork();
-      if (pid == 0) {
-        FaultConfig config;
-        config.crash_at_hit = hit;
-        FaultRegistry::Global().Arm(point, config);
-        Result<sim::MergedOnlineReport> report = run(dir);
-        std::_Exit(report.ok() ? 0 : 1);
+    // `widest_plan` receives the most migrations one tick committed: one
+    // plan's moves, since a tick executes at most one plan.
+    auto run = [&](const std::string& dir, int64_t* plans = nullptr,
+                   int64_t* widest_plan = nullptr) -> Result<sim::MergedOnlineReport> {
+      sim::Coordinator coordinator(params);
+      FLEXVIS_RETURN_IF_ERROR(coordinator.BeginCheckpointed(workload_.offers, window_, dir));
+      while (!coordinator.Done()) {
+        const int64_t epoch = coordinator.epoch();
+        FLEXVIS_RETURN_IF_ERROR(coordinator.Tick());
+        if (widest_plan != nullptr) {
+          *widest_plan = std::max(*widest_plan, coordinator.epoch() - epoch);
+        }
       }
-      ASSERT_GT(pid, 0) << "fork failed";
-      int wstatus = 0;
-      ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
-      ASSERT_TRUE(WIFEXITED(wstatus));
-      ASSERT_EQ(WEXITSTATUS(wstatus), kCrashExitCode)
-          << label << ": child did not crash where told to";
+      if (plans != nullptr) *plans = coordinator.plans_executed();
+      return coordinator.Finish();
+    };
+    int64_t baseline_plans = 0;
+    int64_t widest_plan = 0;
+    Result<sim::MergedOnlineReport> baseline =
+        run(Dir("rkill_base"), &baseline_plans, &widest_plan);
+    ASSERT_TRUE(baseline.ok()) << input << baseline.status().ToString();
+    ASSERT_GE(baseline_plans, 1) << input << "the matrix run never fired a plan";
+    if (max_moves >= 2) {
+      ASSERT_GE(widest_plan, 2) << input << "no plan of the matrix run committed two moves";
+    }
 
-      sim::ShardResumeInfo info;
-      Result<sim::MergedOnlineReport> recovered =
-          sim::Coordinator::ResumeSharded(dir, &info);
-      if (!recovered.ok() && recovered.status().code() == StatusCode::kDataLoss) {
-        // The run never committed (crash before the coordinator manifest):
-        // nothing was promised; rerun from inputs.
-        recovered = run(dir);
+    for (const char* point : {"util.journal.append", "util.journal.flush",
+                              "util.fileio.write", "util.store.compact",
+                              "util.store.delete"}) {
+      FaultRegistry::Global().Arm(point, FaultConfig{});
+      ASSERT_TRUE(run(Dir("rkill_count")).ok()) << input;
+      const int64_t hits = FaultRegistry::Global().Stats(point).hits;
+      FaultRegistry::Global().DisarmAll();
+      ASSERT_GT(hits, 0) << input << point << " is not on the rebalancing write path";
+
+      for (int64_t hit = 1; hit <= hits; ++hit) {
+        const std::string label = input + point + " hit " + std::to_string(hit) + "/" +
+                                  std::to_string(hits);
+        std::string dir = Dir("rkill_" + std::to_string(hit) + point);
+
+        pid_t pid = fork();
+        if (pid == 0) {
+          FaultConfig config;
+          config.crash_at_hit = hit;
+          FaultRegistry::Global().Arm(point, config);
+          Result<sim::MergedOnlineReport> report = run(dir);
+          std::_Exit(report.ok() ? 0 : 1);
+        }
+        ASSERT_GT(pid, 0) << "fork failed";
+        int wstatus = 0;
+        ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+        ASSERT_TRUE(WIFEXITED(wstatus));
+        ASSERT_EQ(WEXITSTATUS(wstatus), kCrashExitCode)
+            << label << ": child did not crash where told to";
+
+        sim::ShardResumeInfo info;
+        Result<sim::MergedOnlineReport> recovered =
+            sim::Coordinator::ResumeSharded(dir, &info);
+        if (!recovered.ok() && recovered.status().code() == StatusCode::kDataLoss) {
+          // The run never committed (crash before the coordinator manifest):
+          // nothing was promised; rerun from inputs.
+          recovered = run(dir);
+          ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
+          ExpectMergedEqual(*baseline, *recovered, label + " (rerun)");
+          continue;
+        }
         ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
-        ExpectMergedEqual(*baseline, *recovered, label + " (rerun)");
-        continue;
-      }
-      ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
-      ExpectMergedEqual(*baseline, *recovered, label);
+        ExpectMergedEqual(*baseline, *recovered, label);
 
-      // After recovery the directory is whole: a second resume replays
-      // everything, finishes no half-done plan, and re-decides nothing.
-      sim::ShardResumeInfo again;
-      Result<sim::MergedOnlineReport> second =
-          sim::Coordinator::ResumeSharded(dir, &again);
-      ASSERT_TRUE(second.ok()) << label << ": " << second.status().ToString();
-      EXPECT_EQ(again.plans_completed, 0) << label;
-      EXPECT_EQ(again.plans_reexecuted, 0) << label;
-      ExpectMergedEqual(*recovered, *second, label + " (second resume)");
+        // After recovery the directory is whole: a second resume replays
+        // everything, finishes no half-done plan, and re-decides nothing.
+        sim::ShardResumeInfo again;
+        Result<sim::MergedOnlineReport> second =
+            sim::Coordinator::ResumeSharded(dir, &again);
+        ASSERT_TRUE(second.ok()) << label << ": " << second.status().ToString();
+        EXPECT_EQ(again.plans_completed, 0) << label;
+        EXPECT_EQ(again.plans_reexecuted, 0) << label;
+        ExpectMergedEqual(*recovered, *second, label + " (second resume)");
+      }
     }
   }
 }

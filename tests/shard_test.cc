@@ -2,7 +2,10 @@
 // with the unsharded run, shard-invariant measures of the N-shard merge,
 // replay-verified prosumer migration, the coordinator-level kill matrix
 // (crashes during a shard's journal flush and during the coordinator manifest
-// write), overload shedding, and sharded warehouse persistence.
+// write), overload shedding, and sharded warehouse persistence. Every test
+// runs under the re-base oracle (rebase_oracle.h): after each Tick and each
+// migration splice, every shard's live state must equal Begin over its
+// members plus Apply of its history.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -14,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -23,6 +27,7 @@
 #include "dw/persistence.h"
 #include "geo/atlas.h"
 #include "grid/topology.h"
+#include "rebase_oracle.h"
 #include "sim/alerts.h"
 #include "sim/checkpoint.h"
 #include "sim/coordinator.h"
@@ -180,6 +185,7 @@ class ShardTest : public ::testing::Test {
   TimeInterval window_;
   sim::OnlineParams online_;
   fs::path root_;
+  rebase_oracle::ScopedRebaseOracle oracle_;
 };
 
 // ---- Router ----------------------------------------------------------------
@@ -949,6 +955,120 @@ TEST_F(ShardTest, FirstCompactionAfterResumeCarriesTheUntouchedShards) {
   ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
   ExpectMergedEqual(*uninterrupted, *resumed, "resumed vs uninterrupted");
   EXPECT_EQ(CrcListing(dir), CrcListing(whole_dir));
+}
+
+// ---- In-place splice ----------------------------------------------------------
+
+TEST_F(ShardTest, SpliceEqualsTheRebaseAtEveryMigrationAt1And8Threads) {
+  // Active and idle prosumers move in every direction between 4 shards at
+  // several ticks. The installed oracle re-bases every shard after each
+  // tick and each splice, and again after each splice the resume replays.
+  const int kShards = 4;
+  std::set<core::ProsumerId> prosumers;
+  for (const core::FlexOffer& offer : workload_.offers) prosumers.insert(offer.prosumer);
+  std::optional<sim::MergedOnlineReport> first;
+  for (int threads : {1, 8}) {
+    SetParallelThreadCount(threads);
+    const std::string label = std::to_string(threads) + " threads";
+    const std::string dir = Dir("splice_oracle_" + std::to_string(threads));
+    sim::Coordinator coordinator(Params(kShards));
+    ASSERT_TRUE(coordinator.BeginCheckpointed(workload_.offers, window_, dir).ok());
+    const int64_t checks_before = rebase_oracle::ChecksRun();
+    int ticks = 0;
+    int moves = 0;
+    int active_moves = 0;
+    auto next = prosumers.begin();
+    while (!coordinator.Done()) {
+      ASSERT_TRUE(coordinator.Tick().ok()) << label;
+      ++ticks;
+      if (ticks % 2 != 0) continue;
+      for (int k = 0; k < 3; ++k, ++next) {
+        if (next == prosumers.end()) next = prosumers.begin();
+        core::ProsumerId prosumer = *next;
+        int from = -1;
+        for (const core::FlexOffer& offer : workload_.offers) {
+          if (offer.prosumer == prosumer) from = coordinator.router().ShardOf(offer);
+        }
+        const int to = (from + 1 + k) % kShards;
+        const bool idle =
+            coordinator.MigrateProsumer(prosumer, to, sim::MigrationMode::kIdleOnly).ok();
+        Status status =
+            idle ? OkStatus()
+                 : coordinator.MigrateProsumer(prosumer, to, sim::MigrationMode::kAllowActive);
+        if (status.code() == StatusCode::kFailedPrecondition) continue;  // backlog skew
+        ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
+        ++moves;
+        if (!idle) ++active_moves;
+      }
+    }
+    EXPECT_GE(moves, 8) << label;
+    EXPECT_GE(active_moves, 4) << label;
+    EXPECT_GE(rebase_oracle::ChecksRun() - checks_before, ticks + moves) << label;
+    Result<sim::MergedOnlineReport> merged = coordinator.Finish();
+    ASSERT_TRUE(merged.ok()) << label << ": " << merged.status().ToString();
+    EXPECT_EQ(merged->epoch, moves) << label;
+    if (!first.has_value()) first = *merged;
+    ExpectMergedEqual(*first, *merged, label + " vs 1 thread");
+
+    const int64_t checks_before_resume = rebase_oracle::ChecksRun();
+    sim::ShardResumeInfo info;
+    Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir, &info);
+    ASSERT_TRUE(resumed.ok()) << label << ": " << resumed.status().ToString();
+    EXPECT_EQ(info.migrations_replayed, moves) << label;
+    EXPECT_GE(rebase_oracle::ChecksRun() - checks_before_resume, moves) << label;
+    ExpectMergedEqual(*merged, *resumed, label + " resumed");
+  }
+  SetParallelThreadCount(1);
+}
+
+TEST_F(ShardTest, RefusedMigrationLeavesBothShardsAsTheyWere) {
+  // A one-arrival ingest budget leaves every shard a backlog, so moving a
+  // consumed offer would land it behind the target's unconsumed arrivals:
+  // the splice refuses. A refused move must change no live state, no
+  // history, no file and no epoch.
+  online_.max_ingest_per_tick = 1;
+  const std::string dir = Dir("refused");
+  sim::Coordinator coordinator(Params(2));
+  ASSERT_TRUE(coordinator.BeginCheckpointed(workload_.offers, window_, dir).ok());
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(coordinator.Tick().ok());
+  std::set<core::ProsumerId> prosumers;
+  for (const core::FlexOffer& offer : workload_.offers) prosumers.insert(offer.prosumer);
+  int refused = 0;
+  for (core::ProsumerId prosumer : prosumers) {
+    int from = -1;
+    for (const core::FlexOffer& offer : workload_.offers) {
+      if (offer.prosumer == prosumer) from = coordinator.router().ShardOf(offer);
+    }
+    std::vector<sim::OnlineLoopState> states;
+    std::vector<std::string> histories;
+    for (int s = 0; s < 2; ++s) {
+      states.push_back(coordinator.shard_state(s));
+      histories.push_back(sim::EncodeTickRecord(coordinator.shard_history(s)));
+    }
+    const std::map<std::string, uint32_t> files = CrcListing(dir);
+    const int64_t epoch = coordinator.epoch();
+    Status status =
+        coordinator.MigrateProsumer(prosumer, 1 - from, sim::MigrationMode::kAllowActive);
+    if (status.ok()) continue;
+    ASSERT_EQ(status.code(), StatusCode::kFailedPrecondition) << status.ToString();
+    EXPECT_NE(status.message().find("ingest-backlog skew"), std::string::npos)
+        << status.ToString();
+    ++refused;
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_EQ(rebase_oracle::FirstDifference(coordinator.shard_state(s),
+                                               states[static_cast<size_t>(s)]),
+                "")
+          << "prosumer " << prosumer << " shard " << s;
+      EXPECT_EQ(sim::EncodeTickRecord(coordinator.shard_history(s)),
+                histories[static_cast<size_t>(s)])
+          << "prosumer " << prosumer << " shard " << s;
+    }
+    EXPECT_EQ(CrcListing(dir), files) << "prosumer " << prosumer;
+    EXPECT_EQ(coordinator.epoch(), epoch) << "prosumer " << prosumer;
+  }
+  EXPECT_GE(refused, 1) << "no move met ingest-backlog skew";
+  while (!coordinator.Done()) ASSERT_TRUE(coordinator.Tick().ok());
+  ASSERT_TRUE(coordinator.Finish().ok());
 }
 
 TEST_F(ShardTest, CheckpointDirectoryBytesArePinned) {
