@@ -341,7 +341,7 @@ struct Coordinator::Shard {
   /// later decisions.
   OnlineTickRecord history;
   /// The residual of a fresh Begin (the balancing target, independent of the
-  /// members): a splice that changes the decisions refolds from it.
+  /// members): a splice of a shard that has ticked refolds from it.
   core::TimeSeries target;
   DurableStore store;
   /// The committed offers.jsonl (and meta.json) holds exactly the shard's
@@ -717,13 +717,11 @@ struct Coordinator::SpliceSide {
   size_t next_arrival = 0;
   /// The new history without its outbox wires, which the live history hands
   /// over on commit. Unset when the shard has not ticked yet: its history
-  /// stays empty.
+  /// and residual stay as they are.
   std::optional<OnlineTickRecord> fold;
-  /// The fold keeps the live history's change list as it is.
-  bool keep_changes = false;
-  /// The residual refolded from the Begin target; unset when the change list
-  /// stands and with it the live residual, bit for bit.
-  std::optional<core::TimeSeries> residual;
+  /// The residual refolded from the Begin target through the fold's changes;
+  /// set with the fold.
+  core::TimeSeries residual;
 };
 
 Status Coordinator::PlanSpliceSide(core::ProsumerId prosumer, const MigratedState& moved,
@@ -893,11 +891,10 @@ Status Coordinator::PlanSpliceSide(core::ProsumerId prosumer, const MigratedStat
   if (live.next_tick == 0) return OkStatus();
 
   // The new history. An idle move changes no decision, so the shard keeps
-  // its own history (and with it its residual, bit for bit); moved
-  // decisions collapse the shard onto its Snapshot order instead. Either
-  // way the prosumer's entries leave and the moved ones append. Counters
-  // (including sheds the prosumer caused) stay: cumulative history does not
-  // move.
+  // its own history; moved decisions collapse the shard onto its Snapshot
+  // order instead. Either way the prosumer's entries leave and the moved
+  // ones append. Counters (including sheds the prosumer caused) stay:
+  // cumulative history does not move.
   OnlineTickRecord& fold = side->fold.emplace();
   const OnlineTickRecord& history = shard.history;
   auto leaves = [&](core::FlexOfferId id) {
@@ -909,15 +906,8 @@ Status Coordinator::PlanSpliceSide(core::ProsumerId prosumer, const MigratedStat
     fold.folded = history.folded;
     fold.shed_policy = history.shed_policy;
     CopyCounters(history, &fold);
-    side->keep_changes =
-        (!grafting || moved.states.empty()) &&
-        (side->leaving.empty() ||
-         std::none_of(history.changes.begin(), history.changes.end(),
-                      [&](const OnlineStateChange& change) { return leaves(change.offer); }));
-    if (!side->keep_changes) {
-      for (const OnlineStateChange& change : history.changes) {
-        if (!leaves(change.offer)) fold.changes.push_back(change);
-      }
+    for (const OnlineStateChange& change : history.changes) {
+      if (!leaves(change.offer)) fold.changes.push_back(change);
     }
   } else {
     fold.tick = live.next_tick - 1;
@@ -940,11 +930,11 @@ Status Coordinator::PlanSpliceSide(core::ProsumerId prosumer, const MigratedStat
     fold.queue_high_watermark = std::max(fold.queue_high_watermark,
                                          static_cast<int>(fold.pending_acceptance.size()));
   }
-  if (side->keep_changes) return OkStatus();
 
   // Refold the residual: Begin's target with every committed schedule in
   // the new history's change order, as Apply books them.
-  core::TimeSeries& residual = side->residual.emplace(shard.target);
+  side->residual = shard.target;
+  core::TimeSeries& residual = side->residual;
   for (const OnlineStateChange& change : fold.changes) {
     if (change.state != core::FlexOfferState::kAssigned) continue;
     const FlexOffer* offer = nullptr;
@@ -985,12 +975,11 @@ void Coordinator::CommitSpliceSide(SpliceSide* side) {
   state.next_arrival = side->next_arrival;
   if (side->fold.has_value()) {
     OnlineTickRecord& fold = *side->fold;
-    if (side->keep_changes) fold.changes = std::move(shard.history.changes);
     fold.sent = std::move(shard.history.sent);
     shard.history = std::move(fold);
     state.report.queue_high_watermark = shard.history.queue_high_watermark;
+    state.residual = std::move(side->residual);
   }
-  if (side->residual.has_value()) state.residual = std::move(*side->residual);
   shard.offers_committed = false;
 }
 

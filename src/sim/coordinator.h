@@ -333,10 +333,11 @@ class Coordinator {
   /// (never the router's view). The result equals a fresh Begin over the
   /// new members followed by Apply of the new history: the shard's own
   /// history for an idle move, the collapsed Snapshot order otherwise, minus
-  /// the prosumer's entries and plus `moved`. Both sides are computed and
-  /// verified before `make_durable` (when set) runs and before either live
-  /// state changes; then `prosumer` is assigned to `to` and the epoch
-  /// advances to at least `epoch`.
+  /// the prosumer's entries and plus `moved`; a shard that has ticked
+  /// refolds its residual from its Begin target in that order. Both sides
+  /// are computed and verified before `make_durable` (when set) runs and
+  /// before either live state changes; then `prosumer` is assigned to `to`
+  /// and the epoch advances to at least `epoch`.
   Status Splice(core::ProsumerId prosumer, int from, int to, int64_t epoch,
                 const MigratedState& moved, SpliceSides sides,
                 const std::function<Status()>& make_durable = nullptr);
