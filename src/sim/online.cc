@@ -93,6 +93,9 @@ void OnlineEnterprise::Tick(OnlineLoopState& state, OnlineTickRecord* record) co
       ++report.failed_sends;
       return false;
     }
+    // The encoder grows the wire by appends; the outbox keeps every wire for
+    // the rest of the run, so it keeps them at their size.
+    wire.shrink_to_fit();
     if (record != nullptr) record->sent.push_back(wire);
     report.outbox.push_back(std::move(wire));
     return true;
