@@ -1,8 +1,5 @@
 #include "dw/persistence.h"
 
-#include <algorithm>
-#include <filesystem>
-#include <map>
 #include <utility>
 
 #include "core/messages.h"
@@ -29,14 +26,6 @@ StoreOptions SnapshotStoreOptions() {
   options.manifest_name = kSnapshotManifest;
   options.write_retry_point = "dw.persistence.save";
   options.read_retry_point = "dw.persistence.load";
-  return options;
-}
-
-/// SHARDS.json is a zero-file store manifest whose meta carries the shard
-/// count; its atomic rename commits the whole sharded snapshot.
-StoreOptions ShardsStoreOptions() {
-  StoreOptions options;
-  options.manifest_name = kShardsManifest;
   return options;
 }
 
@@ -161,129 +150,6 @@ Result<Database> LoadDatabase(const std::string& directory) {
     if (saved.ok()) (void)db.AttachLod(*std::move(saved));
   }
   return db;
-}
-
-namespace {
-
-std::string ShardSubdir(int shard) { return StrFormat("shard-%04d", shard); }
-
-}  // namespace
-
-Status SaveDatabaseSharded(const Database& db, const std::string& directory,
-                           int num_shards,
-                           const std::function<int(const core::FlexOffer&)>& shard_of) {
-  if (num_shards < 1) {
-    return InvalidArgumentError(StrFormat("num_shards must be >= 1, got %d", num_shards));
-  }
-  if (!shard_of) return InvalidArgumentError("shard_of routing function is empty");
-  std::error_code ec;
-  std::filesystem::create_directories(directory, ec);
-  if (ec) {
-    return InternalError(StrFormat("cannot create directory '%s': %s", directory.c_str(),
-                                   ec.message().c_str()));
-  }
-  const std::filesystem::path dir(directory);
-  // Invalidate a previous sharded snapshot up front: with SHARDS.json gone, a
-  // crash mid-save recovers to "no committed snapshot", never to a mix of old
-  // and new shard directories.
-  FLEXVIS_RETURN_IF_ERROR(DurableStore::Invalidate(directory, ShardsStoreOptions()));
-
-  Result<std::vector<core::FlexOffer>> offers = db.SelectFlexOffers(FlexOfferFilter{});
-  if (!offers.ok()) return offers.status();
-
-  std::map<core::FlexOfferId, size_t> index_of;
-  for (size_t i = 0; i < offers->size(); ++i) index_of[(*offers)[i].id] = i;
-  auto route = [&](const core::FlexOffer& offer) -> Result<int> {
-    const core::FlexOffer* routed = &offer;
-    // An aggregate lives with its first member so shards stay self-contained.
-    if (offer.is_aggregate() && !offer.aggregated_from.empty()) {
-      auto it = index_of.find(offer.aggregated_from.front());
-      if (it != index_of.end()) routed = &(*offers)[it->second];
-    }
-    int shard = shard_of(*routed);
-    if (shard < 0 || shard >= num_shards) {
-      return InvalidArgumentError(
-          StrFormat("shard_of routed flex-offer %lld to shard %d, outside [0, %d)",
-                    static_cast<long long>(offer.id), shard, num_shards));
-    }
-    return shard;
-  };
-
-  std::vector<std::vector<core::FlexOffer>> partition(static_cast<size_t>(num_shards));
-  for (const core::FlexOffer& offer : *offers) {
-    Result<int> shard = route(offer);
-    if (!shard.ok()) return shard.status();
-    partition[static_cast<size_t>(*shard)].push_back(offer);
-  }
-
-  for (int s = 0; s < num_shards; ++s) {
-    Database shard_db;
-    for (const ProsumerInfo& info : db.prosumers()) {
-      FLEXVIS_RETURN_IF_ERROR(shard_db.RegisterProsumer(info));
-    }
-    for (const RegionInfo& info : db.regions()) {
-      FLEXVIS_RETURN_IF_ERROR(shard_db.RegisterRegion(info));
-    }
-    for (const GridNodeInfo& info : db.grid_nodes()) {
-      FLEXVIS_RETURN_IF_ERROR(shard_db.RegisterGridNode(info));
-    }
-    FLEXVIS_RETURN_IF_ERROR(shard_db.LoadFlexOffers(partition[static_cast<size_t>(s)]));
-    FLEXVIS_RETURN_IF_ERROR(SaveDatabase(shard_db, (dir / ShardSubdir(s)).string()));
-  }
-
-  // The shard manifest is the commit point of the whole sharded snapshot.
-  JsonValue meta = JsonValue::Object();
-  meta.Set("num_shards", JsonValue::Int(num_shards));
-  Result<DurableStore> store =
-      DurableStore::Create(directory, ShardsStoreOptions(), {}, meta);
-  if (!store.ok()) return store.status();
-  return store->Close();
-}
-
-Result<Database> LoadDatabaseSharded(const std::string& directory) {
-  const std::filesystem::path dir(directory);
-  Result<StoreRecovery> recovery = DurableStore::Recover(directory, ShardsStoreOptions());
-  if (!recovery.ok()) {
-    return DataLossError(StrFormat("no committed shard manifest under '%s': %s",
-                                   directory.c_str(),
-                                   recovery.status().message().c_str()));
-  }
-  Result<int64_t> num_shards =
-      recovery->meta.is_object() ? recovery->meta.GetInt("num_shards")
-                                 : Result<int64_t>(DataLossError("meta is not an object"));
-  if (!num_shards.ok() || *num_shards < 1) {
-    return DataLossError(StrFormat("%s lacks a valid num_shards", kShardsManifest));
-  }
-
-  Database merged;
-  std::vector<core::FlexOffer> all_offers;
-  for (int s = 0; s < static_cast<int>(*num_shards); ++s) {
-    Result<Database> shard_db = LoadDatabase((dir / ShardSubdir(s)).string());
-    if (!shard_db.ok()) return shard_db.status();
-    if (s == 0) {
-      // Dimensions are replicated into every shard; shard 0's copy is the
-      // global atlas.
-      for (const ProsumerInfo& info : shard_db->prosumers()) {
-        FLEXVIS_RETURN_IF_ERROR(merged.RegisterProsumer(info));
-      }
-      for (const RegionInfo& info : shard_db->regions()) {
-        FLEXVIS_RETURN_IF_ERROR(merged.RegisterRegion(info));
-      }
-      for (const GridNodeInfo& info : shard_db->grid_nodes()) {
-        FLEXVIS_RETURN_IF_ERROR(merged.RegisterGridNode(info));
-      }
-    }
-    Result<std::vector<core::FlexOffer>> offers =
-        shard_db->SelectFlexOffers(FlexOfferFilter{});
-    if (!offers.ok()) return offers.status();
-    for (core::FlexOffer& offer : *offers) all_offers.push_back(std::move(offer));
-  }
-  // Ascending id order makes the merged load independent of shard layout;
-  // LoadFlexOffers rejects an id two shards both claim.
-  std::sort(all_offers.begin(), all_offers.end(),
-            [](const core::FlexOffer& a, const core::FlexOffer& b) { return a.id < b.id; });
-  FLEXVIS_RETURN_IF_ERROR(merged.LoadFlexOffers(all_offers));
-  return merged;
 }
 
 }  // namespace flexvis::dw

@@ -1,7 +1,6 @@
 #ifndef FLEXVIS_DW_PERSISTENCE_H_
 #define FLEXVIS_DW_PERSISTENCE_H_
 
-#include <functional>
 #include <string>
 
 #include "dw/database.h"
@@ -52,38 +51,6 @@ Status SaveDatabase(const Database& db, const std::string& directory);
 /// +0.0, folds as +0.0 in both. Without one the database loads the same,
 /// with no pyramid attached.
 Result<Database> LoadDatabase(const std::string& directory);
-
-// ---- Sharded persistence ----------------------------------------------------
-//
-// The multi-enterprise deployment stores one warehouse per enterprise shard:
-// `shard-0000/`, `shard-0001/`, ... each a complete SaveDatabase directory
-// (self-contained and loadable on its own), plus a top-level SHARDS.json
-// naming the shard count — written atomically last, so a crash mid-save
-// leaves either the previous complete sharded snapshot's manifest or none.
-// Dimension tables are replicated into every shard (they are small and every
-// enterprise needs the full atlas/grid hierarchies); the flex-offer facts are
-// partitioned by the caller-supplied routing function, keeping this layer
-// free of any dependency on sim's ShardRouter.
-
-/// Name of the top-level shard manifest SaveDatabaseSharded stamps last.
-inline constexpr const char* kShardsManifest = "SHARDS.json";
-
-/// Writes `db` under `directory` as `num_shards` per-shard databases.
-/// `shard_of` routes each *raw* offer to a shard in [0, num_shards); an
-/// aggregate follows its first member (so every shard's aggregates reference
-/// locally present members), falling back to `shard_of(aggregate)` when the
-/// member is absent from the database. InvalidArgument when `num_shards` < 1,
-/// `shard_of` is empty, or it returns an out-of-range shard.
-Status SaveDatabaseSharded(const Database& db, const std::string& directory,
-                           int num_shards,
-                           const std::function<int(const core::FlexOffer&)>& shard_of);
-
-/// Rebuilds the global Database from a SaveDatabaseSharded directory:
-/// verifies SHARDS.json (kDataLoss when missing or malformed), loads every
-/// shard database (each verifying its own manifest), and merges — dimensions
-/// from shard 0 (they are replicas), offers concatenated in ascending id
-/// order, duplicates across shards rejected.
-Result<Database> LoadDatabaseSharded(const std::string& directory);
 
 }  // namespace flexvis::dw
 

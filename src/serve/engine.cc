@@ -65,9 +65,8 @@ ServeEngine::ServeEngine(Options options)
       admission_(options_.max_active_sessions, options_.session_queue_capacity,
                  options_.shed_policy, options_.journal) {}
 
-int64_t ServeEngine::Publish(std::shared_ptr<const dw::Database> db,
-                             StoreGenerationPin store_pin) {
-  const int64_t generation = registry_.Publish(std::move(db), std::move(store_pin));
+int64_t ServeEngine::Publish(std::shared_ptr<const dw::Database> db) {
+  const int64_t generation = registry_.Publish(std::move(db));
   const int64_t invalidated = cache_.InvalidateBefore(generation);
   if (options_.journal) {
     options_.journal(StrFormat("serve.publish generation=%lld cache_invalidated=%lld",

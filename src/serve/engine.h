@@ -90,8 +90,7 @@ class ServeSession {
 ///
 ///   GenerationRegistry   MVCC over published warehouse generations —
 ///                        readers pin, the ingest loop publishes, retired
-///                        generations GC after the last unpin (deferring
-///                        on-disk deletes through StorePinRegistry);
+///                        generations GC after the last unpin;
 ///   ResultCache          query/result cache keyed (generation, canonical
 ///                        query text), strictly invalidated below the
 ///                        current generation on every publish;
@@ -121,7 +120,7 @@ class ServeEngine {
   /// GenerationRegistry::Publish) and strictly invalidates every cache
   /// entry of older generations. This is what an OnlineParams::publish_hook
   /// calls after a tick's warehouse rebuild. Returns the new generation.
-  int64_t Publish(std::shared_ptr<const dw::Database> db, StoreGenerationPin store_pin = {});
+  int64_t Publish(std::shared_ptr<const dw::Database> db);
 
   /// Opens a session pinned to the current generation, subject to
   /// admission control: blocks while queued, fails kUnavailable when shed,

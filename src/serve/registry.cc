@@ -33,8 +33,7 @@ void SnapshotRef::Release() {
   snapshot_.reset();
 }
 
-int64_t GenerationRegistry::Publish(std::shared_ptr<const dw::Database> db,
-                                    StoreGenerationPin store_pin) {
+int64_t GenerationRegistry::Publish(std::shared_ptr<const dw::Database> db) {
   // Build the cube outside the lock: readers keep querying the previous
   // generation while this one materializes.
   auto snapshot = std::make_shared<WarehouseSnapshot>();
@@ -62,14 +61,12 @@ int64_t GenerationRegistry::Publish(std::shared_ptr<const dw::Database> db,
     std::lock_guard<std::mutex> lock(mutex_);
     generation = next_generation_++;
     snapshot->generation = generation;
-    Entry& entry = entries_[generation];
-    entry.snapshot = std::move(snapshot);
-    entry.store_pin = std::move(store_pin);
+    entries_[generation].snapshot = std::move(snapshot);
     current_ = generation;
     SweepLocked(retired);
   }
-  // `retired` destructs here: store pins drop (possibly running deferred
-  // on-disk deletes) without holding the registry lock.
+  // `retired` destructs here, without holding the registry lock: a Database
+  // is expensive to destroy.
   return generation;
 }
 

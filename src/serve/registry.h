@@ -11,7 +11,6 @@
 #include "dw/lod.h"
 #include "olap/cube.h"
 #include "util/status.h"
-#include "util/store.h"
 
 namespace flexvis::serve {
 
@@ -34,9 +33,7 @@ class GenerationRegistry;
 
 /// RAII pin on one published generation: readers query through the pinned
 /// snapshot while the ingest loop publishes newer ones. Releasing the last
-/// pin on a superseded generation retires it — which also drops its durable
-/// StoreGenerationPin, letting the store layer run any deferred on-disk
-/// deletes. Movable, not copyable.
+/// pin on a superseded generation retires it. Movable, not copyable.
 class SnapshotRef {
  public:
   SnapshotRef() = default;
@@ -71,8 +68,7 @@ class SnapshotRef {
 /// locks on the ingest path itself — Publish takes the registry mutex for a
 /// map insert, never for warehouse construction, and readers only hold it
 /// for a refcount bump. A superseded generation is retired when its last
-/// reader unpins; retirement drops the generation's durable store pin,
-/// which triggers the store layer's deferred delete of its on-disk files.
+/// reader unpins.
 class GenerationRegistry {
  public:
   GenerationRegistry() = default;
@@ -82,12 +78,9 @@ class GenerationRegistry {
   /// Publishes `db` as the next generation and returns its number
   /// (monotonically increasing from 0). Before taking the lock it builds the
   /// generation's OLAP cube (standard dimensions) and its LOD pyramid, or
-  /// copies the pyramid `db` carries (Database::lod). `store_pin` optionally
-  /// ties the generation to its durable store files: the pin is held until
-  /// the generation retires, so the store's GC defers deleting those files
-  /// past the last concurrent reader. Superseded generations with no
-  /// readers retire immediately.
-  int64_t Publish(std::shared_ptr<const dw::Database> db, StoreGenerationPin store_pin = {});
+  /// copies the pyramid `db` carries (Database::lod). Superseded generations
+  /// with no readers retire immediately.
+  int64_t Publish(std::shared_ptr<const dw::Database> db);
 
   /// Pins the newest published generation. Empty ref if nothing published.
   SnapshotRef PinCurrent();
@@ -112,13 +105,12 @@ class GenerationRegistry {
   struct Entry {
     std::shared_ptr<const WarehouseSnapshot> snapshot;
     int64_t pins = 0;
-    StoreGenerationPin store_pin;
   };
 
   void Unpin(int64_t generation);
   /// Retires every superseded zero-pin entry. Caller holds mutex_; retired
-  /// entries are moved into `retired` so their store pins (and potential
-  /// deferred file deletes) run outside the lock.
+  /// entries are moved into `retired` so that destroying their snapshots
+  /// (a Database is expensive to destroy) runs outside the lock.
   void SweepLocked(std::vector<Entry>& retired);
 
   mutable std::mutex mutex_;

@@ -37,6 +37,10 @@ uint64_t ShardSeed(uint64_t base, int shard) {
   return x ^ (x >> 31);
 }
 
+/// Base seed of PlanHorizonSharded's per-shard fault registries: the one
+/// CoordinatorParams::fault_seed defaults to.
+constexpr uint64_t kPlanFaultSeed = 2013;
+
 /// Element-wise sum of `other` into `acc`, rebasing `acc` when `other`
 /// starts earlier (TimeSeries::Add ignores slices before the receiver's
 /// start). Used only when merging shard 1+ into the running global series,
@@ -56,14 +60,15 @@ void AddAligned(core::TimeSeries* acc, const core::TimeSeries& other) {
 }
 
 /// The energy-model means one shard of an `n`-shard fleet balances: the
-/// zone's means divided by n when `scale` is set (exact at n = 1).
-EnergyModelParams ShardEnergy(EnergyModelParams energy, int n, bool scale) {
-  if (scale) {
-    const double divisor = static_cast<double>(n);
-    energy.wind_mean_kwh /= divisor;
-    energy.solar_peak_kwh /= divisor;
-    energy.demand_base_kwh /= divisor;
-  }
+/// zone's means divided by n, so each shard balances its share of the
+/// market zone and shard-summed totals stay comparable to a
+/// single-enterprise run. Division by 1.0 is exact, preserving 1-shard
+/// byte-identity.
+EnergyModelParams ShardEnergy(EnergyModelParams energy, int n) {
+  const double divisor = static_cast<double>(n);
+  energy.wind_mean_kwh /= divisor;
+  energy.solar_peak_kwh /= divisor;
+  energy.demand_base_kwh /= divisor;
   return energy;
 }
 
@@ -335,10 +340,10 @@ struct Coordinator::Shard {
   OnlineLoopState state;
   /// Everything applied since `state` was last re-based onto a fresh Begin,
   /// folded in order (FoldTickRecordInto): applied onto Begin(members) it
-  /// reproduces `state` bit for bit. Compaction writes it as state.json. A
-  /// Snapshot would not do: it re-adds the committed schedules in member
-  /// order, which changes the residual's floating-point sums and with them
-  /// later decisions.
+  /// reproduces `state` bit for bit. Compaction writes it as state.json.
+  /// A collapse onto the decided offers in shard member order would not do:
+  /// it re-adds the committed schedules in that order, which changes the
+  /// residual's floating-point sums and with them later decisions.
   OnlineTickRecord history;
   /// The residual of a fresh Begin (the balancing target, independent of the
   /// members): a splice of a shard that has ticked refolds from it.
@@ -408,7 +413,7 @@ Status Coordinator::Begin(const std::vector<FlexOffer>& offers, const TimeInterv
   std::vector<std::vector<size_t>> partition = router_.Partition(offers_);
   shards_.clear();
   OnlineParams shard_params = params_.online;
-  shard_params.energy = ShardEnergy(base_energy_, n, params_.scale_energy_per_shard);
+  shard_params.energy = ShardEnergy(base_energy_, n);
   for (int s = 0; s < n; ++s) {
     std::vector<FlexOffer> subset;
     subset.reserve(partition[static_cast<size_t>(s)].size());
@@ -891,10 +896,10 @@ Status Coordinator::PlanSpliceSide(core::ProsumerId prosumer, const MigratedStat
   if (live.next_tick == 0) return OkStatus();
 
   // The new history. An idle move changes no decision, so the shard keeps
-  // its own history; moved decisions collapse the shard onto its Snapshot
-  // order instead. Either way the prosumer's entries leave and the moved
-  // ones append. Counters (including sheds the prosumer caused) stay:
-  // cumulative history does not move.
+  // its own history; moved decisions collapse it onto its decided offers in
+  // shard member order instead. Either way the prosumer's entries leave and
+  // the moved ones append. Counters (including sheds the prosumer caused)
+  // stay: cumulative history does not move.
   OnlineTickRecord& fold = side->fold.emplace();
   const OnlineTickRecord& history = shard.history;
   auto leaves = [&](core::FlexOfferId id) {
@@ -1091,7 +1096,7 @@ Status Coordinator::Resize(int new_num_shards) {
   std::vector<std::unique_ptr<Shard>> new_shards;
   std::vector<std::vector<FlexOffer>> subsets(static_cast<size_t>(new_n));
   OnlineParams shard_params = params_.online;
-  shard_params.energy = ShardEnergy(base_energy_, new_n, params_.scale_energy_per_shard);
+  shard_params.energy = ShardEnergy(base_energy_, new_n);
   for (int s = 0; s < new_n; ++s) {
     const size_t si = static_cast<size_t>(s);
     subsets[si].reserve(partition[si].size());
@@ -1283,7 +1288,8 @@ JsonValue Coordinator::CoordinatorMeta() const {
   meta.Set("schema_version", JsonValue::Int(2));
   meta.Set("num_shards", JsonValue::Int(params_.num_shards));
   meta.Set("policy", JsonValue::Str(std::string(ShardPolicyName(params_.policy))));
-  meta.Set("scale_energy_per_shard", JsonValue::Bool(params_.scale_energy_per_shard));
+  // Every run scales its energy per shard; the key keeps the manifest bytes.
+  meta.Set("scale_energy_per_shard", JsonValue::Bool(true));
   meta.Set("fault_seed", JsonValue::Int(static_cast<int64_t>(params_.fault_seed)));
   meta.Set("epoch", JsonValue::Int(epoch_));
   meta.Set("base_epoch", JsonValue::Int(base_epoch_));
@@ -1396,6 +1402,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
       !manifest_epoch.ok()) {
     return DataLossError("COORDINATOR.json is incomplete");
   }
+  if (!*scale) return DataLossError("COORDINATOR.json turns off per-shard energy scaling");
   // Bounded before anything is sized or swept from them: a hostile count or
   // topology must not name directories the run never wrote.
   if (*num_shards < 1 || *num_shards > kMaxShards) {
@@ -1433,7 +1440,6 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   CoordinatorParams params;
   params.num_shards = n;
   params.policy = *policy;
-  params.scale_energy_per_shard = *scale;
   params.fault_seed = static_cast<uint64_t>(*fault_seed);
   if (meta.Has("rebalance")) {
     Result<RebalanceParams> rebalance = DecodeRebalanceParams(meta.Get("rebalance"));
@@ -1561,7 +1567,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
   coordinator.params_.online = shard_params[0];
   coordinator.params_.online.faults = nullptr;
   // The snapshots already carry per-shard (scaled) parameters; nothing below
-  // rescales, so suppress the Begin-time scaling semantics on this instance.
+  // rescales them.
   coordinator.window_ = window;
   coordinator.base_energy_ = coordinator.params_.online.energy;
   const JsonValue& energy_json = meta.Get("base_energy");
@@ -1575,7 +1581,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
     coordinator.base_energy_.wind_mean_kwh = *wind;
     coordinator.base_energy_.solar_peak_kwh = *solar;
     coordinator.base_energy_.demand_base_kwh = *demand;
-  } else if (params.scale_energy_per_shard) {
+  } else {
     // v1 manifest: multiply shard 0's scaled means back out. Exact only when
     // the division was (floats), but v1 runs cannot resize anyway.
     const double factor = static_cast<double>(n);
@@ -1962,9 +1968,7 @@ Result<MergedOnlineReport> Coordinator::ResumeSharded(const std::string& directo
 Result<MergedPlanningReport> PlanHorizonSharded(const EnterpriseParams& params,
                                                 int num_shards, ShardPolicy policy,
                                                 const std::vector<FlexOffer>& offers,
-                                                const TimeInterval& window,
-                                                bool scale_energy_per_shard,
-                                                uint64_t fault_seed) {
+                                                const TimeInterval& window) {
   const int n = num_shards < 1 ? 1 : num_shards;
   ShardRouter router(n, policy);
   std::vector<std::vector<size_t>> partition = router.Partition(offers);
@@ -1974,9 +1978,9 @@ Result<MergedPlanningReport> PlanHorizonSharded(const EnterpriseParams& params,
   for (int s = 0; s < n; ++s) {
     registries[static_cast<size_t>(s)] = std::make_unique<FaultRegistry>();
     FLEXVIS_RETURN_IF_ERROR(
-        InstallFaultsInto(*registries[static_cast<size_t>(s)], ShardSeed(fault_seed, s)));
+        InstallFaultsInto(*registries[static_cast<size_t>(s)], ShardSeed(kPlanFaultSeed, s)));
     EnterpriseParams& sp = shard_params[static_cast<size_t>(s)];
-    sp.energy = ShardEnergy(sp.energy, n, scale_energy_per_shard);
+    sp.energy = ShardEnergy(sp.energy, n);
     sp.faults = registries[static_cast<size_t>(s)].get();
     sp.market.faults = registries[static_cast<size_t>(s)].get();
   }

@@ -76,13 +76,10 @@ struct CoordinatorParams {
   ShardPolicy policy = ShardPolicy::kHash;
   /// Per-shard loop parameters. `online.faults` is ignored: every shard gets
   /// its own registry, seeded from `fault_seed` and armed from
-  /// FLEXVIS_FAULTS (a no-op when the variable is unset).
+  /// FLEXVIS_FAULTS (a no-op when the variable is unset). Each shard
+  /// balances the energy-model means (wind/solar/demand) divided by the
+  /// shard count.
   OnlineParams online;
-  /// Divide the energy-model means (wind/solar/demand) by num_shards so each
-  /// shard balances its share of the market zone and shard-summed totals
-  /// stay comparable to a single-enterprise run. Division by 1.0 is exact,
-  /// preserving 1-shard byte-identity.
-  bool scale_energy_per_shard = true;
   /// Base seed for the per-shard fault registries (shard s is seeded with a
   /// shard-distinct mix of this).
   uint64_t fault_seed = 2013;
@@ -332,12 +329,12 @@ class Coordinator {
   /// `moved` into shard `to`'s, each over the shard's current members
   /// (never the router's view). The result equals a fresh Begin over the
   /// new members followed by Apply of the new history: the shard's own
-  /// history for an idle move, the collapsed Snapshot order otherwise, minus
-  /// the prosumer's entries and plus `moved`; a shard that has ticked
-  /// refolds its residual from its Begin target in that order. Both sides
-  /// are computed and verified before `make_durable` (when set) runs and
-  /// before either live state changes; then `prosumer` is assigned to `to`
-  /// and the epoch advances to at least `epoch`.
+  /// history for an idle move, otherwise its decided offers in shard member
+  /// order, minus the prosumer's entries and plus `moved`; a shard that has
+  /// ticked refolds its residual from its Begin target in that order. Both
+  /// sides are computed and verified before `make_durable` (when set) runs
+  /// and before either live state changes; then `prosumer` is assigned to
+  /// `to` and the epoch advances to at least `epoch`.
   Status Splice(core::ProsumerId prosumer, int from, int to, int64_t epoch,
                 const MigratedState& moved, SpliceSides sides,
                 const std::function<Status()>& make_durable = nullptr);
@@ -398,8 +395,8 @@ class Coordinator {
 };
 
 /// Offline counterpart: PlanHorizon across N enterprise shards, each with
-/// its own FaultRegistry and a 1/N-scaled energy model, run in parallel and
-/// merged deterministically.
+/// its own FaultRegistry (from the fixed base seed 2013) and a 1/N-scaled
+/// energy model, run in parallel and merged deterministically.
 struct MergedPlanningReport {
   int num_shards = 1;
   /// Series and settlement scalars summed across shards; member_offers and
@@ -414,9 +411,7 @@ struct MergedPlanningReport {
 Result<MergedPlanningReport> PlanHorizonSharded(const EnterpriseParams& params,
                                                 int num_shards, ShardPolicy policy,
                                                 const std::vector<core::FlexOffer>& offers,
-                                                const timeutil::TimeInterval& window,
-                                                bool scale_energy_per_shard = true,
-                                                uint64_t fault_seed = 2013);
+                                                const timeutil::TimeInterval& window);
 
 }  // namespace flexvis::sim
 

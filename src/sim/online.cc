@@ -371,41 +371,6 @@ Status OnlineEnterprise::Apply(OnlineLoopState& state, const OnlineTickRecord& r
   return OkStatus();
 }
 
-OnlineTickRecord OnlineEnterprise::Snapshot(const OnlineLoopState& state) const {
-  const OnlineReport& report = state.report;
-  OnlineTickRecord fold;
-  fold.tick = state.next_tick - 1;
-  fold.folded = true;
-  fold.shed_policy = static_cast<int>(params_.shed_policy);
-  for (const FlexOffer& offer : report.offers) {
-    if (offer.state == core::FlexOfferState::kOffered) continue;
-    OnlineStateChange change;
-    change.offer = offer.id;
-    change.state = offer.state;
-    if (offer.state == core::FlexOfferState::kAssigned) change.schedule = offer.schedule;
-    fold.changes.push_back(std::move(change));
-  }
-  fold.sent = report.outbox;
-  fold.offers_received = report.offers_received;
-  fold.accepted = report.accepted;
-  fold.rejected = report.rejected;
-  fold.assigned = report.assigned;
-  fold.missed_acceptance = report.missed_acceptance;
-  fold.missed_assignment = report.missed_assignment;
-  fold.dropped_ingest = report.dropped_ingest;
-  fold.failed_sends = report.failed_sends;
-  fold.shed_offers = report.shed_offers;
-  fold.queue_high_watermark = report.queue_high_watermark;
-  fold.next_arrival = static_cast<int64_t>(state.next_arrival);
-  for (size_t idx : state.pending_acceptance) {
-    fold.pending_acceptance.push_back(report.offers[idx].id);
-  }
-  for (size_t idx : state.pending_assignment) {
-    fold.pending_assignment.push_back(report.offers[idx].id);
-  }
-  return fold;
-}
-
 OnlineReport OnlineEnterprise::Finish(OnlineLoopState state) const {
   // Anything still pending at the end of the window never got answered in
   // time (its deadlines lie beyond the simulated horizon) — leave it

@@ -258,15 +258,6 @@ class OnlineEnterprise {
   /// the snapshot).
   Status Apply(OnlineLoopState& state, const OnlineTickRecord& record) const;
 
-  /// Collapses a mid-run state into one synthetic *folded* record covering
-  /// ticks 0..next_tick-1: applying the result onto a fresh Begin() state of
-  /// the same offer subset reproduces `state`, with the residual rebuilt
-  /// canonically (assignment commits replayed in subset order rather than
-  /// original decision order). The shard coordinator splices these folds to
-  /// re-home live state across active-prosumer migrations and split/merge
-  /// resizes. Precondition: next_tick > 0 (a fresh state has nothing to fold).
-  OnlineTickRecord Snapshot(const OnlineLoopState& state) const;
-
   /// Finalizes the report (imbalance over the window).
   OnlineReport Finish(OnlineLoopState state) const;
 

@@ -9,9 +9,7 @@
 #include <cstring>
 #include <filesystem>
 
-#include "util/crc32.h"
 #include "util/fault.h"
-#include "util/json.h"
 #include "util/strings.h"
 
 namespace flexvis {
@@ -127,67 +125,6 @@ Result<std::string> ReadFileToString(const std::string& path) {
     return InternalError(StrFormat("read error on '%s'", path.c_str()));
   }
   return data;
-}
-
-Status WriteManifest(const std::string& directory, const std::string& manifest_name,
-                     const std::vector<std::string>& file_names) {
-  const std::filesystem::path dir(directory);
-  JsonValue files = JsonValue::Array();
-  for (const std::string& name : file_names) {
-    Result<std::string> data = ReadFileToString((dir / name).string());
-    if (!data.ok()) return data.status();
-    JsonValue entry = JsonValue::Object();
-    entry.Set("name", JsonValue::Str(name));
-    entry.Set("bytes", JsonValue::Int(static_cast<int64_t>(data->size())));
-    entry.Set("crc32", JsonValue::Int(static_cast<int64_t>(Crc32(*data))));
-    files.Append(std::move(entry));
-  }
-  JsonValue manifest = JsonValue::Object();
-  manifest.Set("schema_version", JsonValue::Int(1));
-  manifest.Set("files", std::move(files));
-  return WriteFileAtomic((dir / manifest_name).string(), manifest.Dump());
-}
-
-Status VerifyManifest(const std::string& directory, const std::string& manifest_name) {
-  const std::filesystem::path dir(directory);
-  Result<std::string> text = ReadFileToString((dir / manifest_name).string());
-  if (!text.ok()) {
-    return DataLossError(StrFormat("snapshot manifest '%s' missing under '%s': %s",
-                                   manifest_name.c_str(), directory.c_str(),
-                                   text.status().message().c_str()));
-  }
-  Result<JsonValue> manifest = JsonValue::Parse(*text);
-  if (!manifest.ok() || !manifest->is_object() || !manifest->Get("files").is_array()) {
-    return DataLossError(
-        StrFormat("snapshot manifest '%s' is corrupt", manifest_name.c_str()));
-  }
-  const JsonValue& files = manifest->Get("files");
-  for (size_t i = 0; i < files.size(); ++i) {
-    const JsonValue& entry = files[i];
-    Result<std::string> name = entry.GetString("name");
-    Result<int64_t> bytes = entry.GetInt("bytes");
-    Result<int64_t> crc = entry.GetInt("crc32");
-    if (!name.ok() || !bytes.ok() || !crc.ok()) {
-      return DataLossError(
-          StrFormat("snapshot manifest '%s' entry %zu is malformed", manifest_name.c_str(), i));
-    }
-    Result<std::string> data = ReadFileToString((dir / *name).string());
-    if (!data.ok()) {
-      return DataLossError(StrFormat("snapshot file '%s' listed in manifest is missing",
-                                     name->c_str()));
-    }
-    if (static_cast<int64_t>(data->size()) != *bytes) {
-      return DataLossError(StrFormat("snapshot file '%s' is %zu bytes, manifest says %lld "
-                                     "(truncated or partially written)",
-                                     name->c_str(), data->size(),
-                                     static_cast<long long>(*bytes)));
-    }
-    if (static_cast<int64_t>(Crc32(*data)) != *crc) {
-      return DataLossError(
-          StrFormat("snapshot file '%s' fails its CRC-32 check (corrupt)", name->c_str()));
-    }
-  }
-  return OkStatus();
 }
 
 }  // namespace flexvis

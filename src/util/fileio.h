@@ -1,10 +1,8 @@
 #ifndef FLEXVIS_UTIL_FILEIO_H_
 #define FLEXVIS_UTIL_FILEIO_H_
 
-#include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/status.h"
 
@@ -48,29 +46,6 @@ Status LinkFileAtomic(const std::string& from, const std::string& to);
 /// Reads the whole file. NotFound when the path does not exist or cannot be
 /// opened; Internal on a read error mid-stream.
 Result<std::string> ReadFileToString(const std::string& path);
-
-/// One entry of a snapshot manifest: a file's name (relative to the manifest
-/// directory), its exact size, and its CRC-32.
-struct ManifestEntry {
-  std::string name;
-  uint64_t bytes = 0;
-  uint32_t crc32 = 0;
-};
-
-/// Writes `<directory>/<manifest_name>` (atomically, via WriteFileAtomic)
-/// recording size + CRC-32 for each named file as currently on disk. The
-/// manifest must be written *after* the files it covers: a crash before the
-/// manifest rename leaves the previous manifest (or none) in place, so a
-/// reader never trusts a half-written snapshot.
-Status WriteManifest(const std::string& directory, const std::string& manifest_name,
-                     const std::vector<std::string>& file_names);
-
-/// Verifies `<directory>/<manifest_name>` against the files on disk.
-/// Returns kDataLoss when the manifest is absent or unparsable, when a
-/// listed file is missing, or when a size/CRC mismatches (partial or corrupt
-/// snapshot); OK means every covered byte is exactly as stamped. Stale
-/// `.tmp` debris is ignored.
-Status VerifyManifest(const std::string& directory, const std::string& manifest_name);
 
 }  // namespace flexvis
 

@@ -101,15 +101,13 @@ Status TruncateJournal(const std::string& path, uint64_t valid_bytes) {
 
 JournalWriter::JournalWriter(JournalWriter&& other) noexcept
     : file_(std::exchange(other.file_, nullptr)),
-      path_(std::move(other.path_)),
-      records_appended_(other.records_appended_) {}
+      path_(std::move(other.path_)) {}
 
 JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
   if (this != &other) {
     if (file_ != nullptr) std::fclose(file_);
     file_ = std::exchange(other.file_, nullptr);
     path_ = std::move(other.path_);
-    records_appended_ = other.records_appended_;
   }
   return *this;
 }
@@ -141,7 +139,6 @@ Status JournalWriter::Append(std::string_view record) {
   if (written != frame.size() || std::ferror(file_) != 0) {
     return InternalError(StrFormat("short write appending to journal '%s'", path_.c_str()));
   }
-  ++records_appended_;
   return OkStatus();
 }
 

@@ -94,13 +94,10 @@ class JournalWriter {
 
   bool is_open() const { return file_ != nullptr; }
   const std::string& path() const { return path_; }
-  /// Records appended through this writer (not counting pre-existing ones).
-  int64_t records_appended() const { return records_appended_; }
 
  private:
   std::FILE* file_ = nullptr;
   std::string path_;
-  int64_t records_appended_ = 0;
 };
 
 }  // namespace flexvis

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -15,135 +16,6 @@
 namespace flexvis {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-/// Canonical directory key for the pin registry: absolute and lexically
-/// normal, so every spelling of one directory maps to one pin entry.
-std::string CanonicalDirectory(const std::string& directory) {
-  std::error_code ec;
-  fs::path absolute = fs::absolute(directory, ec);
-  if (ec) absolute = fs::path(directory);
-  return absolute.lexically_normal().string();
-}
-
-}  // namespace
-
-StorePinRegistry& StorePinRegistry::Global() {
-  static StorePinRegistry* registry = new StorePinRegistry();
-  return *registry;
-}
-
-void StorePinRegistry::Pin(const std::string& directory, int64_t generation) {
-  const Key key{CanonicalDirectory(directory), generation};
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++pins_[key];
-}
-
-void StorePinRegistry::Unpin(const std::string& directory, int64_t generation) {
-  const Key key{CanonicalDirectory(directory), generation};
-  std::vector<std::string> run_now;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = pins_.find(key);
-    if (it == pins_.end()) return;
-    if (--it->second > 0) return;
-    pins_.erase(it);
-    auto deferred = deferred_.find(key);
-    if (deferred != deferred_.end()) {
-      run_now = std::move(deferred->second);
-      deferred_.erase(deferred);
-    }
-  }
-  if (run_now.empty()) return;
-  // The last pin is gone but the files are still on disk: a crash here (the
-  // kill matrix arms util.store.delete with crash_at_hit) leaves orphaned
-  // old-generation debris for the next Recover() sweep — which now may
-  // remove it, precisely because no pin survives a process.
-  if (!FaultRegistry::Global().Hit("util.store.delete").ok()) return;
-  for (const std::string& path : run_now) {
-    std::error_code ec;
-    fs::remove(path, ec);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++deferred_runs_;
-}
-
-bool StorePinRegistry::IsPinned(const std::string& directory, int64_t generation) const {
-  const Key key{CanonicalDirectory(directory), generation};
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pins_.find(key) != pins_.end();
-}
-
-std::set<int64_t> StorePinRegistry::PinnedGenerations(const std::string& directory) const {
-  const std::string canonical = CanonicalDirectory(directory);
-  std::set<int64_t> generations;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [key, count] : pins_) {
-    if (key.directory == canonical && count > 0) generations.insert(key.generation);
-  }
-  return generations;
-}
-
-void StorePinRegistry::DeferDelete(const std::string& directory, int64_t generation,
-                                   std::vector<std::string> paths) {
-  const Key key{CanonicalDirectory(directory), generation};
-  bool pinned = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    pinned = pins_.find(key) != pins_.end();
-    if (pinned) {
-      std::vector<std::string>& parked = deferred_[key];
-      parked.insert(parked.end(), std::make_move_iterator(paths.begin()),
-                    std::make_move_iterator(paths.end()));
-    }
-  }
-  if (pinned) return;
-  for (const std::string& path : paths) {
-    std::error_code ec;
-    fs::remove(path, ec);
-  }
-}
-
-int64_t StorePinRegistry::total_pins() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  int64_t total = 0;
-  for (const auto& [key, count] : pins_) total += count;
-  return total;
-}
-
-int64_t StorePinRegistry::deferred_deletes_run() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return deferred_runs_;
-}
-
-StoreGenerationPin::StoreGenerationPin(std::string directory, int64_t generation)
-    : directory_(CanonicalDirectory(directory)), generation_(generation) {
-  StorePinRegistry::Global().Pin(directory_, generation_);
-}
-
-StoreGenerationPin::StoreGenerationPin(StoreGenerationPin&& other) noexcept
-    : directory_(std::move(other.directory_)), generation_(other.generation_) {
-  other.directory_.clear();
-}
-
-StoreGenerationPin& StoreGenerationPin::operator=(StoreGenerationPin&& other) noexcept {
-  if (this != &other) {
-    Release();
-    directory_ = std::move(other.directory_);
-    generation_ = other.generation_;
-    other.directory_.clear();
-  }
-  return *this;
-}
-
-StoreGenerationPin::~StoreGenerationPin() { Release(); }
-
-void StoreGenerationPin::Release() {
-  if (directory_.empty()) return;
-  StorePinRegistry::Global().Unpin(directory_, generation_);
-  directory_.clear();
-}
 
 namespace {
 
@@ -170,7 +42,8 @@ Result<std::string> ReadContent(const StoreOptions& options, const std::string& 
 
 /// Which generation of `logical` a directory entry `base` is, or nullopt
 /// when it is not a generation variant of `logical` at all. Plain names are
-/// generation 0; "name.g<K>" (K >= 1, all digits) is generation K.
+/// generation 0; "name.g<K>" (K >= 1, all digits, fits in int64) is
+/// generation K. A suffix too long for int64 is an unknown name.
 std::optional<int64_t> GenerationOf(const std::string& base, const std::string& logical) {
   if (base == logical) return 0;
   const std::string prefix = logical + ".g";
@@ -180,7 +53,9 @@ std::optional<int64_t> GenerationOf(const std::string& base, const std::string& 
   int64_t generation = 0;
   for (size_t i = prefix.size(); i < base.size(); ++i) {
     if (!std::isdigit(static_cast<unsigned char>(base[i]))) return std::nullopt;
-    generation = generation * 10 + (base[i] - '0');
+    const int digit = base[i] - '0';
+    if (generation > (std::numeric_limits<int64_t>::max() - digit) / 10) return std::nullopt;
+    generation = generation * 10 + digit;
   }
   return generation;
 }
@@ -188,18 +63,13 @@ std::optional<int64_t> GenerationOf(const std::string& base, const std::string& 
 /// Removes every file in `directory` that the store can prove is debris:
 /// `.tmp` staging leftovers of known names and generation variants of known
 /// names whose generation is not `keep_generation` (pass a negative
-/// keep_generation to remove every generation). A non-`.tmp` file of a
-/// generation pinned in the StorePinRegistry is *not* removed — a live
-/// reader still snapshots it — but parked for deferred deletion by the last
-/// unpin. Unknown names and subdirectories are never touched. Returns the
-/// removed file names.
+/// keep_generation to remove every generation). Unknown names and
+/// subdirectories are never touched. Returns the removed file names.
 std::vector<std::string> GarbageCollect(const std::string& directory, const StoreOptions& options,
                                         const std::vector<std::string>& logical_names,
                                         int64_t keep_generation) {
   std::vector<std::string> known = logical_names;
   if (!options.journal_name.empty()) known.push_back(options.journal_name);
-  const std::set<int64_t> pinned = StorePinRegistry::Global().PinnedGenerations(directory);
-  std::map<int64_t, std::vector<std::string>> deferred;
   std::vector<std::string> removed;
   std::error_code ec;
   fs::directory_iterator it(directory, ec);
@@ -215,7 +85,6 @@ std::vector<std::string> GarbageCollect(const std::string& directory, const Stor
       is_tmp = true;
     }
     bool remove = false;
-    std::optional<int64_t> file_generation;
     if (base == options.manifest_name) {
       remove = is_tmp;  // a manifest staging file is always debris
     } else {
@@ -223,23 +92,12 @@ std::vector<std::string> GarbageCollect(const std::string& directory, const Stor
         std::optional<int64_t> generation = GenerationOf(base, logical);
         if (!generation.has_value()) continue;
         remove = is_tmp || keep_generation < 0 || *generation != keep_generation;
-        file_generation = generation;
         break;
       }
     }
     if (!remove) continue;
-    // Pinned-generation snapshot/WAL content outlives the sweep: a live
-    // reader's snapshot still resolves to these bytes. (`.tmp` staging files
-    // are never read by anyone and stay removable.)
-    if (!is_tmp && file_generation.has_value() && pinned.count(*file_generation) > 0) {
-      deferred[*file_generation].push_back(entry.path().string());
-      continue;
-    }
     std::error_code rm_ec;
     if (fs::remove(entry.path(), rm_ec)) removed.push_back(name);
-  }
-  for (auto& [generation, paths] : deferred) {
-    StorePinRegistry::Global().DeferDelete(directory, generation, std::move(paths));
   }
   return removed;
 }
@@ -331,10 +189,20 @@ Result<StoreRecovery> DurableStore::Recover(const std::string& directory,
         StrFormat("store manifest '%s' is corrupt", options.manifest_name.c_str()));
   }
   StoreRecovery recovery;
-  // Manifests written before the store engine (WriteManifest) carry no
-  // generation or meta: default to generation 0, null meta.
-  const JsonValue& generation = manifest->Get("generation");
-  recovery.generation = generation.is_int() ? generation.AsInt() : 0;
+  // Manifests written before the store engine carry no generation or meta:
+  // default to generation 0, null meta. A generation that is present must
+  // name one the store can have written — a negative one would read to the
+  // sweep as "remove every generation", and the last one has no successor
+  // for Compact — so it is checked before any file is read or swept.
+  if (manifest->Has("generation")) {
+    Result<int64_t> generation = manifest->GetInt("generation");
+    if (!generation.ok() || *generation < 0 ||
+        *generation == std::numeric_limits<int64_t>::max()) {
+      return DataLossError(StrFormat("store manifest '%s' names no valid generation",
+                                     options.manifest_name.c_str()));
+    }
+    recovery.generation = *generation;
+  }
   recovery.meta = manifest->Get("meta");
 
   const JsonValue& files = manifest->Get("files");
@@ -507,27 +375,14 @@ Status DurableStore::Compact(const StoreFiles& files, const JsonValue& meta) {
   }
 
   // 3. Release the old WAL handle without flushing (its records are folded
-  //    into the new snapshot), then delete the old generation. A generation
-  //    pinned by a live reader is not deleted here: its files are parked in
-  //    the pin registry and removed by the last Unpin (which fires the same
-  //    util.store.delete injection point before touching disk).
+  //    into the new snapshot), then delete the old generation.
   journal_ = JournalWriter();
-  std::vector<std::string> old_paths;
-  old_paths.reserve(old_entries.size() + 1);
+  FLEXVIS_FAULT_CHECK("util.store.delete");
+  std::error_code ec;
   for (const StoreFileEntry& file : old_entries) {
-    old_paths.push_back((dir / GenerationFileName(file.name, old_generation)).string());
+    fs::remove(dir / GenerationFileName(file.name, old_generation), ec);
   }
-  old_paths.push_back(
-      (dir / GenerationFileName(options_.journal_name, old_generation)).string());
-  if (StorePinRegistry::Global().IsPinned(directory_, old_generation)) {
-    StorePinRegistry::Global().DeferDelete(directory_, old_generation, std::move(old_paths));
-  } else {
-    FLEXVIS_FAULT_CHECK("util.store.delete");
-    for (const std::string& path : old_paths) {
-      std::error_code ec;
-      fs::remove(path, ec);
-    }
-  }
+  fs::remove(dir / GenerationFileName(options_.journal_name, old_generation), ec);
 
   // 4. Start the (empty) new-generation WAL.
   Result<JournalWriter> writer =
@@ -542,10 +397,6 @@ Status DurableStore::Close() {
   open_ = false;
   if (journal_.is_open()) return journal_.Close();
   return OkStatus();
-}
-
-StoreGenerationPin DurableStore::PinGeneration() const {
-  return StoreGenerationPin(directory_, generation_);
 }
 
 }  // namespace flexvis

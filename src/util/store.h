@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -68,97 +66,6 @@ struct StoreOptions {
 /// manifest order.
 using StoreFiles = std::vector<std::pair<std::string, std::string>>;
 
-/// Process-wide registry of pinned (store directory, generation) pairs — the
-/// MVCC substrate of the concurrent serving layer (src/serve). A reader that
-/// snapshots a generation pins it here; while a generation is pinned,
-/// Compact() and the Recover()/Create() garbage-collection sweeps must not
-/// delete its on-disk files, so the reader's snapshot stays reconstructible
-/// for the whole life of the pin. Deletions that would have happened are
-/// *deferred*: their paths are parked under the (directory, generation) key
-/// and executed by the last Unpin — after firing the "util.store.delete"
-/// injection point, so the kill matrix can crash a process between the
-/// unpin and the deferred delete and prove the next Recover() sweeps the
-/// debris (the crashed process's pins die with it).
-///
-/// Pins are process-local by design: they protect in-process readers, not
-/// cross-process ones (those re-open their own committed generation).
-/// Thread-safe; all methods may be called concurrently.
-class StorePinRegistry {
- public:
-  /// The registry every DurableStore consults.
-  static StorePinRegistry& Global();
-
-  /// Increments the pin count of (directory, generation). Directories are
-  /// keyed by their canonical absolute path, so "./x" and "x" agree.
-  void Pin(const std::string& directory, int64_t generation);
-
-  /// Decrements the pin count. When the count reaches zero and deletions
-  /// were deferred onto this generation, fires "util.store.delete" once and
-  /// — unless the injection point failed or crashed — removes the deferred
-  /// files. An injected failure leaves the files as debris for the next
-  /// Recover() sweep; nothing is retried (the files are garbage either way).
-  void Unpin(const std::string& directory, int64_t generation);
-
-  /// True while (directory, generation) has at least one live pin.
-  bool IsPinned(const std::string& directory, int64_t generation) const;
-
-  /// Every pinned generation of `directory`, for the GC sweeps.
-  std::set<int64_t> PinnedGenerations(const std::string& directory) const;
-
-  /// Parks `paths` (absolute) for deletion when (directory, generation)
-  /// loses its last pin. Precondition checked by callers, not enforced
-  /// here: the pair should currently be pinned — otherwise the paths are
-  /// deleted immediately.
-  void DeferDelete(const std::string& directory, int64_t generation,
-                   std::vector<std::string> paths);
-
-  /// Live pins across every directory (observability for tests/benches).
-  int64_t total_pins() const;
-  /// Deferred deletions executed so far (after their fault check passed).
-  int64_t deferred_deletes_run() const;
-
- private:
-  struct Key {
-    std::string directory;
-    int64_t generation;
-    bool operator<(const Key& other) const {
-      if (directory != other.directory) return directory < other.directory;
-      return generation < other.generation;
-    }
-  };
-
-  mutable std::mutex mutex_;
-  std::map<Key, int64_t> pins_;
-  std::map<Key, std::vector<std::string>> deferred_;
-  int64_t deferred_runs_ = 0;
-};
-
-/// RAII pin on one store generation: pins in the constructor (via
-/// DurableStore::PinGeneration or explicitly), unpins on destruction or
-/// Release(). Movable, not copyable; a moved-from or default-constructed pin
-/// is empty and releases nothing.
-class StoreGenerationPin {
- public:
-  StoreGenerationPin() = default;
-  StoreGenerationPin(std::string directory, int64_t generation);
-  StoreGenerationPin(StoreGenerationPin&& other) noexcept;
-  StoreGenerationPin& operator=(StoreGenerationPin&& other) noexcept;
-  StoreGenerationPin(const StoreGenerationPin&) = delete;
-  StoreGenerationPin& operator=(const StoreGenerationPin&) = delete;
-  ~StoreGenerationPin();
-
-  /// Unpins now (idempotent).
-  void Release();
-
-  bool empty() const { return directory_.empty(); }
-  const std::string& directory() const { return directory_; }
-  int64_t generation() const { return generation_; }
-
- private:
-  std::string directory_;  // canonical; empty = no pin held
-  int64_t generation_ = 0;
-};
-
 /// One snapshot file's manifest entry: its logical name, size and CRC-32.
 struct StoreFileEntry {
   std::string name;
@@ -208,9 +115,8 @@ class DurableStore {
                                      const StoreFiles& files, const JsonValue& meta);
 
   /// Removes the manifest (the commit point) of any store in `directory`,
-  /// so readers see kDataLoss until a new Create/commit. Used by callers
-  /// that must invalidate before rewriting sibling state (e.g. the sharded
-  /// warehouse removes SHARDS.json before rewriting shard subdirectories).
+  /// so readers see kDataLoss until a new Create/commit. Create() and
+  /// Destroy() run it before they touch any other file.
   static Status Invalidate(const std::string& directory, const StoreOptions& options);
 
   /// Invalidate() + remove the whole store directory. The manifest vanishes
@@ -220,11 +126,11 @@ class DurableStore {
   static Status Destroy(const std::string& directory, const StoreOptions& options);
 
   /// Decodes the committed generation: verifies the manifest against the
-  /// snapshot files (kDataLoss on a missing/corrupt manifest or any
-  /// size/CRC mismatch), replays the WAL tolerating a torn tail (repaired
-  /// in place via TruncateJournal), and garbage-collects `.tmp` debris and
-  /// orphaned other-generation files. Subdirectories and unrecognized names
-  /// are never touched.
+  /// snapshot files (kDataLoss on a missing/corrupt manifest, a generation
+  /// outside [0, INT64_MAX), or any size/CRC mismatch), replays the WAL
+  /// tolerating a torn tail (repaired in place via TruncateJournal), and
+  /// garbage-collects `.tmp` debris and orphaned other-generation files.
+  /// Subdirectories and unrecognized names are never touched.
   static Result<StoreRecovery> Recover(const std::string& directory, const StoreOptions& options);
 
   /// Recover() + reopen the WAL of the committed generation for appending.
@@ -249,9 +155,7 @@ class DurableStore {
   /// the old generation's snapshot names and WAL deleted (a carried file's
   /// bytes live on under its new name). The WAL writer switches to the
   /// (empty) new-generation WAL. A crash anywhere inside recovers to exactly
-  /// the old or the new generation — never a mix. When the old generation is
-  /// pinned in the StorePinRegistry, its files are not deleted but parked for
-  /// deferred deletion by the last Unpin.
+  /// the old or the new generation — never a mix.
   Status Compact(const StoreFiles& files, const JsonValue& meta);
 
   /// Rewrites the manifest in place — same generation, same snapshot file
@@ -263,16 +167,9 @@ class DurableStore {
   /// (crash semantics: unflushed records are not promised).
   Status Close();
 
-  /// Pins the committed generation in the process-wide StorePinRegistry so
-  /// Compact() and the GC sweeps defer deleting its files until the pin is
-  /// released. The serving layer pins the generation a reader snapshots.
-  StoreGenerationPin PinGeneration() const;
-
   bool is_open() const { return open_; }
   int64_t generation() const { return generation_; }
   const std::string& directory() const { return directory_; }
-  /// Records appended through this handle (not counting recovered ones).
-  int64_t records_appended() const { return journal_.records_appended(); }
 
   /// Physical on-disk name for `logical` at `generation` (gen 0 is the
   /// plain name, gen G > 0 appends ".g<G>"). Exposed for tests and debris

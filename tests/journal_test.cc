@@ -443,35 +443,5 @@ TEST(FileIoTest, ReadMissingFileIsNotFound) {
   EXPECT_EQ(data.status().code(), StatusCode::kNotFound);
 }
 
-TEST(FileIoTest, ManifestRoundtripVerifies) {
-  const std::string dir = TempDir("manifest");
-  ASSERT_TRUE(WriteFileAtomic(dir + "/a.txt", "aaaa").ok());
-  ASSERT_TRUE(WriteFileAtomic(dir + "/b.txt", "bb").ok());
-  ASSERT_TRUE(WriteManifest(dir, "M.json", {"a.txt", "b.txt"}).ok());
-  EXPECT_TRUE(VerifyManifest(dir, "M.json").ok());
-}
-
-TEST(FileIoTest, ManifestDetectsEveryCorruption) {
-  const std::string dir = TempDir("manifest_corrupt");
-  ASSERT_TRUE(WriteFileAtomic(dir + "/a.txt", "aaaa").ok());
-  ASSERT_TRUE(WriteManifest(dir, "M.json", {"a.txt"}).ok());
-
-  // Missing manifest.
-  EXPECT_EQ(VerifyManifest(dir, "absent.json").code(), StatusCode::kDataLoss);
-  // Size mismatch.
-  WriteAll(dir + "/a.txt", "aaaaa");
-  EXPECT_EQ(VerifyManifest(dir, "M.json").code(), StatusCode::kDataLoss);
-  // Same size, flipped byte → CRC mismatch.
-  WriteAll(dir + "/a.txt", "aaab");
-  EXPECT_EQ(VerifyManifest(dir, "M.json").code(), StatusCode::kDataLoss);
-  // Covered file missing entirely.
-  fs::remove(dir + "/a.txt");
-  EXPECT_EQ(VerifyManifest(dir, "M.json").code(), StatusCode::kDataLoss);
-  // Unparsable manifest.
-  WriteAll(dir + "/a.txt", "aaaa");
-  WriteAll(dir + "/M.json", "{not json");
-  EXPECT_EQ(VerifyManifest(dir, "M.json").code(), StatusCode::kDataLoss);
-}
-
 }  // namespace
 }  // namespace flexvis

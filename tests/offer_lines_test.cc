@@ -16,6 +16,7 @@
 #include "dw/persistence.h"
 #include "geo/atlas.h"
 #include "grid/topology.h"
+#include "reseal_manifest.h"
 #include "sim/enterprise.h"
 #include "sim/workload.h"
 #include "util/fileio.h"
@@ -284,10 +285,7 @@ TEST_F(FlexOfferLinesTest, WarehouseLoadReportsTheSerialLoopsMessage) {
                                              want.error.byte_offset,
                                              want.error.bad_record.message().c_str()));
     ASSERT_TRUE(WriteFileAtomic(offers_path, text).ok());
-    ASSERT_TRUE(WriteManifest(dir, dw::kSnapshotManifest,
-                              {"dim_prosumer.csv", "dim_region.csv", "dim_grid_node.csv",
-                               "flexoffers.jsonl"})
-                    .ok());
+    ASSERT_TRUE(ResealManifest(dir).ok());
     for (int threads : {1, 8}) {
       SetParallelThreadCount(threads);
       Result<dw::Database> loaded = dw::LoadDatabase(dir);

@@ -9,6 +9,7 @@
 #include "util/crc32.h"
 #include "util/fileio.h"
 #include "olap/cube.h"
+#include "reseal_manifest.h"
 #include "sim/enterprise.h"
 #include "sim/workload.h"
 #include "util/parallel.h"
@@ -118,10 +119,7 @@ TEST_F(PersistenceTest, CorruptOfferLineIsReported) {
   std::fclose(f);
   // Re-seal the manifest over the corrupted file: the integrity layer now
   // passes, so the *parser* must still reject the bad record.
-  ASSERT_TRUE(WriteManifest(dir, dw::kSnapshotManifest,
-                            {"dim_prosumer.csv", "dim_region.csv", "dim_grid_node.csv",
-                             "flexoffers.jsonl"})
-                  .ok());
+  ASSERT_TRUE(ResealManifest(dir).ok());
   Result<dw::Database> restored = dw::LoadDatabase(dir);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
@@ -228,10 +226,7 @@ TEST_F(PersistenceTest, DuplicateOfferIdNamesIdAndLine) {
   std::string first_line = bytes.substr(0, bytes.find('\n') + 1);
   size_t lines_before = static_cast<size_t>(std::count(bytes.begin(), bytes.end(), '\n'));
   Overwrite(offers, bytes + first_line);
-  ASSERT_TRUE(WriteManifest(dir, dw::kSnapshotManifest,
-                            {"dim_prosumer.csv", "dim_region.csv", "dim_grid_node.csv",
-                             "flexoffers.jsonl"})
-                  .ok());
+  ASSERT_TRUE(ResealManifest(dir).ok());
   Result<dw::Database> restored = dw::LoadDatabase(dir);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
@@ -240,32 +235,6 @@ TEST_F(PersistenceTest, DuplicateOfferIdNamesIdAndLine) {
   EXPECT_NE(restored.status().message().find("line " + std::to_string(lines_before + 1)),
             std::string::npos)
       << restored.status().message();
-}
-
-TEST_F(PersistenceTest, ShardedLoadRejectsAnIdTwoShardsClaim) {
-  std::string dir = TempDir("sharded_dup");
-  ASSERT_TRUE(dw::SaveDatabaseSharded(
-                  db_, dir, 2,
-                  [](const core::FlexOffer& offer) { return static_cast<int>(offer.id % 2); })
-                  .ok());
-  ASSERT_TRUE(dw::LoadDatabaseSharded(dir).ok());
-  // Rewrite shard-0001, a complete warehouse of its own, so that it also
-  // holds one of shard-0000's offers.
-  Result<dw::Database> shard0 = dw::LoadDatabase(dir + "/shard-0000");
-  Result<dw::Database> shard1 = dw::LoadDatabase(dir + "/shard-0001");
-  ASSERT_TRUE(shard0.ok() && shard1.ok());
-  Result<std::vector<core::FlexOffer>> offers0 = shard0->SelectFlexOffers({});
-  ASSERT_TRUE(offers0.ok() && !offers0->empty());
-  const core::FlexOffer claimed = offers0->front();
-  ASSERT_TRUE(shard1->LoadFlexOffers({claimed}).ok());
-  ASSERT_TRUE(dw::SaveDatabase(*shard1, dir + "/shard-0001").ok());
-
-  Result<dw::Database> merged = dw::LoadDatabaseSharded(dir);
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), StatusCode::kAlreadyExists);
-  EXPECT_NE(merged.status().message().find("flex-offer " + std::to_string(claimed.id)),
-            std::string::npos)
-      << merged.status().message();
 }
 
 TEST_F(PersistenceTest, ShortWriteSurfacesAsTypedError) {

@@ -2,16 +2,10 @@
 // over published warehouse generations (readers pin, the ingest loop
 // publishes, superseded generations retire at last unpin), the
 // generation-keyed result cache with strict invalidation on advance,
-// admission control under ShedPolicy, and the store-layer contract that a
-// pinned generation's on-disk files are only ever *deferred*-deleted —
-// including the kill-matrix crash between unpin and deferred delete.
-
-#include <sys/wait.h>
-#include <unistd.h>
+// and admission control under ShedPolicy.
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,15 +16,9 @@
 
 #include "serve/engine.h"
 #include "sim/online.h"
-#include "util/fault.h"
-#include "util/json.h"
-#include "util/parallel.h"
-#include "util/store.h"
 
 namespace flexvis::serve {
 namespace {
-
-namespace fs = std::filesystem;
 
 using core::FlexOffer;
 using core::FlexOfferState;
@@ -523,117 +511,6 @@ TEST(ServeTest, PublishHookServesFromOnlineLoop) {
   ASSERT_TRUE(baseline.ok());
   EXPECT_EQ(baseline->outbox, hooked->outbox);
   EXPECT_EQ(baseline->imbalance_kwh, hooked->imbalance_kwh);
-}
-
-// ---- Store-layer pins: deferred deletes, GC, kill matrix -------------------
-
-std::string TempDir(const std::string& name) {
-  fs::path dir = fs::temp_directory_path() / "flexvis_serve_test" / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
-StoreOptions TestStoreOptions() {
-  StoreOptions options;
-  options.manifest_name = "MANIFEST.json";
-  options.journal_name = "journal.wal";
-  return options;
-}
-
-TEST(ServeTest, CompactDefersDeleteOfPinnedGenerationUntilUnpin) {
-  const std::string dir = TempDir("pinned_compact");
-  StoreFiles v0 = {{"state.json", "v0"}};
-  Result<DurableStore> store =
-      DurableStore::Create(dir, TestStoreOptions(), v0, JsonValue::Object());
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_TRUE(store->Append("rec").ok());
-  ASSERT_TRUE(store->Flush().ok());
-
-  StoreGenerationPin pin = store->PinGeneration();
-  EXPECT_EQ(pin.generation(), 0);
-  const int64_t runs_before = StorePinRegistry::Global().deferred_deletes_run();
-
-  ASSERT_TRUE(store->Compact({{"state.json", "v1"}}, JsonValue::Object()).ok());
-  EXPECT_EQ(store->generation(), 1);
-  // The pinned generation's files survived the compaction...
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "state.json"));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "journal.wal"));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "state.json.g1"));
-
-  // ...and a Recover() sweep (e.g. a sibling process's crash recovery path
-  // running in-process) must not reap them either while the pin is live.
-  Result<StoreRecovery> recovery = DurableStore::Recover(dir, TestStoreOptions());
-  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
-  EXPECT_EQ(recovery->generation, 1);
-  for (const std::string& name : recovery->removed_debris) {
-    EXPECT_NE(name, "state.json");
-    EXPECT_NE(name, "journal.wal");
-  }
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "state.json"));
-
-  // Last unpin executes the deferred delete.
-  pin.Release();
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "state.json"));
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "journal.wal"));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "state.json.g1"));
-  EXPECT_GT(StorePinRegistry::Global().deferred_deletes_run(), runs_before);
-  ASSERT_TRUE(store->Close().ok());
-}
-
-TEST(ServeTest, UnpinnedCompactStillDeletesEagerly) {
-  const std::string dir = TempDir("unpinned_compact");
-  Result<DurableStore> store = DurableStore::Create(dir, TestStoreOptions(),
-                                                    {{"state.json", "v0"}}, JsonValue::Object());
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Compact({{"state.json", "v1"}}, JsonValue::Object()).ok());
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "state.json"));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "state.json.g1"));
-  ASSERT_TRUE(store->Close().ok());
-}
-
-TEST(ServeTest, CrashBetweenUnpinAndDeferredDeleteIsSweptByRecover) {
-  // No pool workers may be alive across fork(); force serial execution.
-  SetParallelThreadCount(1);
-  FaultRegistry::Global().DisarmAll();
-  const std::string dir = TempDir("unpin_crash");
-
-  pid_t pid = fork();
-  if (pid == 0) {
-    Result<DurableStore> store = DurableStore::Create(
-        dir, TestStoreOptions(), {{"state.json", "v0"}}, JsonValue::Object());
-    if (!store.ok()) std::_Exit(2);
-    StoreGenerationPin pin = store->PinGeneration();
-    if (!store->Compact({{"state.json", "v1"}}, JsonValue::Object()).ok()) std::_Exit(3);
-    // Crash exactly between the unpin and the deferred delete: the pin is
-    // gone, the old generation's files are still on disk.
-    FaultConfig config;
-    config.crash_at_hit = 1;
-    FaultRegistry::Global().Arm("util.store.delete", config);
-    pin.Release();  // fires util.store.delete -> _Exit(kCrashExitCode)
-    std::_Exit(0);  // not reached
-  }
-  ASSERT_GT(pid, 0) << "fork failed";
-  int wstatus = 0;
-  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
-  ASSERT_TRUE(WIFEXITED(wstatus));
-  ASSERT_EQ(WEXITSTATUS(wstatus), kCrashExitCode);
-
-  // The crashed process left generation-0 debris behind...
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "state.json"));
-
-  // ...which the next Recover() reaps: the crashed process's pins died with
-  // it, so nothing protects the old generation any more.
-  Result<StoreRecovery> recovery = DurableStore::Recover(dir, TestStoreOptions());
-  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
-  EXPECT_EQ(recovery->generation, 1);
-  EXPECT_EQ(recovery->files.at("state.json"), "v1");
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "state.json"));
-  bool swept = false;
-  for (const std::string& name : recovery->removed_debris) {
-    if (name == "state.json") swept = true;
-  }
-  EXPECT_TRUE(swept);
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 // with the unsharded run, shard-invariant measures of the N-shard merge,
 // replay-verified prosumer migration, the coordinator-level kill matrix
 // (crashes during a shard's journal flush and during the coordinator manifest
-// write), overload shedding, and sharded warehouse persistence. Every test
-// runs under the re-base oracle (rebase_oracle.h): after each Tick and each
-// migration splice, every shard's live state must equal Begin over its
-// members plus Apply of its history.
+// write), and overload shedding. Every test runs under the re-base oracle
+// (rebase_oracle.h): after each Tick and each migration splice, every
+// shard's live state must equal Begin over its members plus Apply of its
+// history.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/messages.h"
-#include "dw/persistence.h"
 #include "geo/atlas.h"
 #include "grid/topology.h"
 #include "rebase_oracle.h"
@@ -1270,6 +1269,7 @@ TEST_F(ShardTest, ResumeRefusesAHostileManifestBeforeTouchingAnyShardDirectory) 
       {"\"num_shards\":2", "\"num_shards\":4294967296"},
       {"\"topology\":0", "\"topology\":-1"},
       {"\"topology\":0", "\"topology\":7"},
+      {"\"scale_energy_per_shard\":true", "\"scale_energy_per_shard\":false"},
   };
   for (const auto& [field, hostile] : edits) {
     const std::string dir = Dir("hostile_manifest");
@@ -1379,53 +1379,6 @@ TEST_F(ShardTest, LeastValuableShedPolicyIsJournaledAndSurvivesResume) {
   Result<sim::MergedOnlineReport> resumed = sim::Coordinator::ResumeSharded(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ExpectMergedEqual(*baseline, *resumed, "least-valuable shed across resume");
-}
-
-// ---- Sharded persistence ----------------------------------------------------
-
-TEST_F(ShardTest, ShardedDatabaseSaveLoadRoundTrips) {
-  dw::Database db;
-  ASSERT_TRUE(atlas_.RegisterWithDatabase(db).ok());
-  ASSERT_TRUE(topology_.RegisterWithDatabase(db).ok());
-  for (const dw::ProsumerInfo& p : workload_.prosumers) {
-    ASSERT_TRUE(db.RegisterProsumer(p).ok());
-  }
-  ASSERT_TRUE(db.LoadFlexOffers(workload_.offers).ok());
-
-  sim::ShardRouter router(3, sim::ShardPolicy::kHash);
-  std::string dir = Dir("dw_sharded");
-  ASSERT_TRUE(dw::SaveDatabaseSharded(
-                  db, dir, 3,
-                  [&](const core::FlexOffer& offer) { return router.ShardOf(offer); })
-                  .ok());
-
-  Result<dw::Database> restored = dw::LoadDatabaseSharded(dir);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  Result<std::vector<core::FlexOffer>> original = db.SelectFlexOffers({});
-  Result<std::vector<core::FlexOffer>> roundtrip = restored->SelectFlexOffers({});
-  ASSERT_TRUE(original.ok());
-  ASSERT_TRUE(roundtrip.ok());
-  ASSERT_EQ(original->size(), roundtrip->size());
-  for (size_t i = 0; i < original->size(); ++i) {
-    EXPECT_EQ(core::EncodeFlexOffer((*original)[i]),
-              core::EncodeFlexOffer((*roundtrip)[i]));
-  }
-  EXPECT_EQ(restored->prosumers().size(), db.prosumers().size());
-
-  // Each shard directory is a complete, independently loadable warehouse.
-  Result<dw::Database> shard0 = dw::LoadDatabase(dir + "/shard-0000");
-  ASSERT_TRUE(shard0.ok()) << shard0.status().ToString();
-  EXPECT_EQ(shard0->prosumers().size(), db.prosumers().size());
-
-  // No top-level manifest (crash mid-save) means nothing was committed.
-  fs::remove(fs::path(dir) / dw::kShardsManifest);
-  EXPECT_EQ(dw::LoadDatabaseSharded(dir).status().code(), StatusCode::kDataLoss);
-
-  // Bad routing is a typed error, not a silent misfile.
-  EXPECT_EQ(dw::SaveDatabaseSharded(db, Dir("dw_bad"), 3,
-                                    [](const core::FlexOffer&) { return 5; })
-                .code(),
-            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -110,13 +111,16 @@ TEST(StoreTest, CreateResumeRecoverRoundtrip) {
 }
 
 TEST(StoreTest, LegacyManifestReadsAsGenerationZeroWithNullMeta) {
-  // Manifests written by the pre-store WriteManifest (no generation, no
-  // meta) must keep decoding: generation 0, meta null.
+  // Manifests written before the store engine (no generation, no meta) must
+  // keep decoding: generation 0, meta null.
   const std::string dir = TempDir("legacy");
   ASSERT_TRUE(WriteFileAtomic(dir + "/state.json", "legacy-state").ok());
   ASSERT_TRUE(WriteFileAtomic(dir + "/offers.jsonl", "legacy-offers\n").ok());
-  ASSERT_TRUE(
-      WriteManifest(dir, "MANIFEST.json", {"state.json", "offers.jsonl"}).ok());
+  ASSERT_TRUE(WriteFileAtomic(dir + "/MANIFEST.json",
+                              R"({"files":[{"bytes":12,"crc32":4131018460,"name":"state.json"},)"
+                              R"({"bytes":14,"crc32":2803324169,"name":"offers.jsonl"}],)"
+                              R"("schema_version":1})")
+                  .ok());
 
   Result<StoreRecovery> recovery = DurableStore::Recover(dir, TestOptions());
   ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
@@ -147,8 +151,10 @@ TEST(StoreTest, RecoverCollectsDebrisButNeverUnknownNamesOrSubdirectories) {
   WriteRaw(dir + "/state.json.tmp", "half-written");
   WriteRaw(dir + "/state.json.g7", "orphaned-generation");
   WriteRaw(dir + "/journal.wal.g7", "orphaned-wal");
-  // Content the GC must never touch: unknown names and subdirectories.
+  // Content the GC must never touch: unknown names (a generation suffix
+  // past int64 included) and subdirectories.
   WriteRaw(dir + "/README.txt", "keep me");
+  WriteRaw(dir + "/state.json.g99999999999999999999", "not a generation");
   fs::create_directories(dir + "/shard-0000");
   WriteRaw(dir + "/shard-0000/state.json", "nested store");
 
@@ -160,7 +166,44 @@ TEST(StoreTest, RecoverCollectsDebrisButNeverUnknownNamesOrSubdirectories) {
   EXPECT_FALSE(fs::exists(dir + "/state.json.g7"));
   EXPECT_FALSE(fs::exists(dir + "/journal.wal.g7"));
   EXPECT_TRUE(fs::exists(dir + "/README.txt"));
+  EXPECT_EQ(ReadRaw(dir + "/state.json.g99999999999999999999"), "not a generation");
   EXPECT_EQ(ReadRaw(dir + "/shard-0000/state.json"), "nested store");
+}
+
+TEST(StoreTest, RecoverRefusesAGenerationNoStoreCanHaveWritten) {
+  // A negative generation would read to the sweep as "remove every
+  // generation", the last one has no successor, and a fraction is no
+  // generation at all. Each is refused before any file is read or swept,
+  // even where the files carry that generation's names.
+  for (const std::string hostile : {"-1", "9223372036854775807", "1.5"}) {
+    const std::string dir = TempDir("hostile_generation");
+    Result<DurableStore> store =
+        DurableStore::Create(dir, TestOptions(), {{"state.json", "s"}, {"offers.jsonl", "o"}},
+                             MetaTagged(0));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE(store->Append("rec").ok());
+    ASSERT_TRUE(store->Close().ok());
+    if (hostile == "9223372036854775807") {
+      const int64_t last = std::numeric_limits<int64_t>::max();
+      for (const std::string name : {"state.json", "offers.jsonl", "journal.wal"}) {
+        fs::rename(dir + "/" + name, dir + "/" + DurableStore::GenerationFileName(name, last));
+      }
+    }
+    std::string manifest = ReadRaw(dir + "/MANIFEST.json");
+    const size_t at = manifest.find("\"generation\":0");
+    ASSERT_NE(at, std::string::npos) << manifest;
+    manifest.replace(at, std::string("\"generation\":0").size(), "\"generation\":" + hostile);
+    WriteRaw(dir + "/MANIFEST.json", manifest);
+    const std::map<std::string, std::string> before = SnapshotDir(dir);
+
+    Result<StoreRecovery> recovery = DurableStore::Recover(dir, TestOptions());
+    ASSERT_FALSE(recovery.ok()) << hostile;
+    EXPECT_EQ(recovery.status().code(), StatusCode::kDataLoss) << hostile;
+    Result<DurableStore> resumed = DurableStore::Resume(dir, TestOptions(), nullptr);
+    ASSERT_FALSE(resumed.ok()) << hostile;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kDataLoss) << hostile;
+    EXPECT_EQ(SnapshotDir(dir), before) << hostile;
+  }
 }
 
 TEST(StoreTest, CompactAdvancesGenerationAndDeletesTheOldOne) {

@@ -183,8 +183,7 @@ int CmdPlan(const Args& args) {
 
   // FLEXVIS_SHARDS=N partitions the prosumer population across N enterprise
   // shards (README "Multi-enterprise sharding"). The merged plan is printed
-  // but not written back: per-shard schedules belong to per-shard
-  // warehouses (dw::SaveDatabaseSharded), not this single one.
+  // but not written back to the warehouse.
   if (int shards = sim::ShardsFromEnv(1); shards > 1) {
     Result<std::vector<core::FlexOffer>> offers =
         db->SelectFlexOffers(dw::FlexOfferFilter{});
